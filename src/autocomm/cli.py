@@ -29,6 +29,7 @@ from .report import (
     cells_csv,
     config_digest,
     format_report,
+    record_from_dict,
     record_to_json,
     run_safe,
     summary_csv,
@@ -204,13 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if name.startswith("run-") and name.endswith(".json"):
                 with open(os.path.join(args.runs, name), encoding="utf-8") as fh:
                     doc = json.load(fh)
-                records.append(RunRecord(
-                    track=doc["track"], method=doc["method"],
-                    seed=doc["seed"], config_digest=doc["config_digest"],
-                    package_version=doc["package_version"],
-                    status=doc["status"], metrics=doc["metrics"],
-                    details=doc.get("details", {}),
-                    error=doc.get("error")))
+                records.append(record_from_dict(doc))
         text = format_report(records)
         sys.stdout.write(text)
         if args.out:

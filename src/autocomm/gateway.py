@@ -131,8 +131,9 @@ def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
 class Cassette:
     """JSON-lines request/response log for offline replay.
 
-    Each line is {"request_digest", "response_text", "latency_ms"}.  In
-    record mode responses are appended as they arrive.  In replay mode the
+    Each line is {"request_digest", "response_text", "latency_ms"}.  Record
+    mode truncates the file, then writes responses as they arrive, so a
+    re-recording never leaves stale entries behind.  In replay mode the
     next line must match the incoming request digest, in order; a mismatch
     or an exhausted file raises instead of touching the network.
     """
@@ -158,7 +159,7 @@ class Cassette:
                             f"{self.path}:{line_no}: bad cassette line: {exc}")
                     self._entries.append(entry)
         else:
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open(self.path, "w", encoding="utf-8")
 
     def __enter__(self) -> "Cassette":
         return self

@@ -333,12 +333,12 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             if failure is None:
                 assert parsed is not None
                 report = validate(parsed, snr, cfg, objective)
-                level, sc = allocation_rank(parsed, snr, cfg, objective)
-                if level > LEVEL_INVALID:
-                    score = sc
-                    exemplars[parsed] = (level, sc)
-                    if (level, sc) > best_key:
-                        best_key = (level, sc)
+                key = (report.level, report.score)
+                if report.level > LEVEL_INVALID:
+                    score = report.score
+                    exemplars[parsed] = key
+                    if key > best_key:
+                        best_key = key
                         best_alloc = parsed
                         improved = True
             feedback = feedback_message(report, score, failure, cfg.num_rbs)

@@ -1,18 +1,16 @@
-"""Link budget, SNR map generation, per-robot rates, and QoS clamping.
+"""Link budget, SNR map generation, per-RB rates, and QoS clamping.
 
 Every scheduler consumes the same SnrMap: a [num_robots x num_rbs] matrix of
 linear SNR values derived from uniformly placed robots, a log-distance path
 loss, and an optional per-RB Rayleigh fading term.  Rates use the Shannon
-capacity of each RB at equal bandwidth B / num_rbs.
+capacity of each RB at equal bandwidth B / num_rbs; summing them per robot
+under an allocation is scheduling.evaluate_batch's job.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,11 +69,12 @@ class SnrMap:
         return [i + 1 for i in range(self.num_robots) if self.buffer_nonempty[i]]
 
 
-def path_loss_db(distance_m: float, params: RadioParams) -> float:
-    """Log-distance path loss: ref loss at 1 m plus 10*n*log10(d)."""
-    if distance_m <= 0:
+def path_loss_db(distance_m, params: RadioParams) -> np.ndarray:
+    """Log-distance path loss, elementwise: ref loss at 1 m plus 10*n*log10(d)."""
+    distance_m = np.asarray(distance_m, dtype=float)
+    if np.any(distance_m <= 0):
         raise ValueError("distance_m must be > 0")
-    return params.pathloss_ref_db + 10.0 * params.pathloss_exponent * math.log10(distance_m)
+    return params.pathloss_ref_db + 10.0 * params.pathloss_exponent * np.log10(distance_m)
 
 
 def generate_snr_map(cfg: SchedulingConfig, params: RadioParams, rng: RngStream) -> SnrMap:
@@ -92,8 +91,7 @@ def generate_snr_map(cfg: SchedulingConfig, params: RadioParams, rng: RngStream)
     # Robots at the exact center would have an undefined path loss; the
     # draw is measure-zero but clamp to 1 m anyway.
     distances = np.maximum(np.hypot(positions[:, 0], positions[:, 1]), 1.0)
-    pl_db = params.pathloss_ref_db + 10.0 * params.pathloss_exponent * np.log10(distances)
-    snr_db = params.tx_power_dbm - pl_db - params.noise_dbm_per_rb
+    snr_db = params.tx_power_dbm - path_loss_db(distances, params) - params.noise_dbm_per_rb
     snr = np.power(10.0, snr_db / 10.0)[:, None] * np.ones((1, m))
     if params.fading == "rayleigh":
         snr = snr * rng.exponential(1.0, (n, m))
@@ -108,74 +106,7 @@ def rb_rate_matrix(snr: SnrMap, cfg: SchedulingConfig) -> np.ndarray:
     return rb_bw * np.log2(1.0 + snr.values)
 
 
-def robot_rate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig, robot: int) -> float:
-    """Rate of one robot under an allocation; 0 if its buffer is empty.
-
-    ``alloc`` is the RB-owner vector (1-based robot ids).  Raises on an
-    unknown robot id.
-    """
-    if not 1 <= robot <= snr.num_robots:
-        raise ValueError(f"unknown robot id {robot}")
-    if not snr.buffer_nonempty[robot - 1]:
-        return 0.0
-    rates = rb_rate_matrix(snr, cfg)
-    return float(sum(rates[robot - 1, b] for b, owner in enumerate(alloc) if owner == robot))
-
-
-def rate_vector(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig) -> np.ndarray:
-    """Per-robot rates (bits/s) under an allocation; empty buffers give 0."""
-    rates = rb_rate_matrix(snr, cfg)
-    out = np.zeros(snr.num_robots)
-    for b, owner in enumerate(alloc):
-        if 1 <= owner <= snr.num_robots:
-            out[owner - 1] += rates[owner - 1, b]
-    out[~snr.buffer_nonempty] = 0.0
-    return out
-
-
 def clamp_qos(rates_bps: np.ndarray, min_rate_bps: float) -> np.ndarray:
     """Zero every rate below the QoS threshold; others pass through."""
     rates = np.asarray(rates_bps, dtype=float)
     return np.where(rates < min_rate_bps, 0.0, rates)
-
-
-# ---------------------------------------------------------------------------
-# CSV export/import so external schedulers can consume identical inputs.
-
-SNR_CSV_HEADER = ["robot", "rb", "snr_linear"]
-
-
-def snr_map_to_csv(snr: SnrMap) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SNR_CSV_HEADER)
-    for i in range(snr.num_robots):
-        for b in range(snr.num_rbs):
-            writer.writerow([i + 1, b + 1, repr(float(snr.values[i, b]))])
-    return buf.getvalue()
-
-
-def snr_map_from_csv(text: str,
-                     robot_positions: Optional[np.ndarray] = None,
-                     buffer_nonempty: Optional[np.ndarray] = None) -> SnrMap:
-    """Rebuild an SnrMap from the CSV export.
-
-    Positions/buffers are not part of the CSV; absent, positions default to
-    the origin and all buffers to non-empty.
-    """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != SNR_CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    entries = [(int(r), int(b), float(v)) for r, b, v in reader]
-    n = max(e[0] for e in entries)
-    m = max(e[1] for e in entries)
-    values = np.zeros((n, m))
-    for r, b, v in entries:
-        values[r - 1, b - 1] = v
-    if robot_positions is None:
-        robot_positions = np.zeros((n, 2))
-    if buffer_nonempty is None:
-        buffer_nonempty = np.ones(n, dtype=bool)
-    return SnrMap(values=values, robot_positions=robot_positions,
-                  buffer_nonempty=np.asarray(buffer_nonempty, dtype=bool))

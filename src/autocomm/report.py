@@ -86,6 +86,11 @@ def record_to_dict(rec: RunRecord) -> dict:
     return doc
 
 
+def record_from_dict(doc: dict) -> RunRecord:
+    """Inverse of record_to_dict; the wall time is not serialized."""
+    return RunRecord(**doc)
+
+
 def record_to_json(rec: RunRecord) -> str:
     return json.dumps(record_to_dict(rec), indent=2, sort_keys=True,
                       default=str) + "\n"
@@ -121,18 +126,6 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
         metrics = {"score": score, "level": float(level)}
         details = {"alloc": list(alloc), "objective": objective.kind.value}
     elif method in ("opro_mock", "opro_chat"):
-        if method == "opro_mock":
-            engine = MockLocalSearchEngine(stream(seed, "scheduling/engine"))
-        else:
-            from .gateway import Cassette, ChatProposalEngine, EndpointConfig
-            endpoint = EndpointConfig(
-                base_url=opts.get("endpoint_url", ""),
-                model=opts.get("model", ""))
-            cassette = None
-            if opts.get("cassette"):
-                cassette = Cassette(opts["cassette"],
-                                    opts.get("cassette_mode", "replay"))
-            engine = ChatProposalEngine(endpoint, cassette)
         params = OproParams(**opts.get("opro_params", {}))
         switch = opts.get("switch")
         if switch:
@@ -146,7 +139,23 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
                         (second, params.max_iterations - at)]
         else:
             segments = [(objective, params.max_iterations)]
-        result = opro_optimize_segments(cfg, snr, segments, engine, params)
+        cassette = None
+        if method == "opro_mock":
+            engine = MockLocalSearchEngine(stream(seed, "scheduling/engine"))
+        else:
+            from .gateway import Cassette, ChatProposalEngine, EndpointConfig
+            endpoint = EndpointConfig(
+                base_url=opts.get("endpoint_url", ""),
+                model=opts.get("model", ""))
+            if opts.get("cassette"):
+                cassette = Cassette(opts["cassette"],
+                                    opts.get("cassette_mode", "replay"))
+            engine = ChatProposalEngine(endpoint, cassette)
+        try:
+            result = opro_optimize_segments(cfg, snr, segments, engine, params)
+        finally:
+            if cassette is not None:
+                cassette.close()
         metrics = {
             "score": result.best_score,
             "level": float(result.final.best_level),

@@ -61,17 +61,11 @@ class RngStream:
         out = self._gen.integers(low, high, size=size)
         return int(out) if size is None else out
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
     def exponential(self, scale: float = 1.0, size=None):
         return self._gen.exponential(scale, size)
 
     def shuffle(self, x) -> None:
         self._gen.shuffle(x)
-
-    def choice(self, seq, size=None, replace=True):
-        return self._gen.choice(seq, size=size, replace=replace)
 
 
 def stream(seed: int, label: str) -> RngStream:

@@ -12,13 +12,13 @@ prompting loop comparable on identical inputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
-from .radio import SnrMap, rb_rate_matrix
+from .radio import SnrMap, clamp_qos, rb_rate_matrix
 from .rng import RngStream
 
 Allocation = tuple[int, ...]
@@ -49,24 +49,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+    """Violations of one allocation plus its (level, score) ranking key."""
+
+    violations: tuple[Violation, ...]
+    level: int
+    score: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def kinds(self) -> set[ViolationKind]:
-        return {v.kind for v in self.violations}
-
-    def structural_violations(self) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if v.kind != ViolationKind.QOS_VIOLATION)
-
-
-class InvalidAllocationError(ValueError):
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        details = "; ".join(v.detail for v in report.violations)
-        super().__init__(f"structurally invalid allocation: {details}")
 
 
 @dataclass(frozen=True)
@@ -100,150 +91,140 @@ class GaParams:
 
 
 # ---------------------------------------------------------------------------
-# Scoring
+# The assessment kernel and its readers
 
 
-def _per_robot_rates(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig) -> np.ndarray:
-    """Per-robot rates for a batch of allocations.
+@dataclass(frozen=True)
+class Assessment:
+    """evaluate_batch's row-by-row verdict on P allocations over n robots."""
 
-    allocs: [P, num_rbs] of robot ids.  Returns [P, num_robots] bits/s with
-    empty-buffer robots forced to zero.  Ids outside 1..n contribute nothing.
-    """
-    rates_rb = rb_rate_matrix(snr, cfg)            # [n, m]
-    n = snr.num_robots
-    out = np.zeros((allocs.shape[0], n))
-    for i in range(n):
-        if not snr.buffer_nonempty[i]:
-            continue
-        mask = allocs == (i + 1)                   # [P, m]
-        out[:, i] = mask @ rates_rb[i]
-    return out
+    levels: np.ndarray    # [P] int8: LEVEL_INVALID, LEVEL_QOS_VIOLATED or LEVEL_OK
+    scores: np.ndarray    # [P] objective value; -inf on structurally invalid rows
+    rates: np.ndarray     # [P, n] bits/s; 0 for empty-buffer robots
+    counts: np.ndarray    # [P, n + 1] RBs per robot; last column: unknown ids
+    starved: np.ndarray   # [P, n] eligible robots below the QoS minimum rate
+
+    def key(self, row: int) -> tuple[int, float]:
+        """(level, score) ranking key of one row."""
+        return int(self.levels[row]), float(self.scores[row])
 
 
 def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
-                   objective: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ranking of allocation candidates.
+                   objective: ObjectiveSpec) -> Assessment:
+    """Assess a batch of allocation candidates in one pass.
 
-    allocs: [P, num_rbs] integer matrix of robot ids.  Returns
-    (levels [P] in {0,1,2}, scores [P]).  Structurally invalid rows get
-    level 0 and score -inf.
+    allocs: [P, width] robot ids, one candidate per row; a width other than
+    cfg.num_rbs makes every row structurally invalid.  One bincount over
+    (row, owner) slots, with column n standing for every id that names no
+    robot, yields the per-robot RB counts and the per-robot rates summed in
+    RB order.  Structural validity (unknown ids, empty-buffer robots, the
+    RB cap, the width) comes from the counts; the QoS mask, levels and
+    scores come from the rates.
     """
     allocs = np.asarray(allocs)
-    P = allocs.shape[0]
+    P, width = allocs.shape
     n = snr.num_robots
     eligible = snr.buffer_nonempty
 
-    valid_id = (allocs >= 1) & (allocs <= n)
-    structural_bad = ~valid_id.all(axis=1)
-    clipped = np.clip(allocs, 1, n)
-    assigned_empty = (~eligible[clipped - 1]) & valid_id
-    structural_bad |= assigned_empty.any(axis=1)
-    cap = cfg.rb_cap
-    if cap < cfg.num_rbs:
-        for i in range(n):
-            structural_bad |= (allocs == (i + 1)).sum(axis=1) > cap
+    # Owner column of each slot: robot id - 1, or n for an id no robot has.
+    owner = np.where((allocs >= 1) & (allocs <= n), allocs - 1, n)
+    owner = owner.astype(np.intp, copy=False)
+    # Rate of each slot: zero for empty buffers, unknown owners and
+    # positions past the last RB.
+    rb = rb_rate_matrix(snr, cfg)
+    m = min(width, rb.shape[1])
+    slot_rate = np.zeros((n + 1, width))
+    slot_rate[:n, :m] = np.where(eligible[:, None], rb[:, :m], 0.0)
+    weights = slot_rate[owner, np.arange(width)].ravel()
+    bins = (owner + (n + 1) * np.arange(P)[:, None]).ravel()
+    size = P * (n + 1)
+    counts = np.bincount(bins, minlength=size).reshape(P, n + 1)
+    rates = np.bincount(bins, weights=weights,
+                        minlength=size).reshape(P, n + 1)[:, :n]
 
-    rates = _per_robot_rates(allocs, snr, cfg)     # [P, n]
-    eps = objective.epsilon
-    if objective.kind is ObjectiveKind.PF:
-        scores = np.log2(np.maximum(rates[:, eligible], eps)).sum(axis=1)
-    elif objective.kind is ObjectiveKind.QOS_SUM_RATE:
-        clamped = np.where(rates < objective.min_rate_bps, 0.0, rates)
-        scores = clamped.sum(axis=1)
-    elif objective.kind is ObjectiveKind.QOS_PF:
-        clamped = np.where(rates < objective.min_rate_bps, 0.0, rates)
-        scores = np.log2(np.maximum(clamped[:, eligible], eps)).sum(axis=1)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown objective kind {objective.kind}")
+    # RBs each robot may hold: the cap, or none at all with an empty buffer.
+    allowed = np.where(eligible, cfg.rb_cap, 0)
+    invalid = counts[:, n] > 0
+    if width != cfg.num_rbs:
+        invalid[:] = True
+    elif (allowed < width).any():      # no count can exceed the width
+        invalid |= (counts[:, :n] > allowed).any(axis=1)
 
     levels = np.full(P, LEVEL_OK, dtype=np.int8)
-    if objective.is_qos and eligible.any():
-        violated = (rates[:, eligible] < objective.min_rate_bps).any(axis=1)
-        levels[violated] = LEVEL_QOS_VIOLATED
-    levels[structural_bad] = LEVEL_INVALID
-    scores = np.where(structural_bad, -np.inf, scores)
-    return levels, scores
-
-
-def evaluate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
-             objective: ObjectiveSpec) -> float:
-    """Objective score of one allocation.
-
-    Raises InvalidAllocationError on structural violations; QoS shortfalls
-    only affect the score through clamping, not validity here.
-    """
-    report = validate(alloc, snr, cfg, objective)
-    structural = report.structural_violations()
-    if structural:
-        raise InvalidAllocationError(ValidationReport(structural))
-    _, scores = evaluate_batch(np.asarray([list(alloc)]), snr, cfg, objective)
-    return float(scores[0])
+    if objective.is_qos:
+        starved = (rates < objective.min_rate_bps) & eligible
+        levels[starved.any(axis=1)] = LEVEL_QOS_VIOLATED
+        scored = clamp_qos(rates, objective.min_rate_bps)
+    else:
+        starved = np.zeros(rates.shape, dtype=bool)
+        scored = rates
+    if objective.kind is ObjectiveKind.QOS_SUM_RATE:
+        terms = scored
+    else:  # PF and QOS_PF
+        terms = np.log2(np.maximum(scored[:, eligible], objective.epsilon))
+    # numpy sums a row in an order set by the memory layout; in C order
+    # every row sums as it would alone, whatever the batch.
+    scores = np.ascontiguousarray(terms).sum(axis=1)
+    levels[invalid] = LEVEL_INVALID
+    scores[invalid] = -np.inf
+    return Assessment(levels, scores, rates, counts, starved)
 
 
 def allocation_rank(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
                     objective: ObjectiveSpec) -> tuple[int, float]:
     """(level, score) ranking key for one allocation; never raises."""
-    if len(alloc) != cfg.num_rbs:
-        return LEVEL_INVALID, float("-inf")
-    levels, scores = evaluate_batch(np.asarray([list(alloc)]), snr, cfg, objective)
-    return int(levels[0]), float(scores[0])
-
-
-# ---------------------------------------------------------------------------
-# Validation (the hallucination guard)
+    return evaluate_batch(np.asarray([alloc]), snr, cfg, objective).key(0)
 
 
 def validate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
-             objective: Optional[ObjectiveSpec] = None) -> ValidationReport:
+             objective: ObjectiveSpec) -> ValidationReport:
     """Check an allocation against the scheduling description.
 
-    Reports wrong length, unknown ids, empty-buffer assignments, per-robot
-    RB counts above the cap, and, for QoS objectives on structurally valid
-    vectors, the robots whose achieved rate is below the threshold.
-    Validation never raises.
+    Runs evaluate_batch on the one row and names what it found: wrong
+    length, unknown ids, empty-buffer assignments, per-robot RB counts above
+    the cap, and, for QoS objectives on structurally valid vectors, the
+    robots whose achieved rate is below the threshold.  Validation never
+    raises.
     """
-    violations: list[Violation] = []
+    row = np.asarray([alloc])
+    assessed = evaluate_batch(row, snr, cfg, objective)
     n = snr.num_robots
-    alloc = tuple(int(a) for a in alloc)
+    counts = assessed.counts[0]
+    violations: list[Violation] = []
 
-    if len(alloc) != cfg.num_rbs:
+    if row.shape[1] != cfg.num_rbs:
         violations.append(Violation(
             ViolationKind.WRONG_LENGTH,
-            f"expected {cfg.num_rbs} entries, got {len(alloc)}"))
+            f"expected {cfg.num_rbs} entries, got {row.shape[1]}"))
 
-    unknown = sorted({a for a in alloc if not 1 <= a <= n})
-    if unknown:
+    if counts[n]:
+        unknown = np.unique(row[(row < 1) | (row > n)]).tolist()
         violations.append(Violation(
             ViolationKind.UNKNOWN_ROBOT,
             f"ids not in this scenario: {unknown}", robots=tuple(unknown)))
 
-    empty = sorted({a for a in alloc
-                    if 1 <= a <= n and not snr.buffer_nonempty[a - 1]})
+    empty = (np.flatnonzero((counts[:n] > 0) & ~snr.buffer_nonempty) + 1).tolist()
     if empty:
         violations.append(Violation(
             ViolationKind.EMPTY_BUFFER_ROBOT,
             f"robots with empty buffers assigned: {empty}", robots=tuple(empty)))
 
     cap = cfg.rb_cap
-    for rid in sorted({a for a in alloc if 1 <= a <= n}):
-        count = alloc.count(rid)
-        if count > cap:
-            violations.append(Violation(
-                ViolationKind.EXCESSIVE_RBS,
-                f"robot {rid} assigned {count} RBs, cap is {cap}",
-                robots=(rid,), count=count))
+    for rid in (np.flatnonzero(counts[:n] > cap) + 1).tolist():
+        count = int(counts[rid - 1])
+        violations.append(Violation(
+            ViolationKind.EXCESSIVE_RBS,
+            f"robot {rid} assigned {count} RBs, cap is {cap}",
+            robots=(rid,), count=count))
 
-    if objective is not None and objective.is_qos and not violations:
-        levels, _ = evaluate_batch(np.asarray([list(alloc)]), snr, cfg, objective)
-        if levels[0] == LEVEL_QOS_VIOLATED:
-            rates = _per_robot_rates(np.asarray([list(alloc)]), snr, cfg)[0]
-            bad = [i + 1 for i in range(n)
-                   if snr.buffer_nonempty[i] and rates[i] < objective.min_rate_bps]
-            violations.append(Violation(
-                ViolationKind.QOS_VIOLATION,
-                f"rate below threshold for robots: {bad}", robots=tuple(bad)))
+    level, score = assessed.key(0)
+    if level == LEVEL_QOS_VIOLATED:
+        bad = (np.flatnonzero(assessed.starved[0]) + 1).tolist()
+        violations.append(Violation(
+            ViolationKind.QOS_VIOLATION,
+            f"rate below threshold for robots: {bad}", robots=tuple(bad)))
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations), level, score)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +259,9 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
 
     ids = np.asarray(eligible)
     best: tuple[int, float, Optional[np.ndarray]] = (LEVEL_INVALID - 1, -np.inf, None)
-    chunk = 1 << 16
+    # evaluate_batch holds a few [chunk x num_rbs] arrays at once; 2^15 rows
+    # keep that to a few MB.
+    chunk = 1 << 15
     # Mixed-radix enumeration in lexicographic order; first occurrence of the
     # best (level, score) is therefore the lexicographically smallest winner.
     weights = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -286,11 +269,12 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         genes = (idx[:, None] // weights[None, :]) % k
         allocs = ids[genes]
-        levels, scores = evaluate_batch(allocs, snr, cfg, objective)
-        order = np.lexsort((np.arange(len(idx)), -scores, -levels))
+        assessed = evaluate_batch(allocs, snr, cfg, objective)
+        order = np.lexsort((np.arange(len(idx)), -assessed.scores,
+                            -assessed.levels))
         p = order[0]
-        if (int(levels[p]), float(scores[p])) > best[:2]:
-            best = (int(levels[p]), float(scores[p]), allocs[p].copy())
+        if assessed.key(p) > best[:2]:
+            best = (*assessed.key(p), allocs[p].copy())
     assert best[2] is not None
     return tuple(int(v) for v in best[2]), best[1]
 
@@ -336,18 +320,19 @@ def _ga_run(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     best_gene: Optional[np.ndarray] = None
     best_key = (LEVEL_INVALID - 1, -np.inf)
 
-    def rank(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rank(gs: np.ndarray) -> Assessment:
         return evaluate_batch(ids[gs], snr, cfg, objective)
 
     generations_used = 0
     for _ in range(ga.generations):
         generations_used += 1
-        levels, scores = rank(genes)
+        assessed = rank(genes)
+        levels, scores = assessed.levels, assessed.scores
 
         order = np.lexsort((np.arange(pop_n), -scores, -levels))
         top = order[0]
-        if (int(levels[top]), float(scores[top])) > best_key:
-            best_key = (int(levels[top]), float(scores[top]))
+        if assessed.key(top) > best_key:
+            best_key = assessed.key(top)
             best_gene = genes[top].copy()
 
         # Tournament selection over the feasibility-first key.
@@ -382,11 +367,11 @@ def _ga_run(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
             children[pop_n - 1 - j] = e
         genes = children
 
-    levels, scores = rank(genes)
-    order = np.lexsort((np.arange(pop_n), -scores, -levels))
+    assessed = rank(genes)
+    order = np.lexsort((np.arange(pop_n), -assessed.scores, -assessed.levels))
     top = order[0]
-    if (int(levels[top]), float(scores[top])) > best_key:
-        best_key = (int(levels[top]), float(scores[top]))
+    if assessed.key(top) > best_key:
+        best_key = assessed.key(top)
         best_gene = genes[top].copy()
 
     assert best_gene is not None

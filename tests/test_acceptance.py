@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 from conftest import record_criterion
+from scalar_oracle import rate_vector
 
 from autocomm.cli import main
 from autocomm.configs import (
@@ -40,14 +41,14 @@ from autocomm.geochannel import (
     trace_paths,
 )
 from autocomm.opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
-from autocomm.radio import RadioParams, clamp_qos, generate_snr_map, rate_vector
+from autocomm.radio import RadioParams, clamp_qos, generate_snr_map
 from autocomm.report import default_user_positions, run
 from autocomm.rng import stream
 from autocomm.scheduling import (
     LEVEL_OK,
     GaParams,
+    allocation_rank,
     brute_force_optimal,
-    evaluate,
     ga_schedule,
 )
 from autocomm.traffic import QueueGreedyController, RoundRobinController, run_episode
@@ -183,7 +184,7 @@ def test_criterion_4_qos_evaluation_is_clamped_sum(rate_rng):
     for _ in range(50):
         alloc = [int(rate_rng.integers(1, cfg.num_robots + 1))
                  for _ in range(9)]
-        score = evaluate(alloc, snr, cfg, objective)
+        _, score = allocation_rank(alloc, snr, cfg, objective)
         rates = rate_vector(alloc, snr, cfg)
         manual = float(np.where(rates >= objective.min_rate_bps,
                                 rates, 0.0).sum())

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from autocomm.configs import ScenarioConfig, SchedulingConfig, Track
 from autocomm.gateway import (
     API_KEY_ENV,
     Cassette,
@@ -19,6 +20,7 @@ from autocomm.gateway import (
     chat_complete,
     request_digest,
 )
+from autocomm.report import run
 
 
 def chat_body(text):
@@ -195,6 +197,39 @@ def test_cassette_round_trip(tmp_path):
         assert rep.remaining == 0
         with pytest.raises(CassetteError, match="exhausted at request 3"):
             rep.replay("d3")
+
+
+def test_cassette_rerecord_replaces_old_entries(tmp_path):
+    path = tmp_path / "run.jsonl"
+    with Cassette(path, "record") as rec:
+        rec.record("a", ChatResponse(text="stale", latency_ms=1.0))
+    with Cassette(path, "record") as rec:
+        rec.record("b", ChatResponse(text="fresh", latency_ms=2.0))
+
+    with Cassette(path, "replay") as rep:
+        assert rep.replay("b") == ChatResponse(text="fresh", latency_ms=2.0)
+        assert rep.remaining == 0
+
+
+def test_scheduling_run_closes_its_cassette(stub_server, tmp_path, monkeypatch):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    closed = []
+    real_close = Cassette.close
+
+    def close(self):
+        closed.append(self.mode)
+        real_close(self)
+
+    monkeypatch.setattr(Cassette, "close", close)
+    scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    path = tmp_path / "run.jsonl"
+    opts = {"endpoint_url": stub_server, "model": "m", "cassette": str(path),
+            "opro_params": {"max_iterations": 2}}
+    run(scenario, "opro_chat", dict(opts, cassette_mode="record"))
+    assert closed == ["record"]
+    run(scenario, "opro_chat", dict(opts, cassette_mode="replay"))
+    assert closed == ["record", "replay"]
 
 
 def test_cassette_digest_mismatch(tmp_path):

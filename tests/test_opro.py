@@ -136,7 +136,7 @@ def test_feedback_sentences_verbatim():
     cfg = SchedulingConfig(num_robots=8, max_rbs_per_robot=8, objective=QOS)
     snr = flat_map(8)
 
-    ok = validate([1, 2, 3, 4, 5, 6, 7, 8, 1], snr, cfg, None)
+    ok = validate([1, 2, 3, 4, 5, 6, 7, 8, 1], snr, cfg, QOS)
     assert feedback_message(ok, 1234.5, None, 9) == \
         "Allocation achieved score 1234.5."
 
@@ -278,7 +278,7 @@ def test_mock_cold_start_is_valid():
     alloc, failure = parse_allocation(engine.propose(prompt))
     assert failure is None
     assert len(alloc) == 9
-    assert validate(alloc, snr, cfg, None).ok
+    assert validate(alloc, snr, cfg, PF).ok
 
 
 def test_mock_is_deterministic():

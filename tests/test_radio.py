@@ -1,4 +1,4 @@
-"""Link-budget arithmetic, SNR map generation, and CSV persistence."""
+"""Link-budget arithmetic, SNR map generation, and per-RB rates."""
 
 import math
 
@@ -13,13 +13,10 @@ from autocomm.radio import (
     clamp_qos,
     generate_snr_map,
     path_loss_db,
-    rate_vector,
     rb_rate_matrix,
-    robot_rate,
-    snr_map_from_csv,
-    snr_map_to_csv,
 )
 from autocomm.rng import stream
+from autocomm.scheduling import evaluate_batch
 
 
 def uniform_map(num_robots: int, num_rbs: int, snr: float = 3.0) -> SnrMap:
@@ -33,6 +30,7 @@ def test_path_loss_reference_distance():
     p = RadioParams()
     assert path_loss_db(1.0, p) == pytest.approx(40.0)
     assert path_loss_db(10.0, p) == pytest.approx(70.0)
+    assert path_loss_db([1.0, 10.0, 100.0], p) == pytest.approx([40.0, 70.0, 100.0])
 
 
 def test_path_loss_rejects_nonpositive_distance():
@@ -40,6 +38,8 @@ def test_path_loss_rejects_nonpositive_distance():
         path_loss_db(0.0, RadioParams())
     with pytest.raises(ValueError):
         path_loss_db(-2.0, RadioParams())
+    with pytest.raises(ValueError):
+        path_loss_db([5.0, 0.0], RadioParams())
 
 
 def test_rb_rate_at_snr_three():
@@ -53,17 +53,14 @@ def test_rb_rate_at_snr_three():
 def test_robot_rate_sums_assigned_rbs():
     cfg = SchedulingConfig(num_robots=2)
     snr = uniform_map(2, cfg.num_rbs)
-    alloc = [1, 1, 2, 2, 2, 1, 1, 1, 1]
+    alloc = np.array([[1, 1, 2, 2, 2, 1, 1, 1, 1]])
     per_rb = (2e7 / 9) * 2.0
-    assert robot_rate(alloc, snr, cfg, 1) == pytest.approx(6 * per_rb, rel=1e-12)
-    assert robot_rate(alloc, snr, cfg, 2) == pytest.approx(3 * per_rb, rel=1e-12)
-    vec = rate_vector(alloc, snr, cfg)
-    assert vec == pytest.approx([6 * per_rb, 3 * per_rb], rel=1e-12)
+    rates = evaluate_batch(alloc, snr, cfg, cfg.objective).rates[0]
+    assert rates == pytest.approx([6 * per_rb, 3 * per_rb], rel=1e-12)
 
 
 def test_pf_objective_value_example(pf_instance):
     # Two robots at 4e6 bits/s each: PF = 2 * log2(4e6).
-    from autocomm.scheduling import evaluate_batch
     cfg = SchedulingConfig(
         num_robots=2, objective=ObjectiveSpec(kind=ObjectiveKind.PF))
     per_rb = 4e6 / 4.0
@@ -71,11 +68,11 @@ def test_pf_objective_value_example(pf_instance):
     snr = uniform_map(2, cfg.num_rbs, snr=lin)
     alloc = np.array([[1, 1, 1, 1, 2, 2, 2, 2, 1]])
     # Robot 1 gets 5 RBs, robot 2 gets 4: tune so robot 2 has exactly 4e6.
-    rates = rate_vector(alloc[0], snr, cfg)
+    assessed = evaluate_batch(alloc, snr, cfg, cfg.objective)
+    rates = assessed.rates[0]
     assert rates[1] == pytest.approx(4e6, rel=1e-12)
-    levels, scores = evaluate_batch(alloc, snr, cfg, cfg.objective)
     expected = math.log2(rates[0]) + math.log2(4e6)
-    assert scores[0] == pytest.approx(expected, rel=1e-12)
+    assert assessed.scores[0] == pytest.approx(expected, rel=1e-12)
     assert math.log2(4e6) == pytest.approx(21.931568569324174, rel=1e-15)
 
 
@@ -135,17 +132,3 @@ def test_buffer_occupancy_extremes():
     cfg = SchedulingConfig(num_robots=8, buffer_occupancy_prob=1.0)
     snr = generate_snr_map(cfg, RadioParams(), stream(6, "scheduling/snr"))
     assert len(snr.eligible_ids()) == 8
-
-
-def test_csv_round_trip_exact():
-    cfg = SchedulingConfig(num_robots=3)
-    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
-                           stream(8, "scheduling/snr"))
-    text = snr_map_to_csv(snr)
-    header = text.splitlines()[0]
-    assert header == "robot,rb,snr_linear"
-    back = snr_map_from_csv(text,
-                            robot_positions=snr.robot_positions,
-                            buffer_nonempty=snr.buffer_nonempty)
-    assert np.array_equal(back.values, snr.values)   # repr() floats, lossless
-    assert snr_map_to_csv(back) == text

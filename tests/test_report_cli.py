@@ -21,6 +21,7 @@ from autocomm.report import (
     ckm_grid_positions,
     config_digest,
     default_user_positions,
+    record_from_dict,
     record_to_json,
     run,
     run_safe,
@@ -58,6 +59,16 @@ def test_record_json_is_deterministic_and_timeless():
                         "package_version", "status", "metrics", "details"}
     assert "wall_time_s" not in doc and "error" not in doc
     assert record_to_json(a).endswith("\n")
+
+
+def test_record_from_dict_round_trips_json():
+    ok = run(sched_scenario(), "round_robin")
+    ok.wall_time_s = None
+    failed = run_safe(sched_scenario(), "no_such_method")
+    for rec in (ok, failed):
+        back = record_from_dict(json.loads(record_to_json(rec)))
+        assert back == rec
+        assert record_to_json(back) == record_to_json(rec)
 
 
 def test_config_digest_tracks_content():

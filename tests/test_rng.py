@@ -77,15 +77,11 @@ def test_uniform_and_exponential_ranges():
     assert np.all(e >= 0.0)
 
 
-def test_shuffle_and_choice_deterministic():
+def test_shuffle_deterministic():
     a, b = list(range(10)), list(range(10))
     stream(9, "perm").shuffle(a)
     stream(9, "perm").shuffle(b)
     assert a == b and sorted(a) == list(range(10))
-
-    c1 = stream(9, "pick").choice(np.arange(50), size=5, replace=False)
-    c2 = stream(9, "pick").choice(np.arange(50), size=5, replace=False)
-    assert np.array_equal(c1, c2)
 
 
 def test_repr_carries_key():
