@@ -7,6 +7,14 @@ the plane, and accept the point only when it lies inside the facade
 rectangle; Fermat's principle makes that the unique stationary path, which
 an independent grid search over the facade (no mirror math) can confirm.
 
+One array kernel traces a whole batch of users (trace_paths_batch): the
+image method over [users x facades], then a slab test of every LoS and
+reflection leg against every box (only in-rectangle pairs get legs), then
+lengths, delays, gains and angles as arrays and one path builder.  The
+single-user functions (trace_paths, classify_scatterers,
+mirror_reflection_point, is_blocked) read one row of the same kernel, and
+every row is bit-equal to tracing that user alone.
+
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
 gain (lambda / (4*pi*len)) * Gamma^bounces * exp(-j*2*pi*len/lambda).
@@ -28,8 +36,6 @@ import numpy as np
 from .configs import Box, ChannelSceneConfig, ScenarioConfig, scenario_from_dict
 
 SPEED_OF_LIGHT = 299792458.0
-
-Vec3 = np.ndarray
 
 
 class DegenerateGeometry(ValueError):
@@ -56,12 +62,6 @@ class Facade:
         if self.axis == "x":
             return np.array([self.offset, self.urange[0], 0.0])
         return np.array([self.urange[0], self.offset, 0.0])
-
-    def uaxis(self) -> np.ndarray:
-        """In-plane horizontal unit tangent."""
-        if self.axis == "x":
-            return np.array([0.0, 1.0, 0.0])
-        return np.array([1.0, 0.0, 0.0])
 
     def embed(self, u: float, z: float) -> np.ndarray:
         """Map facade coordinates (u, z) to a 3D point."""
@@ -98,6 +98,100 @@ def _signed_distance(p: Sequence[float], facade: Facade) -> float:
 
 _ON_PLANE_TOL = 1e-12
 
+# Facade status codes.  The image stage sets the first three and leaves
+# in-rectangle pairs ACTIVE; the slab stage demotes occluded ones to BLOCKED.
+_ON_PLANE, _BEHIND, _OUTSIDE, _BLOCKED, _ACTIVE = range(5)
+_STATUS_NAMES = ("behind_plane", "behind_plane", "outside_extent", "blocked",
+                 "active")
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.
+
+    A stacked row-by-column matmul runs the same BLAS dot as np.linalg.norm
+    on one vector, so each row's norm is bit-equal to the one-vector norm.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _image_stage(bs: np.ndarray, users: np.ndarray,
+                 facades: Sequence[Facade]) -> tuple[np.ndarray, np.ndarray]:
+    """Image method over [users x facades]: status codes and points q.
+
+    q is the crossing of the mirrored-BS-to-user segment with the facade
+    plane; it is meaningful only where the status is _ACTIVE.
+    """
+    geom = np.array([(*f.normal, f.offset, *f.urange, f.height, f.axis == "x")
+                     for f in facades], dtype=float).reshape(-1, 8)
+    normal, urange, height = geom[:, :3], geom[:, 4:6], geom[:, 6]
+    # Only the fixed coordinate of the plane point matters: the others are
+    # multiplied by a zero normal component.
+    origin = np.abs(normal) * geom[:, 3:4]
+    d_bs = ((bs - origin) * normal).sum(axis=-1)                      # [F]
+    d_user = ((users[:, None, :] - origin) * normal).sum(axis=-1)    # [U, F]
+    mirrored = bs - 2.0 * d_bs[:, None] * normal                      # [F, 3]
+    # Pairs with an endpoint on or behind the plane divide by zero or
+    # mirror away from the facade; their q is never read.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = d_bs / (d_bs + d_user)
+        q = mirrored + t[..., None] * (users[:, None, :] - mirrored)
+        u = np.where(geom[:, 7] == 1.0, q[..., 1], q[..., 0])
+        z = q[..., 2]
+        inside = ((urange[:, 0] <= u) & (u <= urange[:, 1])
+                  & (0.0 <= z) & (z <= height))
+    status = np.where(
+        (np.abs(d_bs) < _ON_PLANE_TOL) | (np.abs(d_user) < _ON_PLANE_TOL),
+        _ON_PLANE,
+        np.where((d_bs < 0.0) | (d_user < 0.0), _BEHIND,
+                 np.where(inside, _ACTIVE, _OUTSIDE)))
+    return status, q
+
+
+def _blocked(p: np.ndarray, q: np.ndarray,
+             buildings: Sequence[Box]) -> np.ndarray:
+    """Slab test over [segments x boxes]: open segment p->q hits an interior.
+
+    A leg parallel to an axis (|d| < 1e-15) must lie strictly between that
+    axis's slabs; the entry/exit interval must be longer than 1e-12 and
+    overlap the open unit interval by more than 1e-12.
+    """
+    if not buildings:
+        return np.zeros(len(p), dtype=bool)
+    lo = np.array([(b.x[0], b.y[0], 0.0) for b in buildings])        # [B, 3]
+    hi = np.array([(b.x[1], b.y[1], b.height) for b in buildings])
+    d = (q - p)[:, None, :]                                           # [S, 1, 3]
+    p = p[:, None, :]
+    parallel = np.abs(d) < 1e-15
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ta = (lo - p) / d                                             # [S, B, 3]
+        tb = (hi - p) / d
+    t0 = np.where(parallel, 0.0, np.minimum(ta, tb)).max(axis=-1, initial=0.0)
+    t1 = np.where(parallel, 1.0, np.maximum(ta, tb)).min(axis=-1, initial=1.0)
+    slabs_ok = (~parallel | ((lo < p) & (p < hi))).all(axis=-1)
+    hit = (slabs_ok & (t1 - t0 > 1e-12) & (t1 > 1e-12)
+           & (t0 < 1.0 - 1e-12))
+    return hit.any(axis=-1)
+
+
+def _trace(cfg: ChannelSceneConfig, users: np.ndarray,
+           facades: Sequence[Facade]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LoS mask [U], facade status [U, F] and reflection points [U, F, 3]."""
+    bs = np.asarray(cfg.bs_pos, dtype=float)
+    status, q = _image_stage(bs, users, facades)
+    # Legs to test: every user's line of sight, then BS -> q and q -> user
+    # for the in-rectangle pairs only.
+    ui, fi = np.nonzero(status == _ACTIVE)
+    qk = q[ui, fi]
+    starts = np.concatenate([np.repeat(bs[None, :], len(users) + len(ui), 0),
+                             qk])
+    ends = np.concatenate([users, qk, users[ui]])
+    blocked = _blocked(starts, ends, cfg.buildings)
+    n, k = len(users), len(ui)
+    legs = blocked[n:n + k] | blocked[n + k:]
+    status[ui[legs], fi[legs]] = _BLOCKED
+    return ~blocked[:n], status, q
+
 
 def mirror_reflection_point(bs: Sequence[float], user: Sequence[float],
                             facade: Facade) -> Optional[np.ndarray]:
@@ -108,26 +202,13 @@ def mirror_reflection_point(bs: Sequence[float], user: Sequence[float],
     facade rectangle.  An endpoint lying on the plane itself is degenerate
     and raises instead of guessing.
     """
-    bs = np.asarray(bs, dtype=float)
-    user = np.asarray(user, dtype=float)
-    d_bs = _signed_distance(bs, facade)
-    d_user = _signed_distance(user, facade)
-    if abs(d_bs) < _ON_PLANE_TOL or abs(d_user) < _ON_PLANE_TOL:
+    status, q = _image_stage(np.asarray(bs, dtype=float),
+                             np.asarray(user, dtype=float).reshape(1, 3),
+                             (facade,))
+    if status[0, 0] == _ON_PLANE:
         raise DegenerateGeometry(
             f"endpoint on facade plane {facade.facade_id}")
-    if d_bs < 0.0 or d_user < 0.0:
-        return None
-    n = np.asarray(facade.normal)
-    mirrored = bs - 2.0 * d_bs * n
-    # Segment mirrored->user crosses the plane at t in (0, 1).
-    t = d_bs / (d_bs + d_user)
-    q = mirrored + t * (user - mirrored)
-    u, z = facade.coords(q)
-    if not (facade.urange[0] <= u <= facade.urange[1]):
-        return None
-    if not (0.0 <= z <= facade.height):
-        return None
-    return q
+    return q[0, 0] if status[0, 0] == _ACTIVE else None
 
 
 def reflection_residual(bs: Sequence[float], user: Sequence[float],
@@ -156,32 +237,9 @@ def is_blocked(p: Sequence[float], q: Sequence[float],
     Touching a face, edge, or vertex does not block; the test is strict, so
     a reflection leg ending on its own facade is never self-blocked.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = q - p
-    for b in buildings:
-        lo = np.array([b.x[0], b.y[0], 0.0])
-        hi = np.array([b.x[1], b.y[1], b.height])
-        t0, t1 = 0.0, 1.0
-        hit = True
-        for ax in range(3):
-            if abs(d[ax]) < 1e-15:
-                if not (lo[ax] < p[ax] < hi[ax]):
-                    hit = False
-                    break
-                continue
-            ta = (lo[ax] - p[ax]) / d[ax]
-            tb = (hi[ax] - p[ax]) / d[ax]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 >= t1:
-                hit = False
-                break
-        if hit and t1 - t0 > 1e-12 and t1 > 1e-12 and t0 < 1.0 - 1e-12:
-            return True
-    return False
+    return bool(_blocked(np.asarray(p, dtype=float).reshape(1, 3),
+                         np.asarray(q, dtype=float).reshape(1, 3),
+                         buildings)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,89 +269,107 @@ def classify_scatterers(cfg: ChannelSceneConfig,
     """Status of every facade for a given user.
 
     "active"          single-bounce specular path exists and is clear
-    "behind_plane"    BS or user on the back side of the facade plane
+    "behind_plane"    BS or user on (or behind) the facade plane
     "outside_extent"  stationary point misses the facade rectangle
     "blocked"         a leg of the path is occluded by some building
     """
-    out: dict[str, str] = {}
-    for facade in enumerate_facades(cfg):
-        try:
-            q = mirror_reflection_point(cfg.bs_pos, user, facade)
-        except DegenerateGeometry:
-            out[facade.facade_id] = "behind_plane"
-            continue
-        if q is None:
-            d_bs = _signed_distance(cfg.bs_pos, facade)
-            d_user = _signed_distance(user, facade)
-            out[facade.facade_id] = ("behind_plane"
-                                     if d_bs < 0 or d_user < 0
-                                     else "outside_extent")
-        elif (is_blocked(cfg.bs_pos, q, cfg.buildings)
-              or is_blocked(q, user, cfg.buildings)):
-            out[facade.facade_id] = "blocked"
-        else:
-            out[facade.facade_id] = "active"
-    return out
+    facades = enumerate_facades(cfg)
+    _, status, _ = _trace(cfg, np.asarray(user, dtype=float).reshape(1, 3),
+                          facades)
+    return {f.facade_id: _STATUS_NAMES[s] for f, s in zip(facades, status[0])}
 
 
-def _direction_angles(a: np.ndarray, b: np.ndarray) -> float:
-    """arcsin of the x-component of the unit vector a->b (ULA along x)."""
-    d = b - a
-    d = d / np.linalg.norm(d)
-    return float(np.arcsin(np.clip(d[0], -1.0, 1.0)))
+def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
+                 via: np.ndarray, facade_ids: Sequence[Optional[str]]
+                 ) -> list[Path]:
+    """One Path per row: BS -> via -> user, or the line of sight where the
+    facade id is None (via is then the user itself).
 
-
-def _path_gain(cfg: ChannelSceneConfig, length: float, bounces: int) -> complex:
+    Lengths, delays, gains and angles are computed as arrays; the Path
+    objects get Python floats.
+    """
+    bs = np.asarray(cfg.bs_pos, dtype=float)
+    los = np.array([f is None for f in facade_ids], dtype=bool)
     lam = SPEED_OF_LIGHT / cfg.carrier_hz
-    amp = (lam / (4.0 * math.pi * length)) * (cfg.reflection_coeff ** bounces)
-    return amp * np.exp(-2j * math.pi * length / lam)
+    out_leg = via - bs
+    back = np.where(los[:, None], bs, via) - users    # user -> last point
+    length = _norm(out_leg) + _norm(users - via)
+    if not np.all(length > 0.0):
+        raise DegenerateGeometry("user at the BS: zero-length path")
+    # The complex product is written out in real arithmetic: numpy's SIMD
+    # complex multiply fuses multiply-adds and would move gains by an ulp
+    # from the unfused scalar arithmetic of one path at a time.
+    gamma = complex(cfg.reflection_coeff)
+    amp = lam / (4.0 * math.pi * length)
+    amp_re = amp * np.where(los, 1.0, gamma.real)
+    amp_im = amp * np.where(los, 0.0, gamma.imag)
+    rot = np.exp(1j * (-2.0 * math.pi * length / lam))
+    gain_re = amp_re * rot.real - amp_im * rot.imag
+    gain_im = amp_re * rot.imag + amp_im * rot.real
+    aod = np.arcsin(np.clip(out_leg[:, 0] / _norm(out_leg), -1.0, 1.0))
+    aoa = np.arcsin(np.clip(back[:, 0] / _norm(back), -1.0, 1.0))
+    start = tuple(bs.tolist())
+    return [Path(kind="los" if fid is None else "reflection", facade_id=fid,
+                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
+                 gain=complex(g_re, g_im), aod_rad=a_d, aoa_rad=a_a,
+                 points=(start, u) if fid is None else (start, v, u))
+            for fid, l_m, g_re, g_im, a_d, a_a, u, v in zip(
+                facade_ids, length.tolist(), gain_re.tolist(),
+                gain_im.tolist(), aod.tolist(), aoa.tolist(),
+                zip(*users.T.tolist()), zip(*via.T.tolist()))]
+
+
+def trace_paths_batch(cfg: ChannelSceneConfig,
+                      users: Sequence[Sequence[float]]) -> list[list[Path]]:
+    """trace_paths for many users at once, one array pass for the batch.
+
+    Each user's row is bit-equal to tracing that user alone.
+    """
+    users = np.asarray(users, dtype=float).reshape(-1, 3)
+    facades = enumerate_facades(cfg)
+    los, status, q = _trace(cfg, users, facades)
+    ids = [None] + [f.facade_id for f in facades]
+    # Rows in (user, slot) order; slot 0 is LoS (via the user itself),
+    # slot f + 1 is facade f (via its reflection point).
+    user_idx, slot = np.nonzero(np.column_stack([los, status == _ACTIVE]))
+    via = np.concatenate([users[:, None, :], q], axis=1)[user_idx, slot]
+    paths = _build_paths(cfg, users[user_idx], via, [ids[s] for s in slot])
+    out: list[list[Path]] = [[] for _ in range(len(users))]
+    for u, path in zip(user_idx.tolist(), paths):
+        out[u].append(path)
+    return out
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
     """LoS plus all clear single-reflection paths, in facade order."""
-    bs = np.asarray(cfg.bs_pos, dtype=float)
-    user = np.asarray(user, dtype=float)
-    paths: list[Path] = []
+    return trace_paths_batch(cfg, [user])[0]
 
-    if not is_blocked(bs, user, cfg.buildings):
-        length = float(np.linalg.norm(user - bs))
-        paths.append(Path(
-            kind="los", facade_id=None, length_m=length,
-            delay_s=length / SPEED_OF_LIGHT,
-            gain=_path_gain(cfg, length, 0),
-            aod_rad=_direction_angles(bs, user),
-            aoa_rad=_direction_angles(user, bs),
-            points=(tuple(bs), tuple(user))))
 
-    for facade in enumerate_facades(cfg):
-        try:
-            q = mirror_reflection_point(bs, user, facade)
-        except DegenerateGeometry:
-            # Grazing incidence (endpoint on the plane): no specular energy.
-            continue
-        if q is None:
-            continue
-        if is_blocked(bs, q, cfg.buildings) or is_blocked(q, user, cfg.buildings):
-            continue
-        length = float(np.linalg.norm(q - bs) + np.linalg.norm(user - q))
-        paths.append(Path(
-            kind="reflection", facade_id=facade.facade_id, length_m=length,
-            delay_s=length / SPEED_OF_LIGHT,
-            gain=_path_gain(cfg, length, 1),
-            aod_rad=_direction_angles(bs, q),
-            aoa_rad=_direction_angles(user, q),
-            points=(tuple(bs), tuple(float(v) for v in q), tuple(user))))
-    return paths
+def _synthesize_rows(cfg: ChannelSceneConfig,
+                     rows: Sequence[Sequence[Path]]) -> np.ndarray:
+    """Channels of many path lists at once, [rows, num_antennas].
+
+    np.add.at accumulates in path order, so each row sums its paths in the
+    order given, exactly as a loop over that row alone would.
+    """
+    flat = [p for row in rows for p in row]
+    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    gains = np.array([p.gain for p in flat], dtype=complex)
+    sin_aod = np.array([math.sin(p.aod_rad) for p in flat], dtype=float)
+    n = np.arange(cfg.num_antennas)
+    # One [paths, antennas] buffer, updated in place.
+    terms = -1j * math.pi * n * sin_aod[:, None]
+    np.exp(terms, out=terms)
+    np.multiply(gains[:, None], terms, out=terms)
+    h = np.zeros((len(rows), cfg.num_antennas), dtype=complex)
+    np.add.at(h, owner, terms)
+    return h
 
 
 def synthesize_channel(cfg: ChannelSceneConfig,
                        paths: Sequence[Path]) -> np.ndarray:
     """Narrowband ULA response: h[n] = sum_l g_l exp(-j pi n sin(aod_l))."""
-    h = np.zeros(cfg.num_antennas, dtype=complex)
-    n = np.arange(cfg.num_antennas)
-    for p in paths:
-        h += p.gain * np.exp(-1j * math.pi * n * math.sin(p.aod_rad))
-    return h
+    return _synthesize_rows(cfg, [paths])[0]
 
 
 NMSE_FLOOR_DB = -150.0
@@ -329,47 +405,40 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     horizontal tangent by that many meters (clamped to the facade), leaving
     stage 1 intact.  Defaults reproduce trace_paths exactly.
     """
-    bs = np.asarray(cfg.bs_pos, dtype=float)
-    user = np.asarray(user, dtype=float)
-    facades = {f.facade_id: f for f in enumerate_facades(cfg)}
-
+    if stage1_labels is None and stage2_offset == 0.0:
+        return synthesize_channel(cfg, trace_paths(cfg, user))
     if stage1_labels is None:
         slots = [p.slot for p in trace_paths(cfg, user)]
     else:
         slots = list(stage1_labels)
 
-    paths: list[Path] = []
+    user = np.asarray(user, dtype=float)
+    facades = enumerate_facades(cfg)
+    column = {f.facade_id: i for i, f in enumerate(facades)}
+    status, q = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
+                             user.reshape(1, 3), facades)
+    ids: list[Optional[str]] = []
+    via: list[np.ndarray] = []
     for slot in slots:
         if slot == "los":
-            length = float(np.linalg.norm(user - bs))
-            paths.append(Path(
-                kind="los", facade_id=None, length_m=length,
-                delay_s=length / SPEED_OF_LIGHT,
-                gain=_path_gain(cfg, length, 0),
-                aod_rad=_direction_angles(bs, user),
-                aoa_rad=_direction_angles(user, bs),
-                points=(tuple(bs), tuple(user))))
+            ids.append(None)
+            via.append(user)
             continue
-        facade = facades[slot]
-        try:
-            q = mirror_reflection_point(bs, user, facade)
-        except DegenerateGeometry:
+        f = column[slot]
+        if status[0, f] != _ACTIVE:    # on, behind, or off the facade
             continue
-        if q is None:
-            continue
+        point = q[0, f]
         if stage2_offset != 0.0:
-            u, z = facade.coords(q)
+            facade = facades[f]
+            u, z = facade.coords(point)
             u = float(np.clip(u + stage2_offset,
                               facade.urange[0], facade.urange[1]))
-            q = facade.embed(u, z)
-        length = float(np.linalg.norm(q - bs) + np.linalg.norm(user - q))
-        paths.append(Path(
-            kind="reflection", facade_id=slot, length_m=length,
-            delay_s=length / SPEED_OF_LIGHT,
-            gain=_path_gain(cfg, length, 1),
-            aod_rad=_direction_angles(bs, q),
-            aoa_rad=_direction_angles(user, q),
-            points=(tuple(bs), tuple(float(v) for v in q), tuple(user))))
+            point = facade.embed(u, z)
+        ids.append(slot)
+        via.append(point)
+    via_arr = np.array(via, dtype=float).reshape(-1, 3)
+    paths = _build_paths(cfg, np.broadcast_to(user, via_arr.shape),
+                         via_arr, ids)
     return synthesize_channel(cfg, paths)
 
 
@@ -390,14 +459,9 @@ class CkmDataset:
 def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
     pos = np.asarray(positions, dtype=float)
-    chans = []
-    path_rows = []
-    for p in pos:
-        paths = trace_paths(cfg, p)
-        chans.append(synthesize_channel(cfg, paths))
-        path_rows.append({pp.slot: pp for pp in paths})
-    return CkmDataset(positions=pos, channels=np.asarray(chans),
-                      paths=tuple(path_rows))
+    rows = trace_paths_batch(cfg, pos)
+    return CkmDataset(positions=pos, channels=_synthesize_rows(cfg, rows),
+                      paths=tuple({p.slot: p for p in r} for r in rows))
 
 
 def nn_ckm_predict(ckm: CkmDataset, query: Sequence[float]) -> np.ndarray:

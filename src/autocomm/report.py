@@ -37,9 +37,9 @@ from .geochannel import (
     geometry_predictor,
     linear_gcp_predict,
     nn_ckm_predict,
-    synthesize_channel,
-    trace_paths,
     nmse_db,
+    synthesize_channel,
+    trace_paths_batch,
 )
 from .opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
 from .radio import RadioParams, generate_snr_map
@@ -229,6 +229,7 @@ def _run_channel(scenario: ScenarioConfig, method: str,
             scenario, num_users=int(opts.get("num_users", 25)))
     users = np.asarray(users, dtype=float)
 
+    ckm_points = 0
     if method == "geometry":
         predict = lambda u: geometry_predictor(cfg, u)
     elif method in ("nn_ckm", "linear_gcp"):
@@ -237,6 +238,7 @@ def _run_channel(scenario: ScenarioConfig, method: str,
             grid = ckm_grid_positions(scenario,
                                       step=float(opts.get("grid_step", 0.25)))
         ckm = build_ckm(cfg, grid)
+        ckm_points = len(ckm.positions)
         if method == "nn_ckm":
             predict = lambda u: nn_ckm_predict(ckm, u)
         else:
@@ -246,10 +248,9 @@ def _run_channel(scenario: ScenarioConfig, method: str,
         raise ValueError(f"unknown channel method {method!r}; "
                          f"expected one of {CHANNEL_METHODS}")
 
-    values = []
-    for u in users:
-        truth = synthesize_channel(cfg, trace_paths(cfg, u))
-        values.append(nmse_db(truth, predict(u)))
+    truth_paths = trace_paths_batch(cfg, users)
+    values = [nmse_db(synthesize_channel(cfg, paths), predict(u))
+              for u, paths in zip(users, truth_paths)]
     arr = np.asarray(values)
     metrics = {
         "nmse_db_mean": float(arr.mean()),
@@ -257,7 +258,16 @@ def _run_channel(scenario: ScenarioConfig, method: str,
         "nmse_db_max": float(arr.max()),
         "num_users": float(len(arr)),
     }
-    return metrics, {}
+    # Shadowed users (no path at all) have a zero true channel, which is
+    # what makes the NMSE non-finite on the blockage-rich scenes.
+    counters = {
+        "los_users": sum(bool(r) and r[0].kind == "los" for r in truth_paths),
+        "reflection_paths": sum(p.kind == "reflection"
+                                for r in truth_paths for p in r),
+        "shadowed_users": sum(not r for r in truth_paths),
+        "ckm_points": ckm_points,
+    }
+    return metrics, {"counters": counters}
 
 
 def run(scenario: ScenarioConfig, method: str,

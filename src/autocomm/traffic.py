@@ -10,7 +10,10 @@ on the road or recorded as crossed.
 
 Signal controllers consume encoded observations (not raw state), which is
 where the sensing gap lives: the connected-vehicle view reports exact
-queues, the roadside top view saturates at a visible depth.
+queues, the roadside top view saturates at a visible depth.  An observation
+that exceeds its byte budget loses its farthest vehicle rows; how many rows
+fit comes from a prefix sum of the rows' serialized sizes, so the payload is
+serialized once rather than once per dropped row.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union, runtime_checkable
 
@@ -37,6 +42,7 @@ PHASE_MOVEMENTS: dict[int, frozenset[str]] = {
 }
 PHASE_ORDER = (1, 2, 3, 4)
 
+_SEPARATORS = (",", ":")
 _STOPPED_SPEED = 0.1      # m/s, below this a step counts as waiting
 _AT_LINE_POS = 0.5        # m, head closer than this is "at the line"
 
@@ -277,18 +283,22 @@ def encode_observation(state: TrafficState, kind: str,
         doc = dict(foreground)
         if rows:
             doc["vehicles"] = rows
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(doc, sort_keys=True, separators=_SEPARATORS)
 
     fg_bytes = len(emit([]).encode("utf-8"))
     if fg_bytes > cfg.byte_budget:
         raise InsufficientBudgetError(
             f"foreground needs {fg_bytes} bytes, budget is {cfg.byte_budget}")
 
-    kept = len(vehicles)
-    payload = emit(vehicles)
-    while kept > 0 and len(payload.encode("utf-8")) > cfg.byte_budget:
-        kept -= 1
-        payload = emit(vehicles[:kept])
+    # "vehicles" sorts last, so k >= 1 rows cost the foreground without its
+    # closing brace, ',"vehicles":[', the rows, k - 1 commas and ']}': that
+    # is fg_bytes + 13 plus the running sum of (row bytes + 1).  The output
+    # is ASCII (json escapes the rest), so characters are bytes.
+    row_cost = accumulate(
+        len(json.dumps(r, sort_keys=True, separators=_SEPARATORS)) + 1
+        for r in vehicles)
+    kept = bisect_right(list(row_cost), cfg.byte_budget - fg_bytes - 13)
+    payload = emit(vehicles[:kept])
     return EncodedObservation(
         kind=kind, payload=payload,
         foreground_fraction=fg_bytes / len(payload.encode("utf-8")),

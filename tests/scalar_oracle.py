@@ -1,22 +1,43 @@
-"""Scalar reference for the allocation-assessment kernel.
+"""Scalar references for the array kernels.
 
 ``scheduling.evaluate_batch`` assesses whole batches of allocations with one
 bincount; this module assesses one allocation at a time with plain loops and
 Python sets, independently of that kernel: per-robot rates summed RB by RB,
 the QoS clamp written out, and the structural rules as set comprehensions.
 Tests compare the kernel and ``validate`` against it.
+
+The geochannel section traces one user at a time, facade by facade, in
+numpy scalars: the image method, the slab test and the hand-written ``Path``
+constructions that ``geochannel.trace_paths_batch`` replaces.  The traffic
+section is the encoder that re-serialized the observation once per dropped
+row.
 """
+
+import json
+import math
 
 import numpy as np
 
 from autocomm.configs import ObjectiveKind
 from autocomm.radio import rb_rate_matrix
+from autocomm.geochannel import (
+    SPEED_OF_LIGHT,
+    DegenerateGeometry,
+    Path,
+    _signed_distance,
+    enumerate_facades,
+)
 from autocomm.scheduling import (
     LEVEL_INVALID,
     LEVEL_OK,
     LEVEL_QOS_VIOLATED,
     Violation,
     ViolationKind,
+)
+from autocomm.traffic import (
+    EncodedObservation,
+    InsufficientBudgetError,
+    _lane_summaries,
 )
 
 
@@ -101,3 +122,218 @@ def level(alloc, snr, cfg, objective) -> int:
     if kinds - {ViolationKind.QOS_VIOLATION}:
         return LEVEL_INVALID
     return LEVEL_QOS_VIOLATED if kinds else LEVEL_OK
+
+
+# ---------------------------------------------------------------------------
+# Geochannel: one user, one facade, one box at a time
+
+
+def mirror_reflection_point(bs, user, facade):
+    """Image-method reflection point, None, or DegenerateGeometry."""
+    bs = np.asarray(bs, dtype=float)
+    user = np.asarray(user, dtype=float)
+    d_bs = _signed_distance(bs, facade)
+    d_user = _signed_distance(user, facade)
+    if abs(d_bs) < 1e-12 or abs(d_user) < 1e-12:
+        raise DegenerateGeometry(
+            f"endpoint on facade plane {facade.facade_id}")
+    if d_bs < 0.0 or d_user < 0.0:
+        return None
+    n = np.asarray(facade.normal)
+    mirrored = bs - 2.0 * d_bs * n
+    t = d_bs / (d_bs + d_user)
+    q = mirrored + t * (user - mirrored)
+    u, z = facade.coords(q)
+    if not (facade.urange[0] <= u <= facade.urange[1]):
+        return None
+    if not (0.0 <= z <= facade.height):
+        return None
+    return q
+
+
+def is_blocked(p, q, buildings) -> bool:
+    """Slab test of the open segment p->q against every box, box by box."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    d = q - p
+    for b in buildings:
+        lo = np.array([b.x[0], b.y[0], 0.0])
+        hi = np.array([b.x[1], b.y[1], b.height])
+        t0, t1 = 0.0, 1.0
+        hit = True
+        for ax in range(3):
+            if abs(d[ax]) < 1e-15:
+                if not (lo[ax] < p[ax] < hi[ax]):
+                    hit = False
+                    break
+                continue
+            ta = (lo[ax] - p[ax]) / d[ax]
+            tb = (hi[ax] - p[ax]) / d[ax]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 >= t1:
+                hit = False
+                break
+        if hit and t1 - t0 > 1e-12 and t1 > 1e-12 and t0 < 1.0 - 1e-12:
+            return True
+    return False
+
+
+def classify_scatterers(cfg, user) -> dict[str, str]:
+    """Status of every facade for one user."""
+    out: dict[str, str] = {}
+    for facade in enumerate_facades(cfg):
+        try:
+            q = mirror_reflection_point(cfg.bs_pos, user, facade)
+        except DegenerateGeometry:
+            out[facade.facade_id] = "behind_plane"
+            continue
+        if q is None:
+            d_bs = _signed_distance(cfg.bs_pos, facade)
+            d_user = _signed_distance(user, facade)
+            out[facade.facade_id] = ("behind_plane"
+                                     if d_bs < 0 or d_user < 0
+                                     else "outside_extent")
+        elif (is_blocked(cfg.bs_pos, q, cfg.buildings)
+              or is_blocked(q, user, cfg.buildings)):
+            out[facade.facade_id] = "blocked"
+        else:
+            out[facade.facade_id] = "active"
+    return out
+
+
+def _direction_angles(a, b) -> float:
+    d = b - a
+    d = d / np.linalg.norm(d)
+    return float(np.arcsin(np.clip(d[0], -1.0, 1.0)))
+
+
+def _path_gain(cfg, length: float, bounces: int) -> complex:
+    lam = SPEED_OF_LIGHT / cfg.carrier_hz
+    amp = (lam / (4.0 * math.pi * length)) * (cfg.reflection_coeff ** bounces)
+    return amp * np.exp(-2j * math.pi * length / lam)
+
+
+def _los_path(cfg, bs, user) -> Path:
+    length = float(np.linalg.norm(user - bs))
+    return Path(kind="los", facade_id=None, length_m=length,
+                delay_s=length / SPEED_OF_LIGHT,
+                gain=_path_gain(cfg, length, 0),
+                aod_rad=_direction_angles(bs, user),
+                aoa_rad=_direction_angles(user, bs),
+                points=(tuple(bs), tuple(user)))
+
+
+def _reflection_path(cfg, bs, q, user, facade_id) -> Path:
+    length = float(np.linalg.norm(q - bs) + np.linalg.norm(user - q))
+    return Path(kind="reflection", facade_id=facade_id, length_m=length,
+                delay_s=length / SPEED_OF_LIGHT,
+                gain=_path_gain(cfg, length, 1),
+                aod_rad=_direction_angles(bs, q),
+                aoa_rad=_direction_angles(user, q),
+                points=(tuple(bs), tuple(float(v) for v in q), tuple(user)))
+
+
+def trace_paths(cfg, user) -> list[Path]:
+    """LoS plus all clear single-reflection paths, in facade order."""
+    bs = np.asarray(cfg.bs_pos, dtype=float)
+    user = np.asarray(user, dtype=float)
+    paths: list[Path] = []
+    if not is_blocked(bs, user, cfg.buildings):
+        paths.append(_los_path(cfg, bs, user))
+    for facade in enumerate_facades(cfg):
+        try:
+            q = mirror_reflection_point(bs, user, facade)
+        except DegenerateGeometry:
+            continue
+        if q is None:
+            continue
+        if is_blocked(bs, q, cfg.buildings) or is_blocked(q, user, cfg.buildings):
+            continue
+        paths.append(_reflection_path(cfg, bs, q, user, facade.facade_id))
+    return paths
+
+
+def synthesize_channel(cfg, paths) -> np.ndarray:
+    """ULA response summed path by path."""
+    h = np.zeros(cfg.num_antennas, dtype=complex)
+    n = np.arange(cfg.num_antennas)
+    for p in paths:
+        h += p.gain * np.exp(-1j * math.pi * n * math.sin(p.aod_rad))
+    return h
+
+
+def predictor_paths(cfg, user, stage1_labels=None,
+                    stage2_offset: float = 0.0) -> list[Path]:
+    """The paths the two-stage geometry predictor synthesizes."""
+    bs = np.asarray(cfg.bs_pos, dtype=float)
+    user = np.asarray(user, dtype=float)
+    facades = {f.facade_id: f for f in enumerate_facades(cfg)}
+    if stage1_labels is None:
+        slots = [p.slot for p in trace_paths(cfg, user)]
+    else:
+        slots = list(stage1_labels)
+    paths: list[Path] = []
+    for slot in slots:
+        if slot == "los":
+            paths.append(_los_path(cfg, bs, user))
+            continue
+        facade = facades[slot]
+        try:
+            q = mirror_reflection_point(bs, user, facade)
+        except DegenerateGeometry:
+            continue
+        if q is None:
+            continue
+        if stage2_offset != 0.0:
+            u, z = facade.coords(q)
+            u = float(np.clip(u + stage2_offset,
+                              facade.urange[0], facade.urange[1]))
+            q = facade.embed(u, z)
+        paths.append(_reflection_path(cfg, bs, q, user, slot))
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# Traffic: re-serialize once per dropped row
+
+
+def encode_observation(state, kind, cfg) -> EncodedObservation:
+    """Drop the farthest vehicle row and re-serialize until it fits."""
+    if kind not in ("vue", "rsu"):
+        raise ValueError(f"unknown observation kind {kind!r}")
+    foreground = {
+        "t": round(state.time_s, 1),
+        "phase": state.phase,
+        "lanes": _lane_summaries(state, kind, cfg),
+    }
+    vehicles: list[dict] = []
+    for key in sorted(state.lanes):
+        q = state.lanes[key]
+        visible = q if kind == "vue" else q[: cfg.visible_depth]
+        for veh in visible:
+            vehicles.append({"lane": key, "pos": round(veh.pos, 1),
+                             "v": round(veh.speed, 1)})
+    vehicles.sort(key=lambda r: (r["pos"], r["lane"]))
+
+    def emit(rows):
+        doc = dict(foreground)
+        if rows:
+            doc["vehicles"] = rows
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    fg_bytes = len(emit([]).encode("utf-8"))
+    if fg_bytes > cfg.byte_budget:
+        raise InsufficientBudgetError(
+            f"foreground needs {fg_bytes} bytes, budget is {cfg.byte_budget}")
+    kept = len(vehicles)
+    payload = emit(vehicles)
+    while kept > 0 and len(payload.encode("utf-8")) > cfg.byte_budget:
+        kept -= 1
+        payload = emit(vehicles[:kept])
+    return EncodedObservation(
+        kind=kind, payload=payload,
+        foreground_fraction=fg_bytes / len(payload.encode("utf-8")),
+        dropped_vehicles=len(vehicles) - kept)

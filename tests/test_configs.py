@@ -1,6 +1,7 @@
 """Config validation, defaults, and the JSON scenario round-trip."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from autocomm.configs import (
     scenario_to_dict,
     scenario_to_json,
 )
+from autocomm.geochannel import synthesize_channel, trace_paths_batch
 
 
 def test_scheduling_defaults():
@@ -235,3 +237,44 @@ def test_round_trip_property(num_robots, num_rbs, seed, kind, min_rate, cap):
     scn = scenario_from_dict(doc)
     assert scenario_from_dict(scenario_to_dict(scn)) == scn
     assert scenario_from_dict(json.loads(scenario_to_json(scn))) == scn
+
+
+_coord = st.floats(-60.0, 60.0, allow_nan=False)
+# Ranges as start + extent, so that most boxes are valid and some are empty
+# or reversed.
+_extent = st.integers(-1, 40).map(lambda k: k / 2)
+_range = st.builds(lambda a, w: [a, a + w], _coord, _extent)
+_box_doc = st.fixed_dictionaries({
+    "x": _range, "y": _range, "height": _extent,
+})
+_channel_doc = st.fixed_dictionaries({}, optional={
+    "buildings": st.lists(_box_doc, max_size=6),
+    "bs_pos": st.lists(_coord, min_size=3, max_size=3),
+    "carrier_hz": st.floats(-1e9, 1e11, allow_nan=False),
+    "num_antennas": st.integers(-2, 64),
+    "reflection_coeff": st.one_of(
+        st.floats(-1.0, 1.0, allow_nan=False),
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                 min_size=2, max_size=2)),
+    "lane_width_m": st.floats(-5.0, 5.0, allow_nan=False),
+    "num_lanes": st.integers(-2, 8),
+    "building_width_m": st.floats(-5.0, 10.0, allow_nan=False),
+    "user_height_m": st.floats(-2.0, 30.0, allow_nan=False),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel=_channel_doc, seed=st.integers(0, 2 ** 64 - 1))
+def test_channel_documents_fail_only_with_config_errors(channel, seed):
+    try:
+        scn = scenario_from_dict({"track": "channel", "seed": seed,
+                                  "channel": channel})
+    except ConfigError:
+        return
+    cfg = scn.channel
+    users = [(0.0, 0.0, cfg.user_height_m), (15.0, -3.0, 1.5),
+             (25.0, 3.0, 1.5), (cfg.bs_pos[0], cfg.bs_pos[1], 0.0)]
+    # A user at the BS itself has a zero-length line of sight.
+    users = [u for u in users if math.dist(u, cfg.bs_pos) > 1e-3]
+    for row in trace_paths_batch(cfg, users):
+        assert synthesize_channel(cfg, row).shape == (cfg.num_antennas,)

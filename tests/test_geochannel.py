@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scalar_oracle as oracle
+from hypothesis import assume, given, settings, strategies as st
 
 from autocomm.configs import Box, ChannelSceneConfig, Track
 from autocomm.geochannel import (
@@ -26,6 +28,8 @@ from autocomm.geochannel import (
     reflection_residual,
     synthesize_channel,
     trace_paths,
+    trace_paths_batch,
+    _synthesize_rows,
 )
 
 WALL = Facade("wall", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 20.0)
@@ -107,6 +111,21 @@ def test_passing_above_the_roof_is_clear():
     assert not is_blocked((-5.0, 3.0, 2.0), (25.0, 3.0, 2.0), [])
 
 
+def test_grazing_an_edge_does_not_block():
+    # Enters and leaves the box at the same instant, through its x=0, y=0
+    # edge: a zero-length interval.
+    assert not is_blocked((-5.0, 5.0, 2.0), (5.0, -5.0, 2.0), [BOX])
+    assert not oracle.is_blocked((-5.0, 5.0, 2.0), (5.0, -5.0, 2.0), [BOX])
+
+
+def test_nearly_parallel_leg_uses_the_slab_interval():
+    # Starts on the y=0 face and drifts 1e-10 m into the box: above the
+    # 1e-15 parallel threshold, so the slab interval decides, and it is long.
+    p, q = (-5.0, 0.0, 2.0), (25.0, 1e-10, 2.0)
+    assert is_blocked(p, q, [BOX])
+    assert oracle.is_blocked(p, q, [BOX])
+
+
 # ---------------------------------------------------------------------------
 # Scene tracing
 
@@ -142,6 +161,12 @@ def test_user_on_extended_facade_plane_does_not_crash():
     assert "b0:xmax" not in slots
     h = geometry_predictor(cfg, user)
     assert np.any(h)
+
+
+def test_user_at_the_bs_is_degenerate():
+    cfg = load_fixture_scene(1).channel
+    with pytest.raises(DegenerateGeometry):
+        trace_paths(cfg, cfg.bs_pos)
 
 
 def test_reflection_path_geometry_is_consistent():
@@ -301,3 +326,148 @@ def test_fixture_scenes_scale_in_clutter():
 def test_fixture_scene_index_out_of_range(bad):
     with pytest.raises(ValueError):
         load_fixture_scene(bad)
+
+
+# ---------------------------------------------------------------------------
+# Batched tracer against the scalar oracle (bit-equal, no tolerance)
+
+
+@st.composite
+def scenes(draw):
+    """0-4 disjoint boxes on integer coordinates, BS outside all of them."""
+    boxes = []
+    for i in range(draw(st.integers(0, 4))):
+        x0 = 12.0 * i + draw(st.integers(0, 4))
+        y0 = float(draw(st.integers(-12, 6)))
+        boxes.append(Box((x0, x0 + draw(st.integers(1, 7))),
+                         (y0, y0 + draw(st.integers(1, 8))),
+                         draw(st.sampled_from([2.0, 7.5, 10.0, 25.0]))))
+    cfg_axes = _special_coordinates(boxes)
+    bs = tuple(draw(_coordinate(vals, lo, hi))
+               for vals, (lo, hi) in zip(cfg_axes, _RANGES))
+    assume(not any(b.contains(bs, strict=False) for b in boxes))
+    gamma = draw(st.sampled_from([0.6 + 0.0j, -0.45 + 0.3j]))
+    return ChannelSceneConfig(buildings=tuple(boxes), bs_pos=bs,
+                              reflection_coeff=gamma)
+
+
+_RANGES = ((-15.0, 60.0), (-15.0, 15.0), (0.0, 30.0))
+
+
+def _special_coordinates(boxes):
+    """Facade planes, edges and roof heights, per axis."""
+    xs = {v for b in boxes for v in b.x}
+    ys = {v for b in boxes for v in b.y}
+    zs = {0.0, 1.5} | {b.height for b in boxes}
+    return sorted(xs or {0.0}), sorted(ys or {0.0}), sorted(zs)
+
+
+def _coordinate(special, lo, hi):
+    return st.one_of(st.sampled_from(special),
+                     st.floats(lo, hi, allow_nan=False))
+
+
+def _users(cfg, count):
+    axes = _special_coordinates(cfg.buildings)
+    axes = [a + [c] for a, c in zip(axes, cfg.bs_pos)]
+    # A user at the BS itself has a zero-length line of sight.
+    point = st.tuples(*(_coordinate(vals, lo, hi)
+                        for vals, (lo, hi) in zip(axes, _RANGES))
+                      ).filter(lambda u: math.dist(u, cfg.bs_pos) > 1e-3)
+    return st.lists(point, min_size=1, max_size=count)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cfg=scenes())
+def test_batch_matches_scalar_oracle(data, cfg):
+    users = data.draw(_users(cfg, 12))
+    rows = trace_paths_batch(cfg, users)
+    assert len(rows) == len(users)
+    for user, row in zip(users, rows):
+        assert row == oracle.trace_paths(cfg, user)
+        assert classify_scatterers(cfg, user) == \
+            oracle.classify_scatterers(cfg, user)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cfg=scenes())
+def test_mirror_and_blockage_match_scalar_oracle(data, cfg):
+    p, q = data.draw(_users(cfg, 2).filter(lambda u: len(u) == 2))
+    assert is_blocked(p, q, cfg.buildings) == \
+        oracle.is_blocked(p, q, cfg.buildings)
+    assert is_blocked(cfg.bs_pos, p, cfg.buildings) == \
+        oracle.is_blocked(cfg.bs_pos, p, cfg.buildings)
+    for facade in enumerate_facades(cfg):
+        try:
+            want = oracle.mirror_reflection_point(cfg.bs_pos, p, facade)
+        except DegenerateGeometry:
+            with pytest.raises(DegenerateGeometry):
+                mirror_reflection_point(cfg.bs_pos, p, facade)
+            continue
+        got = mirror_reflection_point(cfg.bs_pos, p, facade)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=scenes())
+def test_predictor_overrides_match_scalar_oracle(data, cfg):
+    user = data.draw(_users(cfg, 1))[0]
+    ids = ["los"] + [f.facade_id for f in enumerate_facades(cfg)]
+    labels = data.draw(st.none() | st.lists(st.sampled_from(ids)))
+    offset = data.draw(st.sampled_from([0.0, 0.5, -1.25, 40.0]))
+    want = synthesize_channel(
+        cfg, oracle.predictor_paths(cfg, user, labels, offset))
+    got = geometry_predictor(cfg, user, labels, offset)
+    assert np.array_equal(got, want)
+
+
+def test_on_plane_users_match_the_oracle_without_warnings():
+    # Scene 1's building spans x in [0, 20], y in [-11, -5], 10 m tall:
+    # users on its faces, its edges, its roof line and the planes' extensions.
+    cfg = load_fixture_scene(1).channel
+    users = [(20.0, 1.0, 1.5), (0.0, -5.0, 1.5), (10.0, -5.0, 10.0),
+             (20.0, -8.0, 1.5), (10.0, -11.0, 0.0), (-3.0, -5.0, 10.0)]
+    with np.errstate(all="raise"):
+        rows = trace_paths_batch(cfg, users)
+    assert rows == [oracle.trace_paths(cfg, u) for u in users]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(
+           st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                              allow_infinity=False),
+           st.floats(-math.pi / 2, math.pi / 2)), max_size=6), max_size=6),
+       antennas=st.integers(1, 32))
+def test_synthesis_matches_scalar_oracle(rows, antennas):
+    cfg = ChannelSceneConfig(num_antennas=antennas)
+    paths = [[Path(kind="reflection", facade_id=f"f{i}", length_m=1.0,
+                   delay_s=0.0, gain=g, aod_rad=a, aoa_rad=0.0, points=())
+              for i, (g, a) in enumerate(row)] for row in rows]
+    batch = _synthesize_rows(cfg, paths)
+    assert batch.shape == (len(rows), antennas)
+    for row, h in zip(paths, batch):
+        want = oracle.synthesize_channel(cfg, row)
+        assert np.array_equal(h, want)
+        assert np.array_equal(synthesize_channel(cfg, row), want)
+
+
+def test_trace_row_does_not_depend_on_the_batch():
+    cfg = load_fixture_scene(4).channel
+    rng = np.random.default_rng(7)
+    users = np.column_stack([rng.uniform(-5.0, 35.0, 500),
+                             rng.uniform(-4.0, 4.0, 500),
+                             np.full(500, 1.5)])
+    batch = trace_paths_batch(cfg, users)
+    for i in range(0, 500, 7):
+        assert trace_paths(cfg, users[i]) == batch[i]
+    assert trace_paths_batch(cfg, users[::-1])[::-1] == batch
+
+
+def test_empty_batch_and_empty_map():
+    cfg = load_fixture_scene(2).channel
+    assert trace_paths_batch(cfg, np.zeros((0, 3))) == []
+    assert len(build_ckm(cfg, []).paths) == 0

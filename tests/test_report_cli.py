@@ -112,6 +112,17 @@ def test_channel_geometry_run_hits_the_floor():
     assert rec.metrics["num_users"] == 6.0
 
 
+def test_channel_run_counters_on_shadowed_scene():
+    # Fixture scene 3 puts three of its 25 default users in full shadow:
+    # no path reaches them, which is what makes its map NMSE non-finite.
+    scenario = load_fixture_scene(3)
+    counters = {m: run(scenario, m).details["counters"]
+                for m in ("geometry", "nn_ckm")}
+    assert counters["geometry"] == {"los_users": 4, "reflection_paths": 22,
+                                    "shadowed_users": 3, "ckm_points": 0}
+    assert counters["nn_ckm"] == dict(counters["geometry"], ckm_points=484)
+
+
 def test_run_safe_captures_failures_as_records():
     rec = run_safe(sched_scenario(), "no_such_method")
     assert rec.status == "error"

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+import scalar_oracle as oracle
+from hypothesis import given, settings, strategies as st
 
 from autocomm.configs import TrafficConfig
 from autocomm.rng import stream
@@ -242,6 +244,45 @@ def test_payload_is_compact_sorted_json():
     doc = json.loads(obs.payload)
     assert obs.payload == json.dumps(doc, sort_keys=True,
                                      separators=(",", ":"))
+
+
+@st.composite
+def sensed_states(draw):
+    """Random queues on random lanes, from empty to congested."""
+    state = empty_state(phase=draw(st.sampled_from(PHASE_ORDER)),
+                        time_s=draw(st.floats(0.0, 3600.0)))
+    speed = st.floats(0.0, 30.0)
+    for lane in draw(st.lists(st.sampled_from(LANE_KEYS), max_size=12)):
+        for pos in draw(st.lists(st.floats(-3.0, 400.0), max_size=15)):
+            put(state, state.spawned + 1, lane, pos, speed=draw(speed),
+                wait_s=draw(st.floats(0.0, 120.0)))
+    return state
+
+
+def _encode_or_error(encode, state, kind, cfg):
+    try:
+        return encode(state, kind, cfg)
+    except InsufficientBudgetError as exc:
+        return ("InsufficientBudgetError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=sensed_states(), kind=st.sampled_from(["vue", "rsu"]),
+       depth=st.integers(1, 10), data=st.data())
+def test_encoder_matches_reserializing_oracle(state, kind, depth, data):
+    roomy = TrafficConfig(visible_depth=depth, byte_budget=10**7)
+    doc = json.loads(oracle.encode_observation(state, kind, roomy).payload)
+    full = len(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    doc.pop("vehicles", None)
+    foreground = len(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    # Exactly at the full or foreground size, one byte either side, or
+    # anywhere between (cutting rows mid-list).
+    base = data.draw(st.sampled_from([full, foreground])
+                     | st.integers(foreground - 40, full + 40))
+    budget = base + data.draw(st.sampled_from([-1, 0, 1]))
+    cfg = TrafficConfig(visible_depth=depth, byte_budget=budget)
+    assert _encode_or_error(encode_observation, state, kind, cfg) == \
+        _encode_or_error(oracle.encode_observation, state, kind, cfg)
 
 
 # ---------------------------------------------------------------------------
