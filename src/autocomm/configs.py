@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -283,8 +284,22 @@ def _channel_from_dict(d: dict) -> ChannelSceneConfig:
     return ChannelSceneConfig(**kwargs)
 
 
+def _check_finite(value, where: str) -> None:
+    """Raise ConfigError naming the first NaN or infinite float in a parsed
+    document (JSON's NaN and Infinity tokens, or an overflowing literal)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(where, f"must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_finite(v, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{where}[{i}]")
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a ScenarioConfig with defaults."""
+    _check_finite(doc, "")
     if "track" not in doc:
         raise ConfigError("track", "required field missing")
     if "seed" not in doc:

@@ -87,13 +87,16 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
 def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
-                  temperature: Optional[float] = None) -> ChatResponse:
+                  temperature: Optional[float] = None,
+                  session: Optional[requests.Session] = None) -> ChatResponse:
     """One chat completion over HTTP.
 
     Retries connection failures and transient statuses with exponential
     backoff up to max_retries; any other HTTP error raises with a short
     body excerpt (never the request, which contains the prompt and would
-    sit next to the redacted key in logs).
+    sit next to the redacted key in logs).  POSTs through `session` when
+    one is given, keeping its connection alive between calls, and through
+    a one-request session otherwise.
     """
     payload = {
         "model": endpoint.model,
@@ -106,9 +109,9 @@ def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
             time.sleep(endpoint.backoff_base_s * (2 ** (attempt - 1)))
         t0 = time.perf_counter()
         try:
-            resp = requests.post(endpoint.base_url, json=payload,
-                                 headers=endpoint.headers(),
-                                 timeout=endpoint.timeout_s)
+            resp = (session or requests).post(
+                endpoint.base_url, json=payload, headers=endpoint.headers(),
+                timeout=endpoint.timeout_s)
         except requests.RequestException as exc:
             last_exc = exc
             continue
@@ -208,7 +211,11 @@ class ChatProposalEngine:
     """Adapter from the chat gateway to the proposal-engine interface.
 
     With a replay cassette no endpoint is contacted at all; with a record
-    cassette every live response is appended before being returned.
+    cassette every live response is appended before being returned.  Live
+    calls share one HTTP session, opened at the first of them and released
+    by close(); it reads the environment's proxies, CA bundle and netrc
+    credentials for the endpoint once, when it opens, instead of on every
+    request.
     """
 
     def __init__(self, endpoint: EndpointConfig,
@@ -219,6 +226,23 @@ class ChatProposalEngine:
         self.cassette = cassette
         self.system_prompt = system_prompt
         self.temperature = temperature
+        self._session: Optional[requests.Session] = None
+
+    def close(self) -> None:
+        if self._session is not None:
+            self._session.close()
+            self._session = None
+
+    def _live_session(self) -> requests.Session:
+        if self._session is None:
+            session = requests.Session()
+            url = self.endpoint.base_url
+            env = session.merge_environment_settings(url, {}, None, None, None)
+            session.proxies, session.verify = env["proxies"], env["verify"]
+            session.auth = requests.utils.get_netrc_auth(url)
+            session.trust_env = False
+            self._session = session
+        return self._session
 
     def _messages(self, prompt: str) -> list[Message]:
         msgs: list[Message] = []
@@ -232,7 +256,8 @@ class ChatProposalEngine:
         digest = request_digest(messages)
         if self.cassette is not None and self.cassette.mode == "replay":
             return self.cassette.replay(digest).text
-        response = chat_complete(self.endpoint, messages, self.temperature)
+        response = chat_complete(self.endpoint, messages, self.temperature,
+                                 self._live_session())
         if self.cassette is not None:
             self.cassette.record(digest, response)
         return response.text

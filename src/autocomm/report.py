@@ -139,7 +139,7 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
                         (second, params.max_iterations - at)]
         else:
             segments = [(objective, params.max_iterations)]
-        cassette = None
+        cassette = chat = None
         if method == "opro_mock":
             engine = MockLocalSearchEngine(stream(seed, "scheduling/engine"))
         else:
@@ -150,10 +150,12 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
             if opts.get("cassette"):
                 cassette = Cassette(opts["cassette"],
                                     opts.get("cassette_mode", "replay"))
-            engine = ChatProposalEngine(endpoint, cassette)
+            engine = chat = ChatProposalEngine(endpoint, cassette)
         try:
             result = opro_optimize_segments(cfg, snr, segments, engine, params)
         finally:
+            if chat is not None:
+                chat.close()
             if cassette is not None:
                 cassette.close()
         metrics = {

@@ -12,8 +12,10 @@ prompting loop comparable on identical inputs.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -239,6 +241,33 @@ def round_robin_alloc(cfg: SchedulingConfig, snr: SnrMap) -> Allocation:
     return tuple(eligible[b % len(eligible)] for b in range(cfg.num_rbs))
 
 
+# evaluate_batch holds a few [rows x num_rbs] arrays at once; 2^13 rows keep
+# that well under a megabyte per array.
+_CHUNK_ROWS = 1 << 13
+
+
+def _all_vectors(k: int, m: int) -> Iterator[np.ndarray]:
+    """Every length-m vector over range(k), lexicographic, in row chunks."""
+    total = k ** m
+    weights = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, _CHUNK_ROWS):
+        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+        yield (idx[:, None] // weights[None, :]) % k
+
+
+def _nondecreasing_vectors(k: int, m: int) -> Iterator[np.ndarray]:
+    """Every non-decreasing length-m vector over range(k), lexicographic,
+    in row chunks."""
+    vectors = itertools.combinations_with_replacement(range(k), m)
+    while True:
+        chunk = itertools.islice(vectors, _CHUNK_ROWS)
+        block = np.fromiter(itertools.chain.from_iterable(chunk),
+                            dtype=np.intp).reshape(-1, m)
+        if not len(block):
+            return
+        yield block
+
+
 def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
                         objective: ObjectiveSpec,
                         enumeration_cap: int = 1 << 24) -> tuple[Allocation, float]:
@@ -246,31 +275,40 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
 
     Ties break toward the lexicographically smallest vector.  Feasible
     (level 2) allocations outrank QoS-violating ones, mirroring the shared
-    ranking.  Raises if the instance exceeds the enumeration cap.
+    ranking.
+
+    On a flat map, where every eligible robot has the same SNR on each RB,
+    a robot's rate is the same per-RB rate summed once per RB it holds,
+    which gives the same bits whichever RBs those are; so an allocation's
+    rank depends only on its per-robot RB counts.  The search then scores
+    one vector per count vector, the non-decreasing one, which is the
+    lexicographically smallest vector with those counts: C(m + k - 1, m)
+    candidates for k robots and m RBs, instead of the k^m that any other
+    map needs.  Raises if the candidates exceed the enumeration cap.
     """
     eligible = snr.eligible_ids()
     if not eligible:
         raise ValueError("no eligible robots to schedule")
-    k, m = len(eligible), cfg.num_rbs
-    total = k ** m
+    ids = np.asarray(eligible)
+    k, m = len(ids), cfg.num_rbs
+    values = snr.values[ids - 1]
+    if values.shape[1] >= m and (values[:, :m] == values[:, :1]).all():
+        total, size = math.comb(m + k - 1, m), f"C({m + k - 1}, {m})"
+        chunks = _nondecreasing_vectors(k, m)
+    else:
+        total, size = k ** m, f"{k}^{m}"
+        chunks = _all_vectors(k, m)
     if total > enumeration_cap:
         raise ValueError(
-            f"instance too large to enumerate: {k}^{m} > {enumeration_cap}")
+            f"instance too large to enumerate: {size} > {enumeration_cap}")
 
-    ids = np.asarray(eligible)
     best: tuple[int, float, Optional[np.ndarray]] = (LEVEL_INVALID - 1, -np.inf, None)
-    # evaluate_batch holds a few [chunk x num_rbs] arrays at once; 2^15 rows
-    # keep that to a few MB.
-    chunk = 1 << 15
-    # Mixed-radix enumeration in lexicographic order; first occurrence of the
-    # best (level, score) is therefore the lexicographically smallest winner.
-    weights = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        genes = (idx[:, None] // weights[None, :]) % k
+    # Candidates arrive in lexicographic order, so the first occurrence of
+    # the best (level, score) is the lexicographically smallest winner.
+    for genes in chunks:
         allocs = ids[genes]
         assessed = evaluate_batch(allocs, snr, cfg, objective)
-        order = np.lexsort((np.arange(len(idx)), -assessed.scores,
+        order = np.lexsort((np.arange(len(allocs)), -assessed.scores,
                             -assessed.levels))
         p = order[0]
         if assessed.key(p) > best[:2]:
@@ -291,89 +329,86 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     contribution), so the search runs `restarts` independent populations
     and keeps the best-ranked result; the first restart wins ties.
 
+    The restarts evolve in lockstep: each generation scores all of them in
+    one evaluate_batch call over [restarts x population] rows, which gives
+    every row the bits it would get alone.  Restart r draws from its own
+    `restart{r}` substream, in the order a run of that restart by itself
+    would, and selection, crossover, mutation and elitism never mix
+    restarts.
+
     Returns (best allocation, its score, total generations run).
     """
-    best_alloc: Optional[Allocation] = None
-    best_key = (LEVEL_INVALID - 1, -np.inf)
-    total_gens = 0
-    for r in range(ga.restarts):
-        alloc, key, gens = _ga_run(cfg, snr, objective, ga,
-                                   rng.substream(f"restart{r}"))
-        total_gens += gens
-        if key > best_key:
-            best_key, best_alloc = key, alloc
-    assert best_alloc is not None
-    return best_alloc, best_key[1], total_gens
-
-
-def _ga_run(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
-            ga: GaParams, rng: RngStream
-            ) -> tuple[Allocation, tuple[int, float], int]:
     eligible = snr.eligible_ids()
     if not eligible:
         raise ValueError("no eligible robots to schedule")
     ids = np.asarray(eligible)
     k, m = len(ids), cfg.num_rbs
-    pop_n = ga.population
+    R, P, e = ga.restarts, ga.population, ga.elitism
+    half = P // 2
+    streams = [rng.substream(f"restart{r}") for r in range(R)]
 
-    genes = rng.integers(0, k, (pop_n, m))
-    best_gene: Optional[np.ndarray] = None
-    best_key = (LEVEL_INVALID - 1, -np.inf)
+    genes = np.stack([s.integers(0, k, (P, m)) for s in streams])   # [R, P, m]
+    best_gene = np.zeros((R, m), dtype=genes.dtype)
+    best_level = np.full(R, LEVEL_INVALID - 1)
+    best_score = np.full(R, -np.inf)
+    restart = np.arange(R)
+    row = restart[:, None]
+    position = np.arange(P)
+    tiebreak = np.broadcast_to(position, (R, P))
+    # Each generation's draws, restart by restart.
+    contenders = np.empty((R, P, ga.tournament_size), dtype=np.int64)
+    redraw = np.empty((R, P, m), dtype=np.int64)
+    cross_u, swap_u, mut_u = (np.empty((R, half)), np.empty((R, half, m)),
+                              np.empty((R, P, m)))
 
-    def rank(gs: np.ndarray) -> Assessment:
-        return evaluate_batch(ids[gs], snr, cfg, objective)
+    def rank() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score every population; promote each restart's improved top row."""
+        assessed = evaluate_batch(ids[genes].reshape(R * P, m), snr, cfg,
+                                  objective)
+        levels = assessed.levels.reshape(R, P)
+        scores = assessed.scores.reshape(R, P)
+        order = np.lexsort((tiebreak, -scores, -levels), axis=-1)
+        top = order[:, 0]
+        level, score = levels[restart, top], scores[restart, top]
+        better = (level > best_level) | ((level == best_level)
+                                         & (score > best_score))
+        best_level[better], best_score[better] = level[better], score[better]
+        best_gene[better] = genes[restart[better], top[better]]
+        return levels, scores, order
 
-    generations_used = 0
     for _ in range(ga.generations):
-        generations_used += 1
-        assessed = rank(genes)
-        levels, scores = assessed.levels, assessed.scores
-
-        order = np.lexsort((np.arange(pop_n), -scores, -levels))
-        top = order[0]
-        if assessed.key(top) > best_key:
-            best_key = assessed.key(top)
-            best_gene = genes[top].copy()
+        levels, scores, order = rank()
+        for r, s in enumerate(streams):
+            contenders[r] = s.integers(0, P, (P, ga.tournament_size))
+            cross_u[r] = s.random(half)
+            swap_u[r] = s.random((half, m))
+            mut_u[r] = s.random((P, m))
+            redraw[r] = s.integers(0, k, (P, m))
 
         # Tournament selection over the feasibility-first key.
-        contenders = rng.integers(0, pop_n, (pop_n, ga.tournament_size))
         keys = levels.astype(np.float64) * 1e18 + np.where(
             np.isfinite(scores), scores, -1e17)
-        winners = contenders[np.arange(pop_n), np.argmax(keys[contenders], axis=1)]
-        parents = genes[winners]
+        pick = keys[row[..., None], contenders].argmax(axis=2)
+        children = genes[row, contenders[row, position, pick]]
 
         # Uniform crossover on consecutive pairs; a trailing unpaired parent
         # passes through unchanged.
-        children = parents.copy()
-        half = pop_n // 2
-        do_cross = rng.random(half) < ga.crossover_prob
-        swap_mask = rng.random((half, m)) < 0.5
-        swap_mask &= do_cross[:, None]
-        a = children[0:2 * half:2]
-        b = children[1:2 * half:2]
-        a_sw = np.where(swap_mask, b, a)
-        b_sw = np.where(swap_mask, a, b)
-        children[0:2 * half:2] = a_sw
-        children[1:2 * half:2] = b_sw
+        swap = (swap_u < 0.5) & (cross_u < ga.crossover_prob)[..., None]
+        a, b = children[:, 0:2 * half:2], children[:, 1:2 * half:2]
+        children[:, 0:2 * half:2], children[:, 1:2 * half:2] = (
+            np.where(swap, b, a), np.where(swap, a, b))
 
         # Per-gene mutation redraws a uniform eligible robot.
-        mut = rng.random((pop_n, m)) < ga.mutation_prob
-        redraw = rng.integers(0, k, (pop_n, m))
-        children = np.where(mut, redraw, children)
+        children = np.where(mut_u < ga.mutation_prob, redraw, children)
 
-        # Elitism: the incumbent best replaces the tail of the new population.
-        elite = [best_gene] + [genes[order[i]] for i in range(1, ga.elitism)]
-        for j, e in enumerate(elite[: ga.elitism]):
-            children[pop_n - 1 - j] = e
+        # Elitism: the incumbent best, then this generation's runners-up,
+        # replace the tail of the new population.
+        if e:
+            children[:, P - 1] = best_gene
+            children[:, P - e:P - 1][:, ::-1] = genes[row, order[:, 1:e]]
         genes = children
+    rank()
 
-    assessed = rank(genes)
-    order = np.lexsort((np.arange(pop_n), -assessed.scores, -assessed.levels))
-    top = order[0]
-    if assessed.key(top) > best_key:
-        best_key = assessed.key(top)
-        best_gene = genes[top].copy()
-
-    assert best_gene is not None
-    alloc = tuple(int(v) for v in ids[best_gene])
-    return alloc, best_key, generations_used
+    r = max(restart, key=lambda r: (int(best_level[r]), float(best_score[r])))
+    return (tuple(int(v) for v in ids[best_gene[r]]), float(best_score[r]),
+            R * ga.generations)

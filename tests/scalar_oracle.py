@@ -4,7 +4,10 @@
 bincount; this module assesses one allocation at a time with plain loops and
 Python sets, independently of that kernel: per-robot rates summed RB by RB,
 the QoS clamp written out, and the structural rules as set comprehensions.
-Tests compare the kernel and ``validate`` against it.
+Tests compare the kernel and ``validate`` against it.  The genetic search
+here runs its restarts one after another, each scoring its own population,
+as the reference for ``scheduling.ga_schedule``, which runs them in
+lockstep.
 
 The geochannel section traces one user at a time, facade by facade, in
 numpy scalars: the image method, the slab test and the hand-written ``Path``
@@ -13,6 +16,7 @@ section is the encoder that re-serialized the observation once per dropped
 row.
 """
 
+import itertools
 import json
 import math
 
@@ -33,6 +37,7 @@ from autocomm.scheduling import (
     LEVEL_QOS_VIOLATED,
     Violation,
     ViolationKind,
+    evaluate_batch,
 )
 from autocomm.traffic import (
     EncodedObservation,
@@ -122,6 +127,118 @@ def level(alloc, snr, cfg, objective) -> int:
     if kinds - {ViolationKind.QOS_VIOLATION}:
         return LEVEL_INVALID
     return LEVEL_QOS_VIOLATED if kinds else LEVEL_OK
+
+
+def brute_force(cfg, snr, objective, chunk=1 << 14):
+    """Exact search over every vector of eligible ids, in itertools.product
+    order: the best (level, score) key, and at that key the first, so
+    lexicographically smallest, vector."""
+    ids = snr.eligible_ids()
+    vectors = itertools.product(ids, repeat=cfg.num_rbs)
+    best_key, best_alloc = None, None
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(vectors, chunk)), dtype=np.int64)
+        if not len(block):
+            return best_alloc, best_key[1]
+        block = block.reshape(-1, cfg.num_rbs)
+        assessed = evaluate_batch(block, snr, cfg, objective)
+        for i in range(len(block)):
+            if best_key is None or assessed.key(i) > best_key:
+                best_key = assessed.key(i)
+                best_alloc = tuple(int(v) for v in block[i])
+
+
+# ---------------------------------------------------------------------------
+# Genetic search: one restart at a time
+
+
+def ga_schedule(cfg, snr, objective, ga, rng):
+    """The restarts of scheduling.ga_schedule run one after another, each a
+    separate population scored by its own evaluate_batch calls."""
+    best_alloc = None
+    best_key = (LEVEL_INVALID - 1, -np.inf)
+    total_gens = 0
+    for r in range(ga.restarts):
+        alloc, key, gens = ga_run(cfg, snr, objective, ga,
+                                  rng.substream(f"restart{r}"))
+        total_gens += gens
+        if key > best_key:
+            best_key, best_alloc = key, alloc
+    assert best_alloc is not None
+    return best_alloc, best_key[1], total_gens
+
+
+def ga_run(cfg, snr, objective, ga, rng):
+    """One restart: (best allocation, its (level, score) key, generations)."""
+    eligible = snr.eligible_ids()
+    if not eligible:
+        raise ValueError("no eligible robots to schedule")
+    ids = np.asarray(eligible)
+    k, m = len(ids), cfg.num_rbs
+    pop_n = ga.population
+
+    genes = rng.integers(0, k, (pop_n, m))
+    best_gene = None
+    best_key = (LEVEL_INVALID - 1, -np.inf)
+
+    def rank(gs):
+        return evaluate_batch(ids[gs], snr, cfg, objective)
+
+    generations_used = 0
+    for _ in range(ga.generations):
+        generations_used += 1
+        assessed = rank(genes)
+        levels, scores = assessed.levels, assessed.scores
+
+        order = np.lexsort((np.arange(pop_n), -scores, -levels))
+        top = order[0]
+        if assessed.key(top) > best_key:
+            best_key = assessed.key(top)
+            best_gene = genes[top].copy()
+
+        # Tournament selection over the feasibility-first key.
+        contenders = rng.integers(0, pop_n, (pop_n, ga.tournament_size))
+        keys = levels.astype(np.float64) * 1e18 + np.where(
+            np.isfinite(scores), scores, -1e17)
+        winners = contenders[np.arange(pop_n), np.argmax(keys[contenders], axis=1)]
+        parents = genes[winners]
+
+        # Uniform crossover on consecutive pairs; a trailing unpaired parent
+        # passes through unchanged.
+        children = parents.copy()
+        half = pop_n // 2
+        do_cross = rng.random(half) < ga.crossover_prob
+        swap_mask = rng.random((half, m)) < 0.5
+        swap_mask &= do_cross[:, None]
+        a = children[0:2 * half:2]
+        b = children[1:2 * half:2]
+        a_sw = np.where(swap_mask, b, a)
+        b_sw = np.where(swap_mask, a, b)
+        children[0:2 * half:2] = a_sw
+        children[1:2 * half:2] = b_sw
+
+        # Per-gene mutation redraws a uniform eligible robot.
+        mut = rng.random((pop_n, m)) < ga.mutation_prob
+        redraw = rng.integers(0, k, (pop_n, m))
+        children = np.where(mut, redraw, children)
+
+        # Elitism: the incumbent best replaces the tail of the new population.
+        elite = [best_gene] + [genes[order[i]] for i in range(1, ga.elitism)]
+        for j, e in enumerate(elite[: ga.elitism]):
+            children[pop_n - 1 - j] = e
+        genes = children
+
+    assessed = rank(genes)
+    order = np.lexsort((np.arange(pop_n), -assessed.scores, -assessed.levels))
+    top = order[0]
+    if assessed.key(top) > best_key:
+        best_key = assessed.key(top)
+        best_gene = genes[top].copy()
+
+    assert best_gene is not None
+    alloc = tuple(int(v) for v in ids[best_gene])
+    return alloc, best_key, generations_used
 
 
 # ---------------------------------------------------------------------------

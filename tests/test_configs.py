@@ -263,9 +263,39 @@ _channel_doc = st.fixed_dictionaries({}, optional={
 })
 
 
+def _float_leaves(value, where):
+    """(field name, container, key) of every float in a document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, v in items:
+        name = (f"{where}.{key}" if isinstance(value, dict)
+                else f"{where}[{key}]")
+        if isinstance(v, float):
+            yield name, value, key
+        else:
+            yield from _float_leaves(v, name)
+
+
+# Which float of a document to replace, and by which non-finite value.
+_nonfinite = st.none() | st.tuples(
+    st.integers(0, 100), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(channel=_channel_doc, seed=st.integers(0, 2 ** 64 - 1))
-def test_channel_documents_fail_only_with_config_errors(channel, seed):
+@given(channel=_channel_doc, seed=st.integers(0, 2 ** 64 - 1),
+       nonfinite=_nonfinite)
+def test_channel_documents_fail_only_with_config_errors(channel, seed,
+                                                        nonfinite):
+    leaves = list(_float_leaves(channel, "channel"))
+    if nonfinite and leaves:
+        index, value = nonfinite
+        name, container, key = leaves[index % len(leaves)]
+        container[key] = value
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict({"track": "channel", "seed": seed,
+                                "channel": channel})
+        assert err.value.field == name
+        return
     try:
         scn = scenario_from_dict({"track": "channel", "seed": seed,
                                   "channel": channel})
@@ -278,3 +308,23 @@ def test_channel_documents_fail_only_with_config_errors(channel, seed):
     users = [u for u in users if math.dist(u, cfg.bs_pos) > 1e-3]
     for row in trace_paths_batch(cfg, users):
         assert synthesize_channel(cfg, row).shape == (cfg.num_antennas,)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("track,field", [
+    ("channel", "carrier_hz"),
+    ("scheduling", "bandwidth_hz"),
+    ("scheduling", "min_rate_bps"),
+    ("scheduling", "objective.epsilon"),
+    ("traffic", "episode_s"),
+])
+def test_non_finite_floats_are_config_errors(track, field, token):
+    # JSON's NaN and Infinity tokens, and literals past the float range,
+    # parse to non-finite floats, which every comparison-based check passes.
+    section = field.split(".")[0]
+    value = f'{{"{field.split(".")[1]}": {token}}}' if "." in field else token
+    text = (f'{{"track": "{track}", "seed": 1, '
+            f'"{track}": {{"{section}": {value}}}}}')
+    with pytest.raises(ConfigError) as err:
+        build_scenario(text)
+    assert err.value.field == f"{track}.{field}"

@@ -6,6 +6,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from autocomm.configs import ScenarioConfig, SchedulingConfig, Track
 from autocomm.gateway import (
@@ -326,3 +327,68 @@ def test_cassette_never_contains_api_key(stub_server, tmp_path):
     with Cassette(path, "record") as rec:
         ChatProposalEngine(ep, cassette=rec).propose("p")
     assert "sk-very-secret" not in path.read_text(encoding="utf-8")
+
+
+def test_engine_keeps_one_session_and_reads_the_environment_once(
+        stub_server, tmp_path, monkeypatch):
+    StubHandler.script = [(200, chat_body("A")), (200, chat_body("B"))]
+    bundle = str(tmp_path / "ca.pem")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", bundle)
+    opened = []
+    real_session = requests.Session
+
+    def session():
+        opened.append(real_session())
+        return opened[-1]
+
+    monkeypatch.setattr("autocomm.gateway.requests.Session", session)
+    engine = ChatProposalEngine(EndpointConfig(base_url=stub_server,
+                                               model="m"))
+    assert opened == []                 # nothing opens before a live call
+    assert engine.propose("p1") == "A"
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "other.pem"))
+    assert engine.propose("p2") == "B"
+    assert len(opened) == 1 and len(StubHandler.seen) == 2
+    live = opened[0]
+    assert live.trust_env is False and live.verify == bundle
+    engine.close()
+    assert engine._session is None
+    engine.close()                      # closing twice is harmless
+
+
+def test_engine_replay_never_opens_a_session(stub_server, tmp_path,
+                                             monkeypatch):
+    StubHandler.script = [(200, chat_body("A"))]
+    path = tmp_path / "session.jsonl"
+    ep = EndpointConfig(base_url=stub_server, model="m")
+    with Cassette(path, "record") as rec:
+        ChatProposalEngine(ep, cassette=rec).propose("p")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("session opened during replay")
+
+    monkeypatch.setattr("autocomm.gateway.requests.Session", forbidden)
+    with Cassette(path, "replay") as rep:
+        engine = ChatProposalEngine(ep, cassette=rep)
+        assert engine.propose("p") == "A"
+        engine.close()
+
+
+def test_scheduling_run_closes_its_chat_session(stub_server, tmp_path,
+                                                monkeypatch):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    closed = []
+    real_close = requests.Session.close
+
+    def close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(requests.Session, "close", close)
+    scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    opts = {"endpoint_url": stub_server, "model": "m",
+            "opro_params": {"max_iterations": 3}}
+    assert run(scenario, "opro_chat", opts).status == "ok"
+    assert len(StubHandler.seen) == 3
+    assert len(closed) == 1

@@ -1,6 +1,7 @@
 """Run records, sweeps, CSV emission, and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from autocomm.configs import (
     SchedulingConfig,
     Track,
     TrafficConfig,
+    scenario_from_dict,
     scenario_to_json,
 )
 from autocomm.geochannel import load_fixture_scene
@@ -204,6 +206,38 @@ def test_cli_schedule_emits_and_saves_record(tmp_path, capsys):
     name = f"run-scheduling-round_robin-{doc['config_digest'][:12]}.json"
     assert (out / name).read_text(encoding="utf-8") == \
         record_to_json(run(sched_scenario(), "round_robin"))
+
+
+REFERENCE_SCHEDULING = (Path(__file__).resolve().parent.parent / "docs"
+                        / "config-schema" / "scheduling.json")
+
+
+def test_cli_reference_brute_force(tmp_path, capsys):
+    # The README's exact-oracle command on the 10-robot reference scene.
+    code = main(["schedule", "--config", str(REFERENCE_SCHEDULING),
+                 "--method", "brute_force", "--seed", "9",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok" and doc["metrics"]["level"] == 2.0
+    assert len(doc["details"]["alloc"]) == 9
+
+
+@pytest.mark.parametrize("kind", ["pf", "qos_sum_rate"])
+def test_search_methods_near_reference_scale_optimum(kind):
+    """GA within 1% and the mock engine within 2% of the exact 10-robot
+    optimum of the reference scene, at the optimum's level."""
+    doc = json.loads(REFERENCE_SCHEDULING.read_text(encoding="utf-8"))
+    doc["scheduling"]["objective"] = {"kind": kind}
+    for seed in range(1, 11):
+        scenario = scenario_from_dict(dict(doc, seed=seed))
+        exact, ga, mock = (run(scenario, method) for method in
+                           ("brute_force", "ga", "opro_mock"))
+        best = exact.metrics
+        for rec, ratio in ((ga, 0.99), (mock, 0.98)):
+            assert rec.metrics["level"] == best["level"], (seed, rec.method)
+            assert (best["score"] >= rec.metrics["score"]
+                    >= ratio * best["score"]), (seed, rec.method)
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -9,7 +9,8 @@ import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from autocomm.configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
-from autocomm.radio import RadioParams, SnrMap, generate_snr_map
+from autocomm.radio import (RadioParams, SnrMap, generate_snr_map,
+                            rb_rate_matrix)
 from autocomm.rng import stream
 from autocomm.scheduling import (
     LEVEL_INVALID,
@@ -269,6 +270,65 @@ def test_brute_force_enumeration_cap():
         brute_force_optimal(cfg, snr, PF, enumeration_cap=1 << 10)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_map_oracle_matches_enumeration(data):
+    """On flat maps the counts-only search must return the exhaustive
+    search's allocation and score, bit for bit, over 1-4 robots, 1-9 RBs,
+    empty buffers, every RB cap and all three objectives."""
+    n = data.draw(st.integers(1, 4), label="num_robots")
+    m = data.draw(st.integers(1, 9), label="num_rbs")
+    cfg = SchedulingConfig(
+        num_robots=n, num_rbs=m,
+        max_rbs_per_robot=data.draw(st.none() | st.integers(1, m), label="cap"),
+        buffer_occupancy_prob=data.draw(st.sampled_from([0.6, 1.0]),
+                                        label="occupancy"))
+    snr = generate_snr_map(cfg, RadioParams(),
+                           stream(data.draw(st.integers(0, 2 ** 32),
+                                            label="seed"), "scheduling/snr"))
+    if data.draw(st.booleans(), label="equal_snr"):
+        snr = flat_map(n, m, empty=[i + 1 for i in range(n)
+                                    if not snr.buffer_nonempty[i]])
+    if not snr.eligible_ids():
+        return
+    rb = rb_rate_matrix(snr, cfg)
+    # Thresholds at one-, two- and three-RB rates put ties and starvation
+    # on the boundary.
+    min_rate = data.draw(st.sampled_from(
+        [0.0, float(rb[0, 0]), float(rb[-1, 0] * 2), float(rb[0, 0] * 3)]),
+        label="min_rate")
+    objective = ObjectiveSpec(
+        kind=data.draw(st.sampled_from(list(ObjectiveKind)), label="kind"),
+        min_rate_bps=min_rate)
+
+    alloc, score = brute_force_optimal(cfg, snr, objective)
+    want_alloc, want_score = oracle.brute_force(cfg, snr, objective)
+    assert alloc == want_alloc
+    assert score == want_score
+
+
+def test_flat_oracle_counts_its_candidates():
+    # 10 robots on 9 flat RBs: C(18, 9) = 48,620 count vectors, not 10^9.
+    cfg = SchedulingConfig(num_robots=10, objective=PF)
+    with pytest.raises(ValueError, match=r"C\(18, 9\) > 48619"):
+        brute_force_optimal(cfg, flat_map(10), PF, enumeration_cap=48_619)
+    alloc, _ = brute_force_optimal(cfg, flat_map(10), PF,
+                                   enumeration_cap=48_620)
+    assert alloc == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    # A map flat in all but one entry is enumerated in full.
+    snr = flat_map(3)
+    snr.values[2, 4] = 5.0
+    with pytest.raises(ValueError, match=r"3\^9 > 1000"):
+        brute_force_optimal(SchedulingConfig(num_robots=3), snr, PF,
+                            enumeration_cap=1000)
+
+
+def test_brute_force_rayleigh_matches_reference(pf_instance):
+    cfg, snr, obj = pf_instance
+    assert brute_force_optimal(cfg, snr, obj) == oracle.brute_force(cfg, snr,
+                                                                     obj)
+
+
 def test_ga_deterministic_and_valid(small_instance):
     cfg, snr, obj = small_instance
     a1, s1, g1 = ga_schedule(cfg, snr, obj, GaParams(), stream(77, "ga"))
@@ -291,6 +351,35 @@ def test_ga_handles_odd_population(small_instance):
     params = GaParams(population=31, generations=20)
     alloc, score, _ = ga_schedule(cfg, snr, obj, params, stream(79, "ga"))
     assert len(alloc) == cfg.num_rbs
+
+
+GA_CASES = [
+    # (fading, kind, cap, GaParams)
+    ("none", ObjectiveKind.PF, None, GaParams(population=30, generations=25)),
+    ("rayleigh", ObjectiveKind.QOS_SUM_RATE, None,
+     GaParams(population=31, generations=25)),
+    ("rayleigh", ObjectiveKind.QOS_PF, 3,
+     GaParams(population=20, generations=20, restarts=1)),
+    ("none", ObjectiveKind.QOS_SUM_RATE, 2,
+     GaParams(population=9, generations=15, restarts=4, elitism=0)),
+    ("rayleigh", ObjectiveKind.PF, None,
+     GaParams(population=4, generations=10, elitism=4, tournament_size=1)),
+]
+
+
+@pytest.mark.parametrize("num_robots", [3, 10])
+@pytest.mark.parametrize("fading,kind,cap,params", GA_CASES)
+def test_lockstep_ga_matches_restart_by_restart(fading, kind, cap, params,
+                                                num_robots):
+    objective = ObjectiveSpec(kind=kind, min_rate_bps=2e6)
+    cfg = SchedulingConfig(num_robots=num_robots, objective=objective,
+                           max_rbs_per_robot=cap, buffer_occupancy_prob=0.8)
+    snr = generate_snr_map(cfg, RadioParams(fading=fading),
+                           stream(num_robots, "scheduling/snr"))
+    got = ga_schedule(cfg, snr, objective, params, stream(81, "ga"))
+    want = oracle.ga_schedule(cfg, snr, objective, params, stream(81, "ga"))
+    assert got == want
+    assert repr(got[1]) == repr(want[1])
 
 
 def test_ga_params_validation():
