@@ -25,7 +25,10 @@ from typing import Optional, Sequence
 from . import __version__
 from .configs import ScenarioConfig, scenario_from_dict
 from .report import (
-    RunRecord,
+    CHANNEL_METHODS,
+    OPRO_METHODS,
+    SEARCH_METHODS,
+    TRAFFIC_METHODS,
     cells_csv,
     config_digest,
     format_report,
@@ -45,14 +48,18 @@ def _load_scenario(path: str, seed: Optional[int]) -> ScenarioConfig:
     return scenario_from_dict(doc)
 
 
-def _emit_record(rec: RunRecord, out_dir: Optional[str], tag: str = "") -> None:
-    text = record_to_json(rec)
-    sys.stdout.write(text)
+def _save(text: str, out_dir: Optional[str], name: str) -> None:
+    """With --out, write text to out_dir/name."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        name = f"run-{rec.track}-{rec.method}{tag}-{rec.config_digest[:12]}.json"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(text: str, out_dir: Optional[str], name: str) -> None:
+    """Print text and, with --out, also write it to out_dir/name."""
+    sys.stdout.write(text)
+    _save(text, out_dir, name)
 
 
 def _csv_list(text: str) -> list[str]:
@@ -90,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("schedule", help="classical scheduling methods")
     common(sp)
-    sp.add_argument("--method", default="ga",
-                    choices=["round_robin", "ga", "brute_force"])
+    sp.add_argument("--method", default="ga", choices=SEARCH_METHODS)
 
     sp = sub.add_parser("opro", help="prompt-optimization scheduling loop")
     common(sp)
-    sp.add_argument("--engine", default="mock", choices=["mock", "chat"])
+    sp.add_argument("--engine", default="mock",
+                    choices=[m.removeprefix("opro_") for m in OPRO_METHODS])
     sp.add_argument("--switch", default=None,
                     help='objective switch as JSON, e.g. '
                          '\'{"at_iteration": 100, "objective": "qos_sum_rate"}\'')
@@ -107,14 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("traffic", help="intersection signal simulation")
     common(sp)
-    sp.add_argument("--controller", default="greedy",
-                    choices=["greedy", "round_robin"])
+    sp.add_argument("--controller", default="greedy", choices=TRAFFIC_METHODS)
     sp.add_argument("--observation", default="vue", choices=["vue", "rsu"])
 
     sp = sub.add_parser("channel", help="environment-aware channel predictors")
     common(sp)
-    sp.add_argument("--method", default="geometry",
-                    choices=["geometry", "nn_ckm", "linear_gcp"])
+    sp.add_argument("--method", default="geometry", choices=CHANNEL_METHODS)
 
     sp = sub.add_parser("sweep", help="axis x seeds x methods grid")
     common(sp)
@@ -138,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _single_run(args, method: str, opts: dict, tag: str = "") -> int:
     scenario = _load_scenario(args.config, args.seed)
     rec = run_safe(scenario, method, opts)
-    _emit_record(rec, args.out, tag)
+    _emit(record_to_json(rec), args.out,
+          f"run-{rec.track}-{rec.method}{tag}-{rec.config_digest[:12]}.json")
     return 0 if rec.status == "ok" else 1
 
 
@@ -153,15 +159,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.switch:
             opts["switch"] = json.loads(args.switch)
         if args.engine == "chat":
-            method = "opro_chat"
             opts.update({"endpoint_url": args.endpoint_url,
                          "model": args.model})
             if args.cassette:
                 opts["cassette"] = args.cassette
                 opts["cassette_mode"] = args.cassette_mode
-        else:
-            method = "opro_mock"
-        return _single_run(args, method, opts,
+        return _single_run(args, f"opro_{args.engine}", opts,
                            tag="-switch" if args.switch else "")
 
     if args.command == "traffic":
@@ -185,18 +188,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sw = sweep(scenario, _csv_list(args.methods),
                    [int(s) for s in _csv_list(args.seeds)],
                    axis_name, axis_values, opts)
-        cells = cells_csv(sw)
-        summary = summary_csv(sw)
-        sys.stdout.write(summary)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            digest = config_digest(scenario)[:12]
-            with open(os.path.join(args.out, f"sweep-cells-{digest}.csv"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(cells)
-            with open(os.path.join(args.out, f"sweep-summary-{digest}.csv"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(summary)
+        digest = config_digest(scenario)[:12]
+        _save(cells_csv(sw), args.out, f"sweep-cells-{digest}.csv")
+        _emit(summary_csv(sw), args.out, f"sweep-summary-{digest}.csv")
         return 0 if sw.all_ok else 1
 
     if args.command == "report":
@@ -206,13 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with open(os.path.join(args.runs, name), encoding="utf-8") as fh:
                     doc = json.load(fh)
                 records.append(record_from_dict(doc))
-        text = format_report(records)
-        sys.stdout.write(text)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "report.txt"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(text)
+        _emit(format_report(records), args.out, "report.txt")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

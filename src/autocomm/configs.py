@@ -218,12 +218,6 @@ class ScenarioConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", "must be an unsigned 64-bit integer")
 
-    @property
-    def sub(self):
-        return {Track.SCHEDULING: self.scheduling,
-                Track.CHANNEL: self.channel,
-                Track.TRAFFIC: self.traffic}[self.track]
-
 
 # ---------------------------------------------------------------------------
 # JSON round-trip

@@ -212,10 +212,10 @@ class ChatProposalEngine:
 
     With a replay cassette no endpoint is contacted at all; with a record
     cassette every live response is appended before being returned.  Live
-    calls share one HTTP session, opened at the first of them and released
-    by close(); it reads the environment's proxies, CA bundle and netrc
-    credentials for the endpoint once, when it opens, instead of on every
-    request.
+    calls share one HTTP session, opened at the first of them; it reads the
+    environment's proxies, CA bundle and netrc credentials for the endpoint
+    once, when it opens, instead of on every request.  close() releases
+    the session and closes the cassette; closing twice is harmless.
     """
 
     def __init__(self, endpoint: EndpointConfig,
@@ -232,6 +232,8 @@ class ChatProposalEngine:
         if self._session is not None:
             self._session.close()
             self._session = None
+        if self.cassette is not None:
+            self.cassette.close()
 
     def _live_session(self) -> requests.Session:
         if self._session is None:

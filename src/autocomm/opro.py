@@ -2,9 +2,9 @@
 exemplars, ask a proposal engine for an allocation, validate, score, feed
 back, repeat.
 
-The loop is engine-agnostic: anything mapping a prompt string to a response
-string works, including the bundled local-search mock (used by tests and
-offline runs) and a chat-model client.  Validation is never skipped, a
+The loop is engine-agnostic: any object with propose(prompt) -> str works,
+including the bundled local-search mock (used by tests and offline runs)
+and the chat-model client in the gateway.  Validation is never skipped, a
 malformed response costs one iteration and produces corrective feedback,
 and the best-so-far allocation follows feasibility-first ranking: a vector
 meeting every minimum-rate constraint outranks any vector that does not,
@@ -18,7 +18,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Optional, Protocol, Sequence
 
 from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
 from .radio import SnrMap
@@ -39,12 +39,8 @@ class ParseFailure(str, enum.Enum):
     NON_INTEGER_TOKEN = "non_integer_token"
 
 
-@runtime_checkable
 class ProposalEngine(Protocol):
     def propose(self, prompt: str) -> str: ...
-
-
-EngineLike = Union[ProposalEngine, Callable[[str], str]]
 
 
 @dataclass(frozen=True)
@@ -279,15 +275,9 @@ def feedback_message(report: Optional[ValidationReport],
 # The optimization loop
 
 
-def _propose(engine: EngineLike, prompt: str) -> str:
-    if isinstance(engine, ProposalEngine):
-        return engine.propose(prompt)
-    return engine(prompt)
-
-
 def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
                            segments: Sequence[tuple[ObjectiveSpec, int]],
-                           engine: EngineLike,
+                           engine: ProposalEngine,
                            params: OproParams = OproParams()) -> OproResult:
     """Run the prompting loop over consecutive objective segments.
 
@@ -324,7 +314,7 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             history = [(a, s) for a, (_, s) in ranked][-params.history_window:]
             prompt = build_task_prompt(cfg, snr, objective, history, hint,
                                        last_feedback)
-            raw = _propose(engine, prompt)
+            raw = engine.propose(prompt)
             parsed, failure = parse_allocation(raw)
 
             report: Optional[ValidationReport] = None
@@ -371,14 +361,6 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
         carry_alloc = best_alloc
 
     return OproResult(tuple(seg_results), tuple(transcript))
-
-
-def opro_optimize(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
-                  engine: EngineLike,
-                  params: OproParams = OproParams()) -> OproResult:
-    """Single-objective prompting loop; see opro_optimize_segments."""
-    return opro_optimize_segments(
-        cfg, snr, [(objective, params.max_iterations)], engine, params)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +414,7 @@ class MockLocalSearchEngine:
         hint = float(hint_match.group(1)) if hint_match else 0.5
 
         rates = self._parse_rates(prompt, m)
-        pf = "proportional fairness" in prompt
+        log = "log2(max(rate" in prompt
         mr = _MIN_RATE_RE.search(prompt)
         min_rate = float(mr.group(1)) if mr else 0.0
 
@@ -442,7 +424,7 @@ class MockLocalSearchEngine:
                 vec = [eligible[self._rng.integers(0, len(eligible))]
                        for _ in range(m)]
             else:
-                vec = self._greedy(m, eligible, rates, pf, min_rate)
+                vec = self._greedy(m, eligible, rates, log, min_rate)
         else:
             _, body = exemplars[-1]
             base = [int(t) for t in body.split(",")]
@@ -450,7 +432,7 @@ class MockLocalSearchEngine:
                 base = (base + [eligible[0]] * m)[:m]
             cands = [self._mutate(base, m, eligible, hint)
                      for _ in range(self.CANDIDATES)]
-            cands.append(self._greedy(m, eligible, rates, pf, min_rate))
+            cands.append(self._greedy(m, eligible, rates, log, min_rate))
             qos = _QOS_FEEDBACK_RE.search(prompt)
             if qos is not None:
                 hungry = [int(t) for t in
@@ -461,7 +443,7 @@ class MockLocalSearchEngine:
                         rep[self._rng.integers(0, m)] = rid
                 cands.append(rep)
             vec = max(cands,
-                      key=lambda v: self._score(v, eligible, rates, pf, min_rate))
+                      key=lambda v: self._score(v, eligible, rates, log, min_rate))
 
         body = ", ".join(str(v) for v in vec)
         return f"Proposed allocation: [{body}]"
@@ -482,23 +464,27 @@ class MockLocalSearchEngine:
         return rates or None
 
     def _score(self, vec: Sequence[int], eligible: Sequence[int],
-               rates: dict[int, list[float]], pf: bool,
+               rates: dict[int, list[float]], log: bool,
                min_rate: float) -> tuple[int, float]:
+        """Feasibility first, then the sum of log2 of the rates clamped at 1
+        (log objectives) or of the rates meeting the minimum (sum-rate)."""
         totals = {r: 0.0 for r in eligible}
         for b, r in enumerate(vec):
             if r in totals:
                 totals[r] += rates[r][b]
-        if pf:
-            return (1, sum(math.log2(max(t, 1.0)) for t in totals.values()))
-        feasible = all(t >= min_rate for t in totals.values())
-        return (1 if feasible else 0,
-                sum(t for t in totals.values() if t >= min_rate))
+        feasible = 1 if all(t >= min_rate for t in totals.values()) else 0
+        if log:
+            return (feasible,
+                    sum(math.log2(max(t, 1.0)) for t in totals.values()))
+        return (feasible, sum(t for t in totals.values() if t >= min_rate))
 
     def _greedy(self, m: int, eligible: Sequence[int],
-                rates: dict[int, list[float]], pf: bool,
+                rates: dict[int, list[float]], log: bool,
                 min_rate: float) -> list[int]:
+        """Log-gain greedy without a minimum rate; otherwise best-rate
+        blocks with a repair pass for the robots below the minimum."""
         rng = self._rng
-        if pf:
+        if log and not min_rate:
             order = list(range(m))
             rng.shuffle(order)
             totals = {r: 0.0 for r in eligible}

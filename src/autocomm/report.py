@@ -4,8 +4,7 @@ One scenario + one method = one RunRecord with a flat float metric dict; a
 sweep is the cross product of an axis, seeds, and methods, with per-cell
 failures recorded rather than aborting the grid.  Serialized records and
 CSVs are canonical (sorted keys, repr floats) and carry no timestamps, so
-re-running the same scenario yields byte-identical files; wall time is
-kept on the in-memory record only.
+re-running the same scenario yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import dataclasses
 import hashlib
 import io
 import json
-import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -53,8 +52,9 @@ from .scheduling import (
 )
 from .traffic import QueueGreedyController, RoundRobinController, run_episode
 
-SCHEDULING_METHODS = ("round_robin", "ga", "brute_force", "opro_mock",
-                      "opro_chat")
+SEARCH_METHODS = ("round_robin", "ga", "brute_force")
+OPRO_METHODS = ("opro_mock", "opro_chat")
+SCHEDULING_METHODS = SEARCH_METHODS + OPRO_METHODS
 TRAFFIC_METHODS = ("round_robin", "greedy")
 CHANNEL_METHODS = ("geometry", "nn_ckm", "linear_gcp")
 
@@ -70,7 +70,6 @@ class RunRecord:
     metrics: dict[str, float]
     details: dict
     error: Optional[str] = None
-    wall_time_s: Optional[float] = None  # in-memory only, never serialized
 
 
 def config_digest(scenario: ScenarioConfig) -> str:
@@ -80,14 +79,13 @@ def config_digest(scenario: ScenarioConfig) -> str:
 
 def record_to_dict(rec: RunRecord) -> dict:
     doc = dataclasses.asdict(rec)
-    doc.pop("wall_time_s", None)
     if doc.get("error") is None:
         doc.pop("error", None)
     return doc
 
 
 def record_from_dict(doc: dict) -> RunRecord:
-    """Inverse of record_to_dict; the wall time is not serialized."""
+    """Inverse of record_to_dict."""
     return RunRecord(**doc)
 
 
@@ -108,24 +106,7 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
     snr = generate_snr_map(cfg, RadioParams(), stream(seed, "scheduling/snr"))
     objective = cfg.objective
 
-    if method == "round_robin":
-        alloc = round_robin_alloc(cfg, snr)
-        level, score = allocation_rank(alloc, snr, cfg, objective)
-        metrics = {"score": score, "level": float(level)}
-        details = {"alloc": list(alloc), "objective": objective.kind.value}
-    elif method == "ga":
-        alloc, score, gens = ga_schedule(
-            cfg, snr, objective, GaParams(), stream(seed, "scheduling/ga"))
-        level, _ = allocation_rank(alloc, snr, cfg, objective)
-        metrics = {"score": score, "level": float(level),
-                   "generations": float(gens)}
-        details = {"alloc": list(alloc), "objective": objective.kind.value}
-    elif method == "brute_force":
-        alloc, score = brute_force_optimal(cfg, snr, objective)
-        level, _ = allocation_rank(alloc, snr, cfg, objective)
-        metrics = {"score": score, "level": float(level)}
-        details = {"alloc": list(alloc), "objective": objective.kind.value}
-    elif method in ("opro_mock", "opro_chat"):
+    if method in OPRO_METHODS:
         params = OproParams(**opts.get("opro_params", {}))
         switch = opts.get("switch")
         if switch:
@@ -139,25 +120,21 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
                         (second, params.max_iterations - at)]
         else:
             segments = [(objective, params.max_iterations)]
-        cassette = chat = None
         if method == "opro_mock":
-            engine = MockLocalSearchEngine(stream(seed, "scheduling/engine"))
+            engine = nullcontext(
+                MockLocalSearchEngine(stream(seed, "scheduling/engine")))
         else:
             from .gateway import Cassette, ChatProposalEngine, EndpointConfig
             endpoint = EndpointConfig(
                 base_url=opts.get("endpoint_url", ""),
                 model=opts.get("model", ""))
-            if opts.get("cassette"):
-                cassette = Cassette(opts["cassette"],
-                                    opts.get("cassette_mode", "replay"))
-            engine = chat = ChatProposalEngine(endpoint, cassette)
-        try:
-            result = opro_optimize_segments(cfg, snr, segments, engine, params)
-        finally:
-            if chat is not None:
-                chat.close()
-            if cassette is not None:
-                cassette.close()
+            cassette = (Cassette(opts["cassette"],
+                                 opts.get("cassette_mode", "replay"))
+                        if opts.get("cassette") else None)
+            engine = closing(ChatProposalEngine(endpoint, cassette))
+        with engine as proposer:
+            result = opro_optimize_segments(cfg, snr, segments, proposer,
+                                            params)
         metrics = {
             "score": result.best_score,
             "level": float(result.final.best_level),
@@ -169,10 +146,23 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
             "objective": result.final.objective.kind.value,
             "segments": [s.objective.kind.value for s in result.segments],
         }
+        return metrics, details
+
+    metrics = {}
+    if method == "round_robin":
+        alloc = round_robin_alloc(cfg, snr)
+    elif method == "ga":
+        alloc, _, gens = ga_schedule(
+            cfg, snr, objective, GaParams(), stream(seed, "scheduling/ga"))
+        metrics["generations"] = float(gens)
+    elif method == "brute_force":
+        alloc, _ = brute_force_optimal(cfg, snr, objective)
     else:
         raise ValueError(f"unknown scheduling method {method!r}; "
                          f"expected one of {SCHEDULING_METHODS}")
-    return metrics, details
+    level, score = allocation_rank(alloc, snr, cfg, objective)
+    metrics.update(score=score, level=float(level))
+    return metrics, {"alloc": list(alloc), "objective": objective.kind.value}
 
 
 def _run_traffic(scenario: ScenarioConfig, method: str,
@@ -181,8 +171,7 @@ def _run_traffic(scenario: ScenarioConfig, method: str,
     assert cfg is not None
     observation = opts.get("observation", "vue")
     if method == "round_robin":
-        controller = RoundRobinController(
-            green_s=float(opts.get("green_s", 10.0)))
+        controller = RoundRobinController()
     elif method == "greedy":
         controller = QueueGreedyController()
     else:
@@ -193,30 +182,31 @@ def _run_traffic(scenario: ScenarioConfig, method: str,
     return dict(result.metrics), {"observation": observation}
 
 
+# Channel runs evaluate users on, and build maps over, x in [0, 30] m.
+ROAD_X_M = (0.0, 30.0)
+
+
 def default_user_positions(scenario: ScenarioConfig,
-                           num_users: int = 25,
-                           x_range: tuple[float, float] = (0.0, 30.0)
-                           ) -> np.ndarray:
+                           num_users: int = 25) -> np.ndarray:
     """Deterministic random users on the road for channel evaluation."""
     cfg = scenario.channel
     assert cfg is not None
     rng = stream(scenario.seed, "channel/users")
     half = cfg.road_halfwidth_m
-    xs = rng.uniform(x_range[0], x_range[1], num_users)
+    xs = rng.uniform(ROAD_X_M[0], ROAD_X_M[1], num_users)
     ys = rng.uniform(-half + 0.5, half - 0.5, num_users)
     return np.column_stack([xs, ys, np.full(num_users, cfg.user_height_m)])
 
 
-def ckm_grid_positions(scenario: ScenarioConfig,
-                       x_range: tuple[float, float] = (0.0, 30.0),
-                       step: float = 0.25) -> np.ndarray:
-    """Lane-center sampling grid for building a channel map."""
+def ckm_grid_positions(scenario: ScenarioConfig) -> np.ndarray:
+    """Lane-center sampling grid, every 0.25 m, for building a channel map."""
     cfg = scenario.channel
     assert cfg is not None
     half = cfg.road_halfwidth_m
     centers = [-half + (k + 0.5) * cfg.lane_width_m
                for k in range(cfg.num_lanes)]
-    xs = np.arange(x_range[0], x_range[1] + step / 2, step)
+    step = 0.25
+    xs = np.arange(ROAD_X_M[0], ROAD_X_M[1] + step / 2, step)
     rows = [(x, y, cfg.user_height_m) for y in centers for x in xs]
     return np.asarray(rows)
 
@@ -225,21 +215,12 @@ def _run_channel(scenario: ScenarioConfig, method: str,
                  opts: dict) -> tuple[dict, dict]:
     cfg = scenario.channel
     assert cfg is not None
-    users = opts.get("users")
-    if users is None:
-        users = default_user_positions(
-            scenario, num_users=int(opts.get("num_users", 25)))
-    users = np.asarray(users, dtype=float)
-
+    users = default_user_positions(scenario)
     ckm_points = 0
     if method == "geometry":
         predict = lambda u: geometry_predictor(cfg, u)
     elif method in ("nn_ckm", "linear_gcp"):
-        grid = opts.get("grid")
-        if grid is None:
-            grid = ckm_grid_positions(scenario,
-                                      step=float(opts.get("grid_step", 0.25)))
-        ckm = build_ckm(cfg, grid)
+        ckm = build_ckm(cfg, ckm_grid_positions(scenario))
         ckm_points = len(ckm.positions)
         if method == "nn_ckm":
             predict = lambda u: nn_ckm_predict(ckm, u)
@@ -281,15 +262,22 @@ def run(scenario: ScenarioConfig, method: str,
         Track.TRAFFIC: _run_traffic,
         Track.CHANNEL: _run_channel,
     }
-    t0 = time.perf_counter()
     metrics, details = runners[scenario.track](scenario, method, opts)
-    wall = time.perf_counter() - t0
     return RunRecord(
         track=scenario.track.value, method=method, seed=scenario.seed,
         config_digest=config_digest(scenario),
         package_version=__version__, status="ok",
         metrics={k: float(v) for k, v in sorted(metrics.items())},
-        details=details, wall_time_s=wall)
+        details=details)
+
+
+def _error_record(track: Track, method: str, seed: int, digest: str,
+                  exc: Exception) -> RunRecord:
+    """The status="error" record of a run that raised exc."""
+    return RunRecord(
+        track=track.value, method=method, seed=seed, config_digest=digest,
+        package_version=__version__, status="error", metrics={}, details={},
+        error=f"{type(exc).__name__}: {exc}")
 
 
 def run_safe(scenario: ScenarioConfig, method: str,
@@ -298,11 +286,8 @@ def run_safe(scenario: ScenarioConfig, method: str,
     try:
         return run(scenario, method, opts)
     except Exception as exc:
-        return RunRecord(
-            track=scenario.track.value, method=method, seed=scenario.seed,
-            config_digest=config_digest(scenario),
-            package_version=__version__, status="error", metrics={},
-            details={}, error=f"{type(exc).__name__}: {exc}")
+        return _error_record(scenario.track, method, scenario.seed,
+                             config_digest(scenario), exc)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +343,8 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
                 scenario = scenario_from_dict(doc)
             except Exception as exc:
                 for method in methods:
-                    result.cells.append(SweepCell(value, int(seed), method,
-                        RunRecord(track=base.track.value, method=method,
-                                  seed=int(seed), config_digest="",
-                                  package_version=__version__,
-                                  status="error", metrics={}, details={},
-                                  error=f"{type(exc).__name__}: {exc}")))
+                    rec = _error_record(base.track, method, int(seed), "", exc)
+                    result.cells.append(SweepCell(value, int(seed), method, rec))
                 continue
             for method in methods:
                 rec = run_safe(scenario, method, opts)
@@ -392,15 +373,23 @@ def cells_csv(sw: SweepResult) -> str:
     return buf.getvalue()
 
 
+def _metric_groups(keyed: Sequence[tuple[object, RunRecord]]
+                   ) -> dict[object, dict[str, list[float]]]:
+    """Metric values per key and metric name over the ok records."""
+    groups: dict[object, dict[str, list[float]]] = {}
+    for key, rec in keyed:
+        if rec.status != "ok":
+            continue
+        g = groups.setdefault(key, {})
+        for k, v in rec.metrics.items():
+            g.setdefault(k, []).append(v)
+    return groups
+
+
 def summary_csv(sw: SweepResult) -> str:
     """Mean/min/max per (axis value, method, metric) over seeds; ok cells only."""
-    groups: dict[tuple, dict[str, list[float]]] = {}
-    for c in sw.cells:
-        if c.record.status != "ok":
-            continue
-        g = groups.setdefault((c.axis_value, c.method), {})
-        for k, v in c.record.metrics.items():
-            g.setdefault(k, []).append(v)
+    groups = _metric_groups([((c.axis_value, c.method), c.record)
+                             for c in sw.cells])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["axis", "axis_value", "method", "metric",
@@ -416,13 +405,7 @@ def summary_csv(sw: SweepResult) -> str:
 
 def format_report(records: Sequence[RunRecord]) -> str:
     """Plain-text table: methods as rows, mean metrics over matching records."""
-    groups: dict[str, dict[str, list[float]]] = {}
-    for rec in records:
-        if rec.status != "ok":
-            continue
-        g = groups.setdefault(f"{rec.track}/{rec.method}", {})
-        for k, v in rec.metrics.items():
-            g.setdefault(k, []).append(v)
+    groups = _metric_groups([(f"{r.track}/{r.method}", r) for r in records])
     lines = []
     errors = [r for r in records if r.status != "ok"]
     for name in sorted(groups):

@@ -24,9 +24,10 @@ import re
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Union, runtime_checkable
+from typing import Optional, Protocol
 
 from .configs import TrafficConfig
+from .opro import ProposalEngine
 from .rng import RngStream
 
 APPROACHES = ("N", "S", "E", "W")
@@ -223,7 +224,6 @@ def step(state: TrafficState, cfg: TrafficConfig,
 # Observation encoding
 
 
-@runtime_checkable
 class SignalController(Protocol):
     def decide(self, payload: str, t: float) -> int: ...
 
@@ -312,16 +312,14 @@ def encode_observation(state: TrafficState, kind: str,
 class RoundRobinController:
     """Fixed cycle, equal green per phase, observation-blind."""
 
-    def __init__(self, green_s: float = 10.0,
-                 cycle: tuple[int, ...] = PHASE_ORDER):
+    def __init__(self, green_s: float = 10.0):
         if green_s <= 0:
             raise ValueError("green_s must be positive")
         self.green_s = float(green_s)
-        self.cycle = tuple(cycle)
 
     def decide(self, payload: str, t: float) -> int:
-        idx = int(t // self.green_s) % len(self.cycle)
-        return self.cycle[idx]
+        idx = int(t // self.green_s) % len(PHASE_ORDER)
+        return PHASE_ORDER[idx]
 
 
 class QueueGreedyController:
@@ -383,13 +381,11 @@ class EngineController:
     keeps the current phase rather than guessing.
     """
 
-    def __init__(self, engine: Union[Callable[[str], str], "object"]):
+    def __init__(self, engine: ProposalEngine):
         self.engine = engine
 
     def decide(self, payload: str, t: float) -> int:
-        prompt = TRAFFIC_PROMPT_TEMPLATE.format(payload=payload)
-        propose = getattr(self.engine, "propose", None)
-        raw = propose(prompt) if callable(propose) else self.engine(prompt)
+        raw = self.engine.propose(TRAFFIC_PROMPT_TEMPLATE.format(payload=payload))
         matches = _PHASE_RE.findall(raw)
         if not matches:
             try:

@@ -356,6 +356,16 @@ def test_engine_keeps_one_session_and_reads_the_environment_once(
     engine.close()                      # closing twice is harmless
 
 
+def test_engine_close_closes_its_cassette(tmp_path):
+    rec = Cassette(tmp_path / "session.jsonl", "record")
+    engine = ChatProposalEngine(
+        EndpointConfig(base_url="http://127.0.0.1:9/", model="m"),
+        cassette=rec)
+    engine.close()
+    assert rec._fh is None
+    engine.close()                      # closing twice is harmless
+
+
 def test_engine_replay_never_opens_a_session(stub_server, tmp_path,
                                              monkeypatch):
     StubHandler.script = [(200, chat_body("A"))]

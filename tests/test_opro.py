@@ -15,7 +15,6 @@ from autocomm.opro import (
     build_task_prompt,
     explore_hint,
     feedback_message,
-    opro_optimize,
     opro_optimize_segments,
     parse_allocation,
     prompt_digest,
@@ -197,8 +196,8 @@ def test_loop_monotone_best_and_transcript_fields():
         "[1, 2, 3, 1, 2, 3, 1, 2, 3]",          # feasible
         "[1, 2, 3, 1, 2, 3, 1, 2, 1]",          # feasible, lower
     ])
-    result = opro_optimize(cfg, snr, QOS, engine,
-                           OproParams(max_iterations=6, stop_patience=50))
+    result = opro_optimize_segments(cfg, snr, [(QOS, 6)], engine,
+                                    OproParams(stop_patience=50))
     assert result.success
     keys = [(e.best_level, e.best_score) for e in result.transcript
             if e.best_score is not None]
@@ -220,8 +219,8 @@ def test_loop_never_succeeds_with_qos_violation():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
     engine = Scripted(["[1, 1, 1, 1, 1, 1, 1, 1, 1]"])
-    result = opro_optimize(cfg, snr, QOS, engine,
-                           OproParams(max_iterations=10, stop_patience=50))
+    result = opro_optimize_segments(cfg, snr, [(QOS, 10)], engine,
+                                    OproParams(stop_patience=50))
     assert not result.success
     assert result.final.best_level == LEVEL_QOS_VIOLATED
     assert result.best_alloc == (1,) * 9
@@ -231,8 +230,8 @@ def test_loop_ignores_structurally_invalid_proposals():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
     engine = Scripted(["[9, 9, 9, 9, 9, 9, 9, 9, 9]"])
-    result = opro_optimize(cfg, snr, QOS, engine,
-                           OproParams(max_iterations=5, stop_patience=50))
+    result = opro_optimize_segments(cfg, snr, [(QOS, 5)], engine,
+                                    OproParams(stop_patience=50))
     assert not result.success
     assert result.best_alloc is None
     assert result.final.best_level == LEVEL_INVALID
@@ -242,8 +241,8 @@ def test_loop_stop_patience():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
     engine = Scripted(["[1, 2, 3, 1, 2, 3, 1, 2, 3]"])
-    result = opro_optimize(cfg, snr, QOS, engine,
-                           OproParams(max_iterations=100, stop_patience=5))
+    result = opro_optimize_segments(cfg, snr, [(QOS, 100)], engine,
+                                    OproParams(stop_patience=5))
     # First proposal improves; the next 5 repeats exhaust the patience.
     assert result.final.iterations_run == 6
     assert len(result.transcript) == 6
@@ -306,7 +305,7 @@ def test_mock_without_task_lines_degrades_gracefully():
 def test_loop_with_mock_reaches_feasibility(small_instance):
     cfg, snr, obj = small_instance
     engine = MockLocalSearchEngine(stream(62, "scheduling/engine"))
-    result = opro_optimize(cfg, snr, obj, engine, OproParams())
+    result = opro_optimize_segments(cfg, snr, [(obj, 200)], engine)
     assert result.success
     assert result.final.best_level == LEVEL_OK
 
@@ -315,7 +314,7 @@ def test_loop_tolerates_flaky_mock(small_instance):
     cfg, snr, obj = small_instance
     engine = MockLocalSearchEngine(stream(63, "scheduling/engine"),
                                    garbage_prob=0.3)
-    result = opro_optimize(cfg, snr, obj, engine, OproParams())
+    result = opro_optimize_segments(cfg, snr, [(obj, 200)], engine)
     assert result.success
     failures = [e for e in result.transcript if e.parse_failure is not None]
     assert failures, "flaky engine should have produced at least one dud"

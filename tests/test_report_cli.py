@@ -1,6 +1,8 @@
 """Run records, sweeps, CSV emission, and the command-line interface."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,6 @@ def test_record_json_is_deterministic_and_timeless():
     scenario = sched_scenario()
     a = run(scenario, "round_robin")
     b = run(scenario, "round_robin")
-    assert a.wall_time_s is not None and a.wall_time_s != b.wall_time_s or True
     assert record_to_json(a) == record_to_json(b)
     doc = json.loads(record_to_json(a))
     assert set(doc) == {"track", "method", "seed", "config_digest",
@@ -65,7 +66,6 @@ def test_record_json_is_deterministic_and_timeless():
 
 def test_record_from_dict_round_trips_json():
     ok = run(sched_scenario(), "round_robin")
-    ok.wall_time_s = None
     failed = run_safe(sched_scenario(), "no_such_method")
     for rec in (ok, failed):
         back = record_from_dict(json.loads(record_to_json(rec)))
@@ -108,10 +108,10 @@ def test_traffic_run_metrics():
 
 def test_channel_geometry_run_hits_the_floor():
     scenario = load_fixture_scene(1)
-    rec = run(scenario, "geometry", {"num_users": 6})
+    rec = run(scenario, "geometry")
     assert rec.status == "ok"
     assert rec.metrics["nmse_db_max"] == -150.0
-    assert rec.metrics["num_users"] == 6.0
+    assert rec.metrics["num_users"] == 25.0
 
 
 def test_channel_run_counters_on_shadowed_scene():
@@ -142,8 +142,9 @@ def test_user_position_helpers():
     assert np.all(np.abs(users[:, 1]) <= half - 0.5)
     np.testing.assert_array_equal(
         users, default_user_positions(scenario, num_users=7))
-    grid = ckm_grid_positions(scenario, x_range=(0.0, 2.0), step=1.0)
-    assert grid.shape == (scenario.channel.num_lanes * 3, 3)
+    grid = ckm_grid_positions(scenario)
+    assert grid.shape == (scenario.channel.num_lanes * 121, 3)
+    assert (grid[:, 0].min(), grid[:, 0].max()) == (0.0, 30.0)
     assert set(grid[:, 2]) == {scenario.channel.user_height_m}
 
 
@@ -208,8 +209,38 @@ def test_cli_schedule_emits_and_saves_record(tmp_path, capsys):
         record_to_json(run(sched_scenario(), "round_robin"))
 
 
-REFERENCE_SCHEDULING = (Path(__file__).resolve().parent.parent / "docs"
-                        / "config-schema" / "scheduling.json")
+REPO = Path(__file__).resolve().parent.parent
+REFERENCE_SCHEDULING = REPO / "docs" / "config-schema" / "scheduling.json"
+
+
+def readme_commands(runs: Path) -> list[list[str]]:
+    """The README's `autocomm` command block as argument lists: backslash
+    continuations joined, `#` comments dropped, `runs/` pointed at runs."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(autocomm .*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [[str(runs) if a == "runs/" else a
+             for a in shlex.split(line, comments=True)]
+            for line in lines if line.strip()]
+
+
+def test_readme_commands_run_and_rerun_byte_identically(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    runs = tmp_path / "runs"
+    commands = readme_commands(runs)
+    assert [c[:2] for c in commands][-2:] == [["autocomm", "sweep"],
+                                              ["autocomm", "report"]]
+    for cmd in commands:
+        assert main(cmd[1:]) == 0, cmd
+    first = {p.name: p.read_bytes() for p in runs.iterdir()}
+    assert "report.txt" in first
+    assert sum(n.startswith("sweep-") and n.endswith(".csv")
+               for n in first) == 2
+    for cmd in commands[-2:]:
+        assert main(cmd[1:]) == 0, cmd
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in runs.iterdir()} == first
 
 
 def test_cli_reference_brute_force(tmp_path, capsys):
@@ -223,7 +254,7 @@ def test_cli_reference_brute_force(tmp_path, capsys):
     assert len(doc["details"]["alloc"]) == 9
 
 
-@pytest.mark.parametrize("kind", ["pf", "qos_sum_rate"])
+@pytest.mark.parametrize("kind", ["pf", "qos_sum_rate", "qos_pf"])
 def test_search_methods_near_reference_scale_optimum(kind):
     """GA within 1% and the mock engine within 2% of the exact 10-robot
     optimum of the reference scene, at the optimum's level."""

@@ -334,13 +334,23 @@ def test_queue_greedy_validation():
         QueueGreedyController(switch_margin=-1.0)
 
 
+class Canned:
+    """Engine that answers every prompt with one fixed text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def propose(self, prompt):
+        return self.text
+
+
 def test_engine_controller_last_phase_token_wins():
-    ctl = EngineController(lambda prompt: "phase 2 is tempting but phase 3")
+    ctl = EngineController(Canned("phase 2 is tempting but phase 3"))
     assert ctl.decide(payload(1, {}), 0.0) == 3
 
 
 def test_engine_controller_holds_on_unparseable():
-    ctl = EngineController(lambda prompt: "hmm, not sure")
+    ctl = EngineController(Canned("hmm, not sure"))
     assert ctl.decide(payload(4, {}), 0.0) == 4
     assert ctl.decide("not json", 0.0) == PHASE_ORDER[0]
 
