@@ -100,12 +100,11 @@ class SchedulingConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    """Intersection scenario: a 100 m x 100 m area, two 20 m-wide crossing
-    roads, vehicles spawned on four approaches."""
+    """Intersection scenario: a 100 m x 100 m area, two crossing roads,
+    vehicles spawned on four approaches."""
 
     num_vehicles: int = 80
     area_m: float = 100.0
-    lane_width_total_m: float = 20.0
     free_flow_speed_mps: float = 14.0
     headway_m: float = 5.0
     decision_interval_s: float = 5.0
@@ -144,11 +143,9 @@ class Box:
         if self.height <= 0:
             raise ConfigError("channel.buildings", "box height must be > 0")
 
-    def contains(self, p, strict: bool = True) -> bool:
+    def contains(self, p) -> bool:
+        """True when p lies in the closed box, boundary included."""
         x, y, z = p[0], p[1], p[2]
-        if strict:
-            return (self.x[0] < x < self.x[1] and self.y[0] < y < self.y[1]
-                    and 0.0 < z < self.height)
         return (self.x[0] <= x <= self.x[1] and self.y[0] <= y <= self.y[1]
                 and 0.0 <= z <= self.height)
 
@@ -157,11 +154,15 @@ class Box:
                 and self.y[0] < other.y[1] and other.y[0] < self.y[1])
 
 
+# Evaluation users keep this distance from each road edge.
+USER_EDGE_MARGIN_M = 0.5
+
+
 @dataclass(frozen=True)
 class ChannelSceneConfig:
     """Geometric channel scene: up to four buildings along a four-lane road
-    parallel to the x-axis (lanes 2 m wide, buildings 6 m wide), a BS with a
-    half-wavelength ULA along x, and users on the road."""
+    parallel to the x-axis (lanes 2 m wide), a BS with a half-wavelength ULA
+    along x, and users on the road."""
 
     buildings: tuple[Box, ...] = ()
     bs_pos: tuple[float, float, float] = (-10.0, 6.0, 10.0)
@@ -170,7 +171,6 @@ class ChannelSceneConfig:
     reflection_coeff: complex = 0.6 + 0.0j
     lane_width_m: float = 2.0
     num_lanes: int = 4
-    building_width_m: float = 6.0
     user_height_m: float = 1.5
 
     def __post_init__(self):
@@ -178,13 +178,24 @@ class ChannelSceneConfig:
             raise ConfigError("channel.buildings", "at most 4 buildings")
         if self.num_antennas < 1:
             raise ConfigError("channel.num_antennas", "must be >= 1")
-        if self.carrier_hz <= 0:
-            raise ConfigError("channel.carrier_hz", "must be > 0")
+        # Far below this band the wavelength overflows and path gains turn
+        # NaN; neither end is a channel this model describes.
+        if not 1e8 <= self.carrier_hz <= 3e11:
+            raise ConfigError("channel.carrier_hz",
+                              "must be in [1e8, 3e11] (100 MHz to 300 GHz)")
+        if self.num_lanes < 1:
+            raise ConfigError("channel.num_lanes", "must be >= 1")
+        if self.lane_width_m <= 0:
+            raise ConfigError("channel.lane_width_m", "must be > 0")
+        if self.road_halfwidth_m <= USER_EDGE_MARGIN_M:
+            raise ConfigError("channel.lane_width_m",
+                              "road half-width num_lanes * lane_width_m / 2 "
+                              f"must exceed {USER_EDGE_MARGIN_M} m")
         for i, a in enumerate(self.buildings):
             for b in self.buildings[i + 1:]:
                 if a.overlaps(b):
                     raise ConfigError("channel.buildings", "boxes must not overlap")
-            if a.contains(self.bs_pos, strict=False):
+            if a.contains(self.bs_pos):
                 raise ConfigError("channel.bs_pos", "BS must lie outside all buildings")
 
     @property

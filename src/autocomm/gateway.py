@@ -5,7 +5,8 @@ backed by an HTTP chat endpoint plus a cassette layer so every networked
 run can be replayed byte-for-byte offline.  Replay never falls back to the
 network: a missing or mismatching cassette line is an error, because a
 silent live call would make an offline test nondeterministic and leak
-prompts.
+prompts.  A line left over when a run ends is an error too: the run did
+not replay what was recorded.
 
 Credentials come from the environment and are kept out of reprs, cassette
 files, and error messages.
@@ -87,7 +88,6 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
 def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
-                  temperature: Optional[float] = None,
                   session: Optional[requests.Session] = None) -> ChatResponse:
     """One chat completion over HTTP.
 
@@ -101,7 +101,7 @@ def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
     payload = {
         "model": endpoint.model,
         "messages": list(messages),
-        "temperature": endpoint.temperature if temperature is None else temperature,
+        "temperature": endpoint.temperature,
     }
     last_exc: Optional[Exception] = None
     for attempt in range(endpoint.max_retries + 1):
@@ -215,18 +215,28 @@ class ChatProposalEngine:
     calls share one HTTP session, opened at the first of them; it reads the
     environment's proxies, CA bundle and netrc credentials for the endpoint
     once, when it opens, instead of on every request.  close() releases
-    the session and closes the cassette; closing twice is harmless.
+    the session and closes the cassette; closing twice is harmless.  Used
+    as a context manager, it also checks on a clean exit that a replay
+    cassette was consumed to its end.
     """
 
     def __init__(self, endpoint: EndpointConfig,
-                 cassette: Optional[Cassette] = None,
-                 system_prompt: Optional[str] = None,
-                 temperature: Optional[float] = None):
+                 cassette: Optional[Cassette] = None):
         self.endpoint = endpoint
         self.cassette = cassette
-        self.system_prompt = system_prompt
-        self.temperature = temperature
         self._session: Optional[requests.Session] = None
+
+    def __enter__(self) -> "ChatProposalEngine":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close()
+        # An error already in flight (a digest mismatch, say) explains the
+        # leftovers; raising here would hide it.
+        left = self.cassette.remaining if self.cassette is not None else 0
+        if exc_type is None and left:
+            raise CassetteError(f"cassette {self.cassette.path}: {left} "
+                                f"entries left over after the run")
 
     def close(self) -> None:
         if self._session is not None:
@@ -246,20 +256,12 @@ class ChatProposalEngine:
             self._session = session
         return self._session
 
-    def _messages(self, prompt: str) -> list[Message]:
-        msgs: list[Message] = []
-        if self.system_prompt:
-            msgs.append({"role": "system", "content": self.system_prompt})
-        msgs.append({"role": "user", "content": prompt})
-        return msgs
-
     def propose(self, prompt: str) -> str:
-        messages = self._messages(prompt)
+        messages = [{"role": "user", "content": prompt}]
         digest = request_digest(messages)
         if self.cassette is not None and self.cassette.mode == "replay":
             return self.cassette.replay(digest).text
-        response = chat_complete(self.endpoint, messages, self.temperature,
-                                 self._live_session())
+        response = chat_complete(self.endpoint, messages, self._live_session())
         if self.cassette is not None:
             self.cassette.record(digest, response)
         return response.text

@@ -5,7 +5,8 @@ building facades.  Reflection points come from the image method: mirror
 the BS across the facade plane, intersect the mirror-to-user segment with
 the plane, and accept the point only when it lies inside the facade
 rectangle; Fermat's principle makes that the unique stationary path, which
-an independent grid search over the facade (no mirror math) can confirm.
+an independent grid search over the facade (no mirror math, in the tests)
+can confirm.
 
 One array kernel traces a whole batch of users (trace_paths_batch): the
 image method over [users x facades], then a slab test of every LoS and
@@ -89,11 +90,6 @@ def enumerate_facades(cfg: ChannelSceneConfig) -> tuple[Facade, ...]:
         out.append(Facade(f"b{i}:ymax", i, "y", b.y[1], (0.0, 1.0, 0.0),
                           b.x, b.height))
     return tuple(out)
-
-
-def _signed_distance(p: Sequence[float], facade: Facade) -> float:
-    n = np.asarray(facade.normal)
-    return float(np.dot(np.asarray(p, dtype=float) - facade.point_on_plane(), n))
 
 
 _ON_PLANE_TOL = 1e-12
@@ -209,25 +205,6 @@ def mirror_reflection_point(bs: Sequence[float], user: Sequence[float],
         raise DegenerateGeometry(
             f"endpoint on facade plane {facade.facade_id}")
     return q[0, 0] if status[0, 0] == _ACTIVE else None
-
-
-def reflection_residual(bs: Sequence[float], user: Sequence[float],
-                        q: Sequence[float], facade: Facade) -> float:
-    """Law-of-reflection defect at q: ||reflect(incoming) - outgoing||.
-
-    Zero (to rounding) exactly when incidence and departure angles match
-    about the facade normal, i.e. when q is a true specular point.
-    """
-    bs = np.asarray(bs, dtype=float)
-    user = np.asarray(user, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = np.asarray(facade.normal)
-    d_in = q - bs
-    d_out = user - q
-    d_in = d_in / np.linalg.norm(d_in)
-    d_out = d_out / np.linalg.norm(d_out)
-    reflected = d_in - 2.0 * np.dot(d_in, n) * n
-    return float(np.linalg.norm(reflected - d_out))
 
 
 def is_blocked(p: Sequence[float], q: Sequence[float],
@@ -376,9 +353,15 @@ NMSE_FLOOR_DB = -150.0
 
 
 def nmse_db(h_true: np.ndarray, h_pred: np.ndarray) -> float:
-    """10 log10(||h_t - h_p||^2 / ||h_t||^2), floored at -150 dB."""
+    """10 log10(||h_t - h_p||^2 / ||h_t||^2), floored at -150 dB.
+
+    Raises ValueError on a NaN or infinite entry, whose error would
+    otherwise compare as no error at all and read as the floor.
+    """
     h_true = np.asarray(h_true)
     h_pred = np.asarray(h_pred)
+    if not (np.isfinite(h_true).all() and np.isfinite(h_pred).all()):
+        raise ValueError("nmse_db: channels must be finite")
     num = float(np.sum(np.abs(h_true - h_pred) ** 2))
     den = float(np.sum(np.abs(h_true) ** 2))
     if num == 0.0:
@@ -529,60 +512,6 @@ def linear_gcp_predict(model: LinearGcp, query: Sequence[float]) -> np.ndarray:
         phase = math.atan2(float(w[4] @ x), float(w[3] @ x))
         h += amp * np.exp(1j * phase) * np.exp(-1j * math.pi * n * sin_aod)
     return h
-
-
-# ---------------------------------------------------------------------------
-# Independent check: grid search over the facade, no mirror math
-
-
-def grid_search_reflection_oracle(bs: Sequence[float], user: Sequence[float],
-                                  facade: Facade,
-                                  resolution: float = 0.01
-                                  ) -> Optional[np.ndarray]:
-    """Minimize |bs-q| + |q-user| over a facade grid.
-
-    Pure path-length search at the given resolution (a coarse sweep plus a
-    fine window around its argmin; the objective is convex on the plane, so
-    the refinement cannot change basins).  Returns the minimizing grid
-    point, or None when the minimum sits on the facade boundary (no
-    interior stationary point) or an endpoint is not strictly in front.
-    """
-    bs = np.asarray(bs, dtype=float)
-    user = np.asarray(user, dtype=float)
-    if _signed_distance(bs, facade) <= 0 or _signed_distance(user, facade) <= 0:
-        return None
-
-    u0, u1 = facade.urange
-    z0, z1 = 0.0, facade.height
-
-    def total_length(us: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        if facade.axis == "x":
-            pts = np.stack([np.full(us.size, facade.offset),
-                            us, zs], axis=1)
-        else:
-            pts = np.stack([us, np.full(us.size, facade.offset),
-                            zs], axis=1)
-        return (np.linalg.norm(pts - bs, axis=1)
-                + np.linalg.norm(pts - user, axis=1))
-
-    def sweep(ulo, uhi, zlo, zhi, step):
-        us = np.arange(ulo, uhi + step / 2, step)
-        zs = np.arange(zlo, zhi + step / 2, step)
-        uu, zz = np.meshgrid(us, zs, indexing="ij")
-        lengths = total_length(uu.ravel(), zz.ravel()).reshape(uu.shape)
-        i, j = np.unravel_index(np.argmin(lengths), lengths.shape)
-        return float(us[i]), float(zs[j])
-
-    coarse = max(resolution, min(u1 - u0, z1 - z0, 1.0) / 4)
-    ub, zb = sweep(u0, u1, z0, z1, coarse)
-    ub, zb = sweep(max(u0, ub - 2 * coarse), min(u1, ub + 2 * coarse),
-                   max(z0, zb - 2 * coarse), min(z1, zb + 2 * coarse),
-                   resolution)
-
-    if (ub - u0 < resolution / 2 or u1 - ub < resolution / 2
-            or zb - z0 < resolution / 2 or z1 - zb < resolution / 2):
-        return None
-    return facade.embed(ub, zb)
 
 
 # ---------------------------------------------------------------------------

@@ -396,14 +396,10 @@ class MockLocalSearchEngine:
 
     CANDIDATES = 12
 
-    def __init__(self, rng: RngStream, garbage_prob: float = 0.0):
+    def __init__(self, rng: RngStream):
         self._rng = rng
-        self.garbage_prob = float(garbage_prob)
 
     def propose(self, prompt: str) -> str:
-        if self.garbage_prob > 0 and self._rng.random() < self.garbage_prob:
-            return "I could not settle on an allocation this round."
-
         m_match = _NUM_RBS_RE.search(prompt)
         e_match = _ELIGIBLE_RE.search(prompt)
         if m_match is None or e_match is None:

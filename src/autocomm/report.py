@@ -14,7 +14,7 @@ import dataclasses
 import hashlib
 import io
 import json
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .configs import (
+    USER_EDGE_MARGIN_M,
     ObjectiveKind,
     ObjectiveSpec,
     ScenarioConfig,
@@ -131,7 +132,7 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
             cassette = (Cassette(opts["cassette"],
                                  opts.get("cassette_mode", "replay"))
                         if opts.get("cassette") else None)
-            engine = closing(ChatProposalEngine(endpoint, cassette))
+            engine = ChatProposalEngine(endpoint, cassette)
         with engine as proposer:
             result = opro_optimize_segments(cfg, snr, segments, proposer,
                                             params)
@@ -194,7 +195,8 @@ def default_user_positions(scenario: ScenarioConfig,
     rng = stream(scenario.seed, "channel/users")
     half = cfg.road_halfwidth_m
     xs = rng.uniform(ROAD_X_M[0], ROAD_X_M[1], num_users)
-    ys = rng.uniform(-half + 0.5, half - 0.5, num_users)
+    ys = rng.uniform(-half + USER_EDGE_MARGIN_M, half - USER_EDGE_MARGIN_M,
+                     num_users)
     return np.column_stack([xs, ys, np.full(num_users, cfg.user_height_m)])
 
 

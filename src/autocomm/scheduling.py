@@ -244,6 +244,8 @@ def round_robin_alloc(cfg: SchedulingConfig, snr: SnrMap) -> Allocation:
 # evaluate_batch holds a few [rows x num_rbs] arrays at once; 2^13 rows keep
 # that well under a megabyte per array.
 _CHUNK_ROWS = 1 << 13
+# brute_force_optimal refuses instances with more candidates than this.
+ENUMERATION_CAP = 1 << 24
 
 
 def _all_vectors(k: int, m: int) -> Iterator[np.ndarray]:
@@ -269,8 +271,7 @@ def _nondecreasing_vectors(k: int, m: int) -> Iterator[np.ndarray]:
 
 
 def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
-                        objective: ObjectiveSpec,
-                        enumeration_cap: int = 1 << 24) -> tuple[Allocation, float]:
+                        objective: ObjectiveSpec) -> tuple[Allocation, float]:
     """Exact argmax over all RB-owner vectors of eligible robots.
 
     Ties break toward the lexicographically smallest vector.  Feasible
@@ -284,7 +285,7 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
     one vector per count vector, the non-decreasing one, which is the
     lexicographically smallest vector with those counts: C(m + k - 1, m)
     candidates for k robots and m RBs, instead of the k^m that any other
-    map needs.  Raises if the candidates exceed the enumeration cap.
+    map needs.  Raises if the candidates exceed ENUMERATION_CAP.
     """
     eligible = snr.eligible_ids()
     if not eligible:
@@ -298,9 +299,9 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
     else:
         total, size = k ** m, f"{k}^{m}"
         chunks = _all_vectors(k, m)
-    if total > enumeration_cap:
+    if total > ENUMERATION_CAP:
         raise ValueError(
-            f"instance too large to enumerate: {size} > {enumeration_cap}")
+            f"instance too large to enumerate: {size} > {ENUMERATION_CAP}")
 
     best: tuple[int, float, Optional[np.ndarray]] = (LEVEL_INVALID - 1, -np.inf, None)
     # Candidates arrive in lexicographic order, so the first occurrence of

@@ -309,16 +309,16 @@ def encode_observation(state: TrafficState, kind: str,
 # Controllers
 
 
-class RoundRobinController:
-    """Fixed cycle, equal green per phase, observation-blind."""
+GREEN_S = 10.0          # round-robin green time per phase
+WAIT_WEIGHT = 0.5       # greedy pressure per second of head wait
+SWITCH_MARGIN = 4.0     # greedy pressure lead needed to switch phase
 
-    def __init__(self, green_s: float = 10.0):
-        if green_s <= 0:
-            raise ValueError("green_s must be positive")
-        self.green_s = float(green_s)
+
+class RoundRobinController:
+    """Fixed cycle, GREEN_S of green per phase, observation-blind."""
 
     def decide(self, payload: str, t: float) -> int:
-        idx = int(t // self.green_s) % len(PHASE_ORDER)
+        idx = int(t // GREEN_S) % len(PHASE_ORDER)
         return PHASE_ORDER[idx]
 
 
@@ -332,16 +332,10 @@ class QueueGreedyController:
     and the missing terms simply contribute zero.  The wait term keeps
     low-volume movements (left turns) from starving behind the heavy
     straight phases.  Switching requires beating the current phase by
-    `switch_margin` pressure units; without that hysteresis the controller
+    SWITCH_MARGIN pressure units; without that hysteresis the controller
     flip-flops between near-tied phases and pays the startup lost time each
     time.
     """
-
-    def __init__(self, wait_weight: float = 0.5, switch_margin: float = 4.0):
-        if wait_weight < 0 or switch_margin < 0:
-            raise ValueError("wait_weight and switch_margin must be >= 0")
-        self.wait_weight = float(wait_weight)
-        self.switch_margin = float(switch_margin)
 
     def decide(self, payload: str, t: float) -> int:
         doc = json.loads(payload)
@@ -353,10 +347,10 @@ class QueueGreedyController:
             for k in PHASE_MOVEMENTS[p]:
                 entry = lanes.get(k, {})
                 pressure += int(entry.get("q", 0))
-                pressure += self.wait_weight * float(entry.get("w", 0.0))
+                pressure += WAIT_WEIGHT * float(entry.get("w", 0.0))
             scores[p] = pressure
         best = max(scores.values())
-        if scores.get(current, 0.0) >= best - self.switch_margin:
+        if scores.get(current, 0.0) >= best - SWITCH_MARGIN:
             return current
         winners = [p for p in PHASE_ORDER if scores[p] == best]
         return winners[0]

@@ -11,7 +11,10 @@ lockstep.
 
 The geochannel section traces one user at a time, facade by facade, in
 numpy scalars: the image method, the slab test and the hand-written ``Path``
-constructions that ``geochannel.trace_paths_batch`` replaces.  The traffic
+constructions that ``geochannel.trace_paths_batch`` replaces, plus two
+checks of a specular point that use no image method at all: the
+law-of-reflection residual and a path-length grid search over the facade
+(ACCEPTANCE 5 runs the image method against both).  The traffic
 section is the encoder that re-serialized the observation once per dropped
 row.
 """
@@ -28,7 +31,6 @@ from autocomm.geochannel import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
     Path,
-    _signed_distance,
     enumerate_facades,
 )
 from autocomm.scheduling import (
@@ -245,6 +247,11 @@ def ga_run(cfg, snr, objective, ga, rng):
 # Geochannel: one user, one facade, one box at a time
 
 
+def _signed_distance(p, facade) -> float:
+    n = np.asarray(facade.normal)
+    return float(np.dot(np.asarray(p, dtype=float) - facade.point_on_plane(), n))
+
+
 def mirror_reflection_point(bs, user, facade):
     """Image-method reflection point, None, or DegenerateGeometry."""
     bs = np.asarray(bs, dtype=float)
@@ -266,6 +273,24 @@ def mirror_reflection_point(bs, user, facade):
     if not (0.0 <= z <= facade.height):
         return None
     return q
+
+
+def reflection_residual(bs, user, q, facade) -> float:
+    """Law-of-reflection defect at q: ||reflect(incoming) - outgoing||.
+
+    Zero (to rounding) exactly when incidence and departure angles match
+    about the facade normal, i.e. when q is a true specular point.
+    """
+    bs = np.asarray(bs, dtype=float)
+    user = np.asarray(user, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = np.asarray(facade.normal)
+    d_in = q - bs
+    d_out = user - q
+    d_in = d_in / np.linalg.norm(d_in)
+    d_out = d_out / np.linalg.norm(d_out)
+    reflected = d_in - 2.0 * np.dot(d_in, n) * n
+    return float(np.linalg.norm(reflected - d_out))
 
 
 def is_blocked(p, q, buildings) -> bool:
@@ -411,6 +436,57 @@ def predictor_paths(cfg, user, stage1_labels=None,
             q = facade.embed(u, z)
         paths.append(_reflection_path(cfg, bs, q, user, slot))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# Geochannel: specular points checked without the image method
+
+
+def grid_search_reflection_oracle(bs, user, facade, resolution: float = 0.01):
+    """Minimize |bs-q| + |q-user| over a facade grid.
+
+    Pure path-length search at the given resolution (a coarse sweep plus a
+    fine window around its argmin; the objective is convex on the plane, so
+    the refinement cannot change basins).  Returns the minimizing grid
+    point, or None when the minimum sits on the facade boundary (no
+    interior stationary point) or an endpoint is not strictly in front.
+    """
+    bs = np.asarray(bs, dtype=float)
+    user = np.asarray(user, dtype=float)
+    if _signed_distance(bs, facade) <= 0 or _signed_distance(user, facade) <= 0:
+        return None
+
+    u0, u1 = facade.urange
+    z0, z1 = 0.0, facade.height
+
+    def total_length(us: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        if facade.axis == "x":
+            pts = np.stack([np.full(us.size, facade.offset),
+                            us, zs], axis=1)
+        else:
+            pts = np.stack([us, np.full(us.size, facade.offset),
+                            zs], axis=1)
+        return (np.linalg.norm(pts - bs, axis=1)
+                + np.linalg.norm(pts - user, axis=1))
+
+    def sweep(ulo, uhi, zlo, zhi, step):
+        us = np.arange(ulo, uhi + step / 2, step)
+        zs = np.arange(zlo, zhi + step / 2, step)
+        uu, zz = np.meshgrid(us, zs, indexing="ij")
+        lengths = total_length(uu.ravel(), zz.ravel()).reshape(uu.shape)
+        i, j = np.unravel_index(np.argmin(lengths), lengths.shape)
+        return float(us[i]), float(zs[j])
+
+    coarse = max(resolution, min(u1 - u0, z1 - z0, 1.0) / 4)
+    ub, zb = sweep(u0, u1, z0, z1, coarse)
+    ub, zb = sweep(max(u0, ub - 2 * coarse), min(u1, ub + 2 * coarse),
+                   max(z0, zb - 2 * coarse), min(z1, zb + 2 * coarse),
+                   resolution)
+
+    if (ub - u0 < resolution / 2 or u1 - ub < resolution / 2
+            or zb - z0 < resolution / 2 or z1 - zb < resolution / 2):
+        return None
+    return facade.embed(ub, zb)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 from conftest import record_criterion
-from scalar_oracle import rate_vector
+from scalar_oracle import grid_search_reflection_oracle, rate_vector, reflection_residual
 
 from autocomm.cli import main
 from autocomm.configs import (
@@ -30,13 +30,11 @@ from autocomm.geochannel import (
     build_ckm,
     fit_linear_gcp,
     geometry_predictor,
-    grid_search_reflection_oracle,
     linear_gcp_predict,
     load_fixture_scene,
     mirror_reflection_point,
     nmse_db,
     nn_ckm_predict,
-    reflection_residual,
     synthesize_channel,
     trace_paths,
 )

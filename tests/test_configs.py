@@ -1,8 +1,12 @@
 """Config validation, defaults, and the JSON scenario round-trip."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +26,9 @@ from autocomm.configs import (
     scenario_to_json,
 )
 from autocomm.geochannel import synthesize_channel, trace_paths_batch
+from autocomm.report import ckm_grid_positions, default_user_positions
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "config-schema"
 
 
 def test_scheduling_defaults():
@@ -107,7 +114,7 @@ def test_box_validation_and_geometry():
     b = Box(x=(0.0, 10.0), y=(0.0, 6.0), height=5.0)
     assert b.contains((5.0, 3.0, 2.0))
     assert not b.contains((5.0, 3.0, 7.0))
-    assert not b.contains((0.0, 3.0, 2.0))       # boundary is outside (strict)
+    assert b.contains((0.0, 3.0, 2.0))           # the box is closed
     assert b.overlaps(Box(x=(9.0, 12.0), y=(1.0, 2.0), height=4.0))
     assert not b.overlaps(Box(x=(11.0, 12.0), y=(1.0, 2.0), height=4.0))
 
@@ -128,6 +135,28 @@ def test_channel_rejects_bad_scenes():
         ChannelSceneConfig(buildings=(Box(x=(-12.0, -8.0), y=(5.0, 7.0),
                                           height=15.0),))
     assert err.value.field == "channel.bs_pos"
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(carrier_hz=1e-310), "channel.carrier_hz"),   # wavelength overflows
+    (dict(carrier_hz=9.9e7), "channel.carrier_hz"),
+    (dict(carrier_hz=3.1e11), "channel.carrier_hz"),
+    (dict(num_lanes=0), "channel.num_lanes"),
+    (dict(lane_width_m=0.0), "channel.lane_width_m"),
+    (dict(lane_width_m=-2.0), "channel.lane_width_m"),
+    (dict(num_lanes=4, lane_width_m=0.25), "channel.lane_width_m"),
+    (dict(num_lanes=1, lane_width_m=1.0), "channel.lane_width_m"),
+])
+def test_channel_rejects_out_of_range_carrier_and_road(kwargs, field):
+    with pytest.raises(ConfigError) as err:
+        ChannelSceneConfig(**kwargs)
+    assert err.value.field == field
+
+
+def test_channel_accepts_the_range_ends():
+    for carrier in (1e8, 3e11):
+        assert ChannelSceneConfig(carrier_hz=carrier).carrier_hz == carrier
+    assert ChannelSceneConfig(num_lanes=1, lane_width_m=1.01).num_lanes == 1
 
 
 def test_scenario_requires_exactly_one_section():
@@ -250,7 +279,8 @@ _box_doc = st.fixed_dictionaries({
 _channel_doc = st.fixed_dictionaries({}, optional={
     "buildings": st.lists(_box_doc, max_size=6),
     "bs_pos": st.lists(_coord, min_size=3, max_size=3),
-    "carrier_hz": st.floats(-1e9, 1e11, allow_nan=False),
+    "carrier_hz": st.floats(-1e9, 1e12, allow_nan=False)
+    | st.sampled_from([5e-324, 1e-310, 1.0, 1e8, 3e11]),
     "num_antennas": st.integers(-2, 64),
     "reflection_coeff": st.one_of(
         st.floats(-1.0, 1.0, allow_nan=False),
@@ -258,7 +288,6 @@ _channel_doc = st.fixed_dictionaries({}, optional={
                  min_size=2, max_size=2)),
     "lane_width_m": st.floats(-5.0, 5.0, allow_nan=False),
     "num_lanes": st.integers(-2, 8),
-    "building_width_m": st.floats(-5.0, 10.0, allow_nan=False),
     "user_height_m": st.floats(-2.0, 30.0, allow_nan=False),
 })
 
@@ -302,12 +331,21 @@ def test_channel_documents_fail_only_with_config_errors(channel, seed,
     except ConfigError:
         return
     cfg = scn.channel
+    # Every accepted scene can be run: its users and map grid are drawn
+    # and every channel is finite.
+    evaluated = default_user_positions(scn)
+    grid = ckm_grid_positions(scn)
+    assert evaluated.shape == (25, 3) and np.isfinite(evaluated).all()
+    assert grid.shape == (cfg.num_lanes * 121, 3) and np.isfinite(grid).all()
     users = [(0.0, 0.0, cfg.user_height_m), (15.0, -3.0, 1.5),
              (25.0, 3.0, 1.5), (cfg.bs_pos[0], cfg.bs_pos[1], 0.0)]
+    users += [tuple(u) for u in evaluated]
     # A user at the BS itself has a zero-length line of sight.
     users = [u for u in users if math.dist(u, cfg.bs_pos) > 1e-3]
     for row in trace_paths_batch(cfg, users):
-        assert synthesize_channel(cfg, row).shape == (cfg.num_antennas,)
+        h = synthesize_channel(cfg, row)
+        assert h.shape == (cfg.num_antennas,)
+        assert np.isfinite(h).all()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -328,3 +366,21 @@ def test_non_finite_floats_are_config_errors(track, field, token):
     with pytest.raises(ConfigError) as err:
         build_scenario(text)
     assert err.value.field == f"{track}.{field}"
+
+
+@pytest.mark.parametrize("track", ["scheduling", "traffic", "channel"])
+def test_reference_documents_round_trip_text_identically(track):
+    text = (SCHEMA_DIR / f"{track}.json").read_text(encoding="utf-8")
+    assert scenario_to_json(build_scenario(text)) == text
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("scheduling", SchedulingConfig),
+    ("traffic", TrafficConfig),
+    ("channel", ChannelSceneConfig),
+])
+def test_schema_tables_list_exactly_the_fields(section, cls):
+    readme = (SCHEMA_DIR / "README.md").read_text(encoding="utf-8")
+    body = readme.split(f"## `{section}` section", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", body, flags=re.MULTILINE)
+    assert rows == [f.name for f in dataclasses.fields(cls)]

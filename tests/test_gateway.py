@@ -131,13 +131,6 @@ def test_chat_complete_success(stub_server):
     assert req["headers"]["Authorization"] == "Bearer sk-abc"
 
 
-def test_chat_complete_temperature_override(stub_server):
-    StubHandler.script = [(200, chat_body("ok"))]
-    ep = EndpointConfig(base_url=stub_server, model="m", temperature=1.0)
-    chat_complete(ep, MESSAGES, temperature=0.0)
-    assert StubHandler.seen[0]["json"]["temperature"] == 0.0
-
-
 def test_chat_complete_retries_transient_status(stub_server, no_sleep):
     StubHandler.script = [(500, "boom"), (200, chat_body("recovered"))]
     ep = EndpointConfig(base_url=stub_server, model="m",
@@ -287,7 +280,7 @@ def test_engine_record_then_replay_offline(stub_server, tmp_path, monkeypatch):
     path = tmp_path / "session.jsonl"
     ep = EndpointConfig(base_url=stub_server, model="m", api_key="sk-secret")
     with Cassette(path, "record") as rec:
-        live = ChatProposalEngine(ep, cassette=rec, system_prompt="be terse")
+        live = ChatProposalEngine(ep, cassette=rec)
         assert live.propose("p1") == "proposal A"
         assert live.propose("p2") == "proposal B"
     assert len(StubHandler.seen) == 2
@@ -299,8 +292,7 @@ def test_engine_record_then_replay_offline(stub_server, tmp_path, monkeypatch):
     monkeypatch.setattr("autocomm.gateway.requests.post", forbidden)
     dead = EndpointConfig(base_url="http://127.0.0.1:9/", model="m")
     with Cassette(path, "replay") as rep:
-        offline = ChatProposalEngine(dead, cassette=rep,
-                                     system_prompt="be terse")
+        offline = ChatProposalEngine(dead, cassette=rep)
         assert offline.propose("p1") == "proposal A"
         assert offline.propose("p2") == "proposal B"
 
@@ -310,13 +302,11 @@ def test_engine_replay_detects_prompt_drift(stub_server, tmp_path):
     ep = EndpointConfig(base_url=stub_server, model="m")
     path = tmp_path / "session.jsonl"
     with Cassette(path, "record") as rec:
-        ChatProposalEngine(ep, cassette=rec,
-                           system_prompt="style A").propose("p")
+        ChatProposalEngine(ep, cassette=rec).propose("p")
     with Cassette(path, "replay") as rep:
-        drifted = ChatProposalEngine(ep, cassette=rep,
-                                     system_prompt="style B")
+        drifted = ChatProposalEngine(ep, cassette=rep)
         with pytest.raises(CassetteError, match="digest mismatch"):
-            drifted.propose("p")
+            drifted.propose("p, reworded")
 
 
 def test_cassette_never_contains_api_key(stub_server, tmp_path):
@@ -382,6 +372,56 @@ def test_engine_replay_never_opens_a_session(stub_server, tmp_path,
         engine = ChatProposalEngine(ep, cassette=rep)
         assert engine.propose("p") == "A"
         engine.close()
+
+
+def test_engine_exit_raises_on_leftover_replay_entries(stub_server, tmp_path):
+    StubHandler.script = [(200, chat_body("A"))]
+    path = tmp_path / "session.jsonl"
+    ep = EndpointConfig(base_url=stub_server, model="m")
+    with ChatProposalEngine(ep, Cassette(path, "record")) as live:
+        live.propose("p1")
+        live.propose("p2")
+    with ChatProposalEngine(ep, Cassette(path, "replay")) as engine:
+        assert engine.propose("p1") == "A"
+        assert engine.propose("p2") == "A"
+    with pytest.raises(CassetteError, match="1 entries left over"):
+        with ChatProposalEngine(ep, Cassette(path, "replay")) as engine:
+            engine.propose("p1")
+    assert engine.cassette.remaining == 1
+
+
+def _scheduling_chat_run(scenario, url, path, mode, iterations):
+    return run(scenario, "opro_chat", {
+        "endpoint_url": url, "model": "m", "cassette": str(path),
+        "cassette_mode": mode,
+        "opro_params": {"max_iterations": iterations}})
+
+
+def test_replay_run_with_leftover_entries_raises(stub_server, tmp_path):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    path = tmp_path / "run.jsonl"
+    _scheduling_chat_run(scenario, stub_server, path, "record", 3)
+    assert _scheduling_chat_run(scenario, stub_server, path, "replay",
+                                3).status == "ok"
+    # One entry more than the run asks for, as from a longer recording.
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+    with pytest.raises(CassetteError, match="1 entries left over"):
+        _scheduling_chat_run(scenario, stub_server, path, "replay", 3)
+
+
+def test_leftover_check_keeps_the_first_error(stub_server, tmp_path):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    path = tmp_path / "run.jsonl"
+    recorded = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    _scheduling_chat_run(recorded, stub_server, path, "record", 3)
+    other = ScenarioConfig(track=Track.SCHEDULING, seed=4,
+                           scheduling=SchedulingConfig(num_robots=2))
+    with pytest.raises(CassetteError, match="entry 1 digest mismatch"):
+        _scheduling_chat_run(other, stub_server, path, "replay", 3)
 
 
 def test_scheduling_run_closes_its_chat_session(stub_server, tmp_path,

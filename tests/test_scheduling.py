@@ -13,6 +13,7 @@ from autocomm.radio import (RadioParams, SnrMap, generate_snr_map,
                             rb_rate_matrix)
 from autocomm.rng import stream
 from autocomm.scheduling import (
+    ENUMERATION_CAP,
     LEVEL_INVALID,
     LEVEL_OK,
     LEVEL_QOS_VIOLATED,
@@ -264,10 +265,13 @@ def test_brute_force_tie_break_lexicographic():
 
 
 def test_brute_force_enumeration_cap():
-    cfg = SchedulingConfig(num_robots=10, objective=PF)
-    snr = flat_map(10)
-    with pytest.raises(ValueError):
-        brute_force_optimal(cfg, snr, PF, enumeration_cap=1 << 10)
+    # 7 robots on 9 Rayleigh RBs: 7^9 = 40,353,607 vectors, over the cap.
+    assert ENUMERATION_CAP == 1 << 24
+    cfg = SchedulingConfig(num_robots=7, objective=PF)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(44, "scheduling/snr"))
+    with pytest.raises(ValueError, match=r"7\^9 > 16777216$"):
+        brute_force_optimal(cfg, snr, PF)
 
 
 @settings(max_examples=80, deadline=None)
@@ -310,17 +314,17 @@ def test_flat_map_oracle_matches_enumeration(data):
 def test_flat_oracle_counts_its_candidates():
     # 10 robots on 9 flat RBs: C(18, 9) = 48,620 count vectors, not 10^9.
     cfg = SchedulingConfig(num_robots=10, objective=PF)
-    with pytest.raises(ValueError, match=r"C\(18, 9\) > 48619"):
-        brute_force_optimal(cfg, flat_map(10), PF, enumeration_cap=48_619)
-    alloc, _ = brute_force_optimal(cfg, flat_map(10), PF,
-                                   enumeration_cap=48_620)
+    alloc, _ = brute_force_optimal(cfg, flat_map(10), PF)
     assert alloc == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    # A map flat in all but one entry is enumerated in full.
-    snr = flat_map(3)
+    # 12 robots on 20 flat RBs: C(31, 20) = 84,672,315, over the cap.
+    big = SchedulingConfig(num_robots=12, num_rbs=20, objective=PF)
+    with pytest.raises(ValueError, match=r"C\(31, 20\) > 16777216$"):
+        brute_force_optimal(big, flat_map(12, num_rbs=20), PF)
+    # A map flat in all but one entry is enumerated in full: 7^9 vectors.
+    snr = flat_map(7)
     snr.values[2, 4] = 5.0
-    with pytest.raises(ValueError, match=r"3\^9 > 1000"):
-        brute_force_optimal(SchedulingConfig(num_robots=3), snr, PF,
-                            enumeration_cap=1000)
+    with pytest.raises(ValueError, match=r"7\^9 > 16777216$"):
+        brute_force_optimal(SchedulingConfig(num_robots=7), snr, PF)
 
 
 def test_brute_force_rayleigh_matches_reference(pf_instance):

@@ -289,12 +289,10 @@ def test_encoder_matches_reserializing_oracle(state, kind, depth, data):
 # Controllers
 
 
-def test_round_robin_cycle_and_validation():
-    rr = RoundRobinController(green_s=10.0)
+def test_round_robin_cycle():
+    rr = RoundRobinController()
     assert [rr.decide("{}", t) for t in (0, 9.9, 10, 25, 35, 40)] == \
         [1, 1, 2, 3, 4, 1]
-    with pytest.raises(ValueError):
-        RoundRobinController(green_s=0.0)
 
 
 def payload(phase, lanes):
@@ -302,7 +300,7 @@ def payload(phase, lanes):
 
 
 def test_queue_greedy_switches_only_past_margin():
-    ctl = QueueGreedyController(wait_weight=0.5, switch_margin=4.0)
+    ctl = QueueGreedyController()
     # Phase 3 leads by less than the margin: hold phase 1.
     near = payload(1, {"N:straight": {"q": 2}, "E:straight": {"q": 5}})
     assert ctl.decide(near, 0.0) == 1
@@ -312,7 +310,7 @@ def test_queue_greedy_switches_only_past_margin():
 
 
 def test_queue_greedy_weighs_head_wait():
-    ctl = QueueGreedyController(wait_weight=0.5, switch_margin=4.0)
+    ctl = QueueGreedyController()
     lanes = {"N:straight": {"q": 4}, "N:left": {"q": 2, "w": 14.0}}
     # Pressure: phase1 = 4, phase2 = 2 + 0.5*14 = 9 > 4 + margin.
     assert ctl.decide(payload(1, lanes), 0.0) == 2
@@ -322,16 +320,10 @@ def test_queue_greedy_weighs_head_wait():
 
 
 def test_queue_greedy_tie_prefers_lowest_phase():
-    ctl = QueueGreedyController(switch_margin=0.0)
-    lanes = {"N:left": {"q": 3}, "E:left": {"q": 3}}
+    ctl = QueueGreedyController()
+    # Phases 2 and 4 tie at 5, past the 4.0 margin over phase 1's 0.
+    lanes = {"N:left": {"q": 5}, "E:left": {"q": 5}}
     assert ctl.decide(payload(1, lanes), 0.0) == 2
-
-
-def test_queue_greedy_validation():
-    with pytest.raises(ValueError):
-        QueueGreedyController(wait_weight=-0.1)
-    with pytest.raises(ValueError):
-        QueueGreedyController(switch_margin=-1.0)
 
 
 class Canned:
@@ -361,6 +353,22 @@ def test_engine_controller_accepts_propose_objects():
             assert "Observation (JSON):" in prompt
             return "Phase 2."
     assert EngineController(Obj()).decide(payload(1, {}), 0.0) == 2
+
+
+# Replies mixing free text with near-miss and valid phase tokens.
+_reply = st.lists(st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["phase", "Phase ", "PHASE\t", "phase 0", "phase 5",
+                     "phase -1", "phase 4", "phase\n2", "phase 3.5",
+                     "phase \u0663", "phase 99"])), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply=_reply,
+       observed=st.sampled_from(PHASE_ORDER).map(lambda p: payload(p, {}))
+       | st.just("not json"))
+def test_engine_controller_always_returns_a_phase(reply, observed):
+    assert EngineController(Canned(reply)).decide(observed, 0.0) in PHASE_ORDER
 
 
 # ---------------------------------------------------------------------------
