@@ -54,9 +54,10 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ConfigError("objective.epsilon", "must be > 0")
+            raise ConfigError("scheduling.objective.epsilon", "must be > 0")
         if self.min_rate_bps < 0:
-            raise ConfigError("objective.min_rate_bps", "must be >= 0")
+            raise ConfigError("scheduling.objective.min_rate_bps",
+                              "must be >= 0")
 
     @property
     def is_qos(self) -> bool:
@@ -234,14 +235,31 @@ class ScenarioConfig:
 # JSON round-trip
 
 
-def _objective_from_dict(d: dict) -> ObjectiveSpec:
+def _objective_from_dict(d) -> ObjectiveSpec:
+    if not isinstance(d, dict):
+        raise ConfigError("scheduling.objective", "must be a JSON object")
+    _check_fields("scheduling.objective", d, ObjectiveSpec)
     try:
         kind = ObjectiveKind(d.get("kind", "pf"))
     except ValueError:
-        raise ConfigError("objective.kind", f"unknown kind {d.get('kind')!r}")
+        raise ConfigError("scheduling.objective.kind",
+                          f"unknown kind {d.get('kind')!r}")
     return ObjectiveSpec(kind=kind,
-                         min_rate_bps=float(d.get("min_rate_bps", 0.0)),
-                         epsilon=float(d.get("epsilon", 1.0)))
+                         min_rate_bps=_objective_number(d, "min_rate_bps", 0.0),
+                         epsilon=_objective_number(d, "epsilon", 1.0))
+
+
+def _objective_number(d: dict, key: str, default: float) -> float:
+    """d[key] (or the default) as a float; anything but a JSON number in
+    float range is a ConfigError naming the field."""
+    value = d.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"scheduling.objective.{key}",
+                      f"must be a number in float range, got {value!r}")
 
 
 def _check_fields(section: str, d: dict, cls) -> None:

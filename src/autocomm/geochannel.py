@@ -11,10 +11,12 @@ can confirm.
 One array kernel traces a whole batch of users (trace_paths_batch): the
 image method over [users x facades], then a slab test of every LoS and
 reflection leg against every box (only in-rectangle pairs get legs), then
-lengths, delays, gains and angles as arrays and one path builder.  The
-single-user functions (trace_paths, classify_scatterers,
-mirror_reflection_point, is_blocked) read one row of the same kernel, and
-every row is bit-equal to tracing that user alone.
+lengths, delays, gains and angles as arrays (_path_arrays).  Path objects
+are a thin reader of those arrays; build_ckm reads them directly into dense
+per-slot tables and makes no Path at all.  The single-user functions
+(trace_paths, classify_scatterers, mirror_reflection_point, is_blocked)
+read one row of the same kernel, and every row is bit-equal to tracing
+that user alone.
 
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
@@ -256,17 +258,12 @@ def classify_scatterers(cfg: ChannelSceneConfig,
     return {f.facade_id: _STATUS_NAMES[s] for f, s in zip(facades, status[0])}
 
 
-def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
-                 via: np.ndarray, facade_ids: Sequence[Optional[str]]
-                 ) -> list[Path]:
-    """One Path per row: BS -> via -> user, or the line of sight where the
-    facade id is None (via is then the user itself).
-
-    Lengths, delays, gains and angles are computed as arrays; the Path
-    objects get Python floats.
-    """
+def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
+                 via: np.ndarray, los: np.ndarray
+                 ) -> tuple[np.ndarray, ...]:
+    """Length, gain (re, im), AoD and AoA of each row BS -> via -> user, or
+    of the line of sight where los is set (via is then the user itself)."""
     bs = np.asarray(cfg.bs_pos, dtype=float)
-    los = np.array([f is None for f in facade_ids], dtype=bool)
     lam = SPEED_OF_LIGHT / cfg.carrier_hz
     out_leg = via - bs
     back = np.where(los[:, None], bs, via) - users    # user -> last point
@@ -285,7 +282,17 @@ def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
     gain_im = amp_re * rot.imag + amp_im * rot.real
     aod = np.arcsin(np.clip(out_leg[:, 0] / _norm(out_leg), -1.0, 1.0))
     aoa = np.arcsin(np.clip(back[:, 0] / _norm(back), -1.0, 1.0))
-    start = tuple(bs.tolist())
+    return length, gain_re, gain_im, aod, aoa
+
+
+def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
+                 via: np.ndarray, facade_ids: Sequence[Optional[str]]
+                 ) -> list[Path]:
+    """One Path per row of _path_arrays, with Python floats; a facade id
+    of None marks the line of sight."""
+    los = np.array([f is None for f in facade_ids], dtype=bool)
+    length, gain_re, gain_im, aod, aoa = _path_arrays(cfg, users, via, los)
+    start = tuple(float(v) for v in cfg.bs_pos)
     return [Path(kind="los" if fid is None else "reflection", facade_id=fid,
                  length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
                  gain=complex(g_re, g_im), aod_rad=a_d, aoa_rad=a_a,
@@ -296,6 +303,19 @@ def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
                 zip(*users.T.tolist()), zip(*via.T.tolist()))]
 
 
+def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
+    """Facades, the [users, 1 + facades] path-presence mask, and the
+    present (user, slot) rows in that order: user index, slot index and via
+    point.  Slot 0 is LoS (via the user itself), slot f + 1 is facade f (via
+    its reflection point)."""
+    facades = enumerate_facades(cfg)
+    los, status, q = _trace(cfg, users, facades)
+    present = np.column_stack([los, status == _ACTIVE])
+    user_idx, slot = np.nonzero(present)
+    via = np.concatenate([users[:, None, :], q], axis=1)[user_idx, slot]
+    return facades, present, user_idx, slot, via
+
+
 def trace_paths_batch(cfg: ChannelSceneConfig,
                       users: Sequence[Sequence[float]]) -> list[list[Path]]:
     """trace_paths for many users at once, one array pass for the batch.
@@ -303,13 +323,8 @@ def trace_paths_batch(cfg: ChannelSceneConfig,
     Each user's row is bit-equal to tracing that user alone.
     """
     users = np.asarray(users, dtype=float).reshape(-1, 3)
-    facades = enumerate_facades(cfg)
-    los, status, q = _trace(cfg, users, facades)
+    facades, _, user_idx, slot, via = _trace_rows(cfg, users)
     ids = [None] + [f.facade_id for f in facades]
-    # Rows in (user, slot) order; slot 0 is LoS (via the user itself),
-    # slot f + 1 is facade f (via its reflection point).
-    user_idx, slot = np.nonzero(np.column_stack([los, status == _ACTIVE]))
-    via = np.concatenate([users[:, None, :], q], axis=1)[user_idx, slot]
     paths = _build_paths(cfg, users[user_idx], via, [ids[s] for s in slot])
     out: list[list[Path]] = [[] for _ in range(len(users))]
     for u, path in zip(user_idx.tolist(), paths):
@@ -322,25 +337,32 @@ def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
     return trace_paths_batch(cfg, [user])[0]
 
 
-def _synthesize_rows(cfg: ChannelSceneConfig,
-                     rows: Sequence[Sequence[Path]]) -> np.ndarray:
-    """Channels of many path lists at once, [rows, num_antennas].
+def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
+                gains: np.ndarray, sin_aod: np.ndarray) -> np.ndarray:
+    """Channels [num_rows, num_antennas] of paths given as arrays: path k
+    (gain, sin of its AoD) belongs to row owner[k].
 
     np.add.at accumulates in path order, so each row sums its paths in the
     order given, exactly as a loop over that row alone would.
     """
-    flat = [p for row in rows for p in row]
-    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    gains = np.array([p.gain for p in flat], dtype=complex)
-    sin_aod = np.array([math.sin(p.aod_rad) for p in flat], dtype=float)
-    n = np.arange(cfg.num_antennas)
+    n = np.arange(num_antennas)
     # One [paths, antennas] buffer, updated in place.
     terms = -1j * math.pi * n * sin_aod[:, None]
     np.exp(terms, out=terms)
     np.multiply(gains[:, None], terms, out=terms)
-    h = np.zeros((len(rows), cfg.num_antennas), dtype=complex)
+    h = np.zeros((num_rows, num_antennas), dtype=complex)
     np.add.at(h, owner, terms)
     return h
+
+
+def _synthesize_rows(cfg: ChannelSceneConfig,
+                     rows: Sequence[Sequence[Path]]) -> np.ndarray:
+    """Channels of many path lists at once, [rows, num_antennas]."""
+    flat = [p for row in rows for p in row]
+    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    gains = np.array([p.gain for p in flat], dtype=complex)
+    sin_aod = np.array([math.sin(p.aod_rad) for p in flat], dtype=float)
+    return _synthesize(cfg.num_antennas, len(rows), owner, gains, sin_aod)
 
 
 def synthesize_channel(cfg: ChannelSceneConfig,
@@ -432,28 +454,52 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
 @dataclass(frozen=True)
 class CkmDataset:
     """Sampled channel knowledge: user positions, true channels, and the
-    per-sample path decomposition keyed by slot."""
+    per-sample path decomposition as dense [N, slots] arrays.
+
+    slots are "los" then the facade ids in trace order; gains and sin_aod
+    are zero where a path is absent.
+    """
 
     positions: np.ndarray            # [N, 3]
     channels: np.ndarray             # [N, num_antennas] complex
-    paths: tuple[dict[str, Path], ...]
+    slots: tuple[str, ...]
+    present: np.ndarray              # [N, S] bool
+    gains: np.ndarray                # [N, S] complex
+    sin_aod: np.ndarray              # [N, S], math.sin of each path's AoD
 
 
 def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
-    pos = np.asarray(positions, dtype=float)
-    rows = trace_paths_batch(cfg, pos)
-    return CkmDataset(positions=pos, channels=_synthesize_rows(cfg, rows),
-                      paths=tuple({p.slot: p for p in r} for r in rows))
+    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
+    _, gain_re, gain_im, aod, _ = _path_arrays(cfg, pos[user_idx], via,
+                                               slot == 0)
+    gain = np.empty(len(slot), dtype=complex)
+    gain.real, gain.imag = gain_re, gain_im
+    # math.sin, as synthesis from Path objects takes it.
+    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
+    gains = np.zeros(present.shape, dtype=complex)
+    gains[user_idx, slot] = gain
+    sins = np.zeros(present.shape)
+    sins[user_idx, slot] = sin_aod
+    return CkmDataset(
+        positions=pos,
+        channels=_synthesize(cfg.num_antennas, len(pos), user_idx, gain,
+                             sin_aod),
+        slots=("los",) + tuple(f.facade_id for f in facades),
+        present=present, gains=gains, sin_aod=sins)
 
 
 def nn_ckm_predict(ckm: CkmDataset, query: Sequence[float]) -> np.ndarray:
-    """Channel of the nearest stored position; ties go to the lower index."""
+    """Channel of the nearest stored position; ties go to the lower index.
+
+    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].
+    """
     if len(ckm.positions) == 0:
         raise ValueError("empty channel map")
     q = np.asarray(query, dtype=float)
-    d2 = np.sum((ckm.positions - q) ** 2, axis=1)
-    return ckm.channels[int(np.argmin(d2))].copy()
+    d2 = np.sum((ckm.positions - q[..., None, :]) ** 2, axis=-1)
+    return np.take(ckm.channels, np.argmin(d2, axis=-1), axis=0)
 
 
 @dataclass(frozen=True)
@@ -471,31 +517,30 @@ class LinearGcp:
 
 
 def fit_linear_gcp(cfg: ChannelSceneConfig, ckm: CkmDataset) -> LinearGcp:
-    slots = sorted({s for row in ckm.paths for s in row})
+    # Slots present in some sample, by name.
+    columns = sorted((s, j) for j, s in enumerate(ckm.slots)
+                     if ckm.present[:, j].any())
     design = np.column_stack([ckm.positions[:, 0], ckm.positions[:, 1],
                               np.ones(len(ckm.positions))])
     weights: dict[str, np.ndarray] = {}
-    for slot in slots:
-        present = np.array([slot in row for row in ckm.paths])
+    for slot, j in columns:
+        present = ckm.present[:, j]
         w = np.zeros((5, 3))
         # Under 3 samples the affine fits are rank-deficient; leave the slot
         # all-zero so prediction never invents a path from it.
         if present.sum() >= 3:
             w[0] = np.linalg.lstsq(design, present.astype(float), rcond=None)[0]
             sub = design[present]
-            gains = np.array([row[slot].gain for row, keep
-                              in zip(ckm.paths, present) if keep])
-            sin_aod = np.array([math.sin(row[slot].aod_rad) for row, keep
-                                in zip(ckm.paths, present) if keep])
-            targets = [sin_aod,
+            gains = ckm.gains[present, j]
+            targets = [ckm.sin_aod[present, j],
                        np.log(np.abs(gains)),
                        np.cos(np.angle(gains)),
                        np.sin(np.angle(gains))]
             for k, tgt in enumerate(targets, start=1):
                 w[k] = np.linalg.lstsq(sub, tgt, rcond=None)[0]
         weights[slot] = w
-    return LinearGcp(num_antennas=cfg.num_antennas, slots=tuple(slots),
-                     weights=weights)
+    return LinearGcp(num_antennas=cfg.num_antennas,
+                     slots=tuple(s for s, _ in columns), weights=weights)
 
 
 def linear_gcp_predict(model: LinearGcp, query: Sequence[float]) -> np.ndarray:

@@ -38,8 +38,8 @@ from .geochannel import (
     linear_gcp_predict,
     nn_ckm_predict,
     nmse_db,
-    synthesize_channel,
     trace_paths_batch,
+    _synthesize_rows,
 )
 from .opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
 from .radio import RadioParams, generate_snr_map
@@ -220,22 +220,22 @@ def _run_channel(scenario: ScenarioConfig, method: str,
     users = default_user_positions(scenario)
     ckm_points = 0
     if method == "geometry":
-        predict = lambda u: geometry_predictor(cfg, u)
+        predictions = (geometry_predictor(cfg, u) for u in users)
     elif method in ("nn_ckm", "linear_gcp"):
         ckm = build_ckm(cfg, ckm_grid_positions(scenario))
         ckm_points = len(ckm.positions)
         if method == "nn_ckm":
-            predict = lambda u: nn_ckm_predict(ckm, u)
+            predictions = nn_ckm_predict(ckm, users)
         else:
             model = fit_linear_gcp(cfg, ckm)
-            predict = lambda u: linear_gcp_predict(model, u)
+            predictions = (linear_gcp_predict(model, u) for u in users)
     else:
         raise ValueError(f"unknown channel method {method!r}; "
                          f"expected one of {CHANNEL_METHODS}")
 
     truth_paths = trace_paths_batch(cfg, users)
-    values = [nmse_db(synthesize_channel(cfg, paths), predict(u))
-              for u, paths in zip(users, truth_paths)]
+    truth = _synthesize_rows(cfg, truth_paths)
+    values = [nmse_db(h, p) for h, p in zip(truth, predictions)]
     arr = np.asarray(values)
     metrics = {
         "nmse_db_mean": float(arr.mean()),

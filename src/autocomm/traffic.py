@@ -372,7 +372,8 @@ class EngineController:
     """Delegates the phase choice to a text engine; holds on bad output.
 
     The last 'phase k' token in the response wins.  Anything unparseable
-    keeps the current phase rather than guessing.
+    keeps the current phase rather than guessing; when the observation does
+    not carry a phase from PHASE_ORDER either, the first phase is chosen.
     """
 
     def __init__(self, engine: ProposalEngine):
@@ -383,9 +384,13 @@ class EngineController:
         matches = _PHASE_RE.findall(raw)
         if not matches:
             try:
-                return int(json.loads(payload).get("phase", PHASE_ORDER[0]))
-            except ValueError:
-                return PHASE_ORDER[0]
+                current = json.loads(payload).get("phase")
+            except (ValueError, AttributeError):
+                current = None
+            # An int from PHASE_ORDER only: not True, 2.0 or 9.
+            if type(current) is int and current in PHASE_ORDER:
+                return current
+            return PHASE_ORDER[0]
         return int(matches[-1])
 
 

@@ -11,7 +11,9 @@ lockstep.
 
 The geochannel section traces one user at a time, facade by facade, in
 numpy scalars: the image method, the slab test and the hand-written ``Path``
-constructions that ``geochannel.trace_paths_batch`` replaces, plus two
+constructions that ``geochannel.trace_paths_batch`` replaces, the
+channel-knowledge map and its affine fit kept as per-sample dicts of
+``Path`` objects (``geochannel.build_ckm`` keeps dense arrays), plus two
 checks of a specular point that use no image method at all: the
 law-of-reflection residual and a path-length grid search over the facade
 (ACCEPTANCE 5 runs the image method against both).  The traffic
@@ -436,6 +438,47 @@ def predictor_paths(cfg, user, stage1_labels=None,
             q = facade.embed(u, z)
         paths.append(_reflection_path(cfg, bs, q, user, slot))
     return paths
+
+
+def build_ckm(cfg, positions):
+    """Channel-knowledge map from Path objects, one sample at a time.
+
+    Returns the true channels [N, num_antennas] and each sample's paths
+    keyed by slot ("los" or a facade id), the layout ``geochannel.build_ckm``
+    replaces with dense per-slot arrays.
+    """
+    rows = [trace_paths(cfg, p) for p in positions]
+    channels = np.zeros((len(rows), cfg.num_antennas), dtype=complex)
+    for i, row in enumerate(rows):
+        channels[i] = synthesize_channel(cfg, row)
+    return channels, tuple({p.slot: p for p in row} for row in rows)
+
+
+def fit_linear_gcp(positions, paths) -> dict:
+    """Per-slot affine weights, reading every sample's paths row by row."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    slots = sorted({s for row in paths for s in row})
+    design = np.column_stack([positions[:, 0], positions[:, 1],
+                              np.ones(len(positions))])
+    weights = {}
+    for slot in slots:
+        present = np.array([slot in row for row in paths])
+        w = np.zeros((5, 3))
+        if present.sum() >= 3:
+            w[0] = np.linalg.lstsq(design, present.astype(float), rcond=None)[0]
+            sub = design[present]
+            gains = np.array([row[slot].gain for row, keep
+                              in zip(paths, present) if keep])
+            sin_aod = np.array([math.sin(row[slot].aod_rad) for row, keep
+                                in zip(paths, present) if keep])
+            targets = [sin_aod,
+                       np.log(np.abs(gains)),
+                       np.cos(np.angle(gains)),
+                       np.sin(np.angle(gains))]
+            for k, tgt in enumerate(targets, start=1):
+                w[k] = np.linalg.lstsq(sub, tgt, rcond=None)[0]
+        weights[slot] = w
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,81 @@ def test_channel_documents_fail_only_with_config_errors(channel, seed,
         assert np.isfinite(h).all()
 
 
+# Any JSON value, including numbers past the float range and non-finite
+# floats, for fields and sections that must reject it by name.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.sampled_from([10 ** 400, -10 ** 400]) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _section(fields: dict):
+    """A section with any subset of its fields, each either a plausible
+    value or any JSON value, sometimes an unknown field, or no object at
+    all."""
+    known = st.fixed_dictionaries(
+        {}, optional={name: value | _json for name, value in fields.items()})
+    extra = st.dictionaries(st.text(max_size=6), _json, max_size=1)
+    return st.builds(lambda e, k: {**e, **k}, extra, known) | _json
+
+
+_count = st.integers(-2, 16)
+_size = st.floats(-10.0, 1e8, allow_nan=False)
+_objective = _section({
+    "kind": st.sampled_from([k.value for k in ObjectiveKind] + ["max_min"]),
+    "min_rate_bps": _size,
+    "epsilon": st.floats(-1.0, 5.0, allow_nan=False),
+})
+_scheduling_doc = _section({
+    "num_robots": _count, "cell_radius_m": _size, "bandwidth_hz": _size,
+    "num_rbs": _count, "min_rate_bps": _size, "objective": _objective,
+    "buffer_occupancy_prob": st.floats(-0.5, 1.5, allow_nan=False),
+    "max_rbs_per_robot": st.none() | _count,
+})
+_traffic_doc = _section({
+    f.name: _count if f.type == "int" else _size
+    for f in dataclasses.fields(TrafficConfig)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.tuples(st.just("scheduling"), _scheduling_doc)
+       | st.tuples(st.just("traffic"), _traffic_doc),
+       seed=st.integers(0, 2 ** 64 - 1) | _json)
+def test_scheduling_and_traffic_documents_fail_only_with_config_errors(
+        doc, seed):
+    track, section = doc
+    try:
+        scn = scenario_from_dict({"track": track, "seed": seed,
+                                  track: section})
+    except ConfigError:
+        return
+    assert scn.track is Track(track)
+
+
+@pytest.mark.parametrize("objective, field", [
+    ({"kind": "pf", "extra": 1}, "scheduling.objective.extra"),
+    ("pf", "scheduling.objective"),
+    (3, "scheduling.objective"),
+    (None, "scheduling.objective"),
+    ([{"kind": "pf"}], "scheduling.objective"),
+    ({"epsilon": "x"}, "scheduling.objective.epsilon"),
+    ({"epsilon": 0}, "scheduling.objective.epsilon"),
+    ({"min_rate_bps": -1}, "scheduling.objective.min_rate_bps"),
+    ({"epsilon": True}, "scheduling.objective.epsilon"),
+    ({"min_rate_bps": [1]}, "scheduling.objective.min_rate_bps"),
+    ({"min_rate_bps": 10 ** 400}, "scheduling.objective.min_rate_bps"),
+    ({"kind": ["pf"]}, "scheduling.objective.kind"),
+])
+def test_bad_objective_names_the_field(objective, field):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": "scheduling", "seed": 1,
+                            "scheduling": {"objective": objective}})
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize("track,field", [
     ("channel", "carrier_hz"),

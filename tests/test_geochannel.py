@@ -268,10 +268,25 @@ def test_nn_ckm_tie_goes_to_lower_index():
 
 
 def test_nn_ckm_empty_map_raises():
-    empty = CkmDataset(positions=np.zeros((0, 3)),
-                       channels=np.zeros((0, 4), dtype=complex), paths=())
+    empty = build_ckm(load_fixture_scene(1).channel, [])
     with pytest.raises(ValueError, match="empty channel map"):
         nn_ckm_predict(empty, (0.0, 0.0, 1.5))
+    with pytest.raises(ValueError, match="empty channel map"):
+        nn_ckm_predict(empty, [(0.0, 0.0, 1.5)])
+
+
+def test_nn_ckm_batch_has_one_row_per_query():
+    cfg = load_fixture_scene(1).channel
+    ckm = build_ckm(cfg, [(4.0, -3.0, 1.5), (6.0, -3.0, 1.5)])
+    queries = [(5.0, -3.0, 1.5), (6.5, -3.0, 1.5), (0.0, 0.0, 1.5)]
+    got = nn_ckm_predict(ckm, queries)
+    assert got.shape == (3, cfg.num_antennas)
+    np.testing.assert_array_equal(got, ckm.channels[[0, 1, 0]])
+    # A copy, never a view of the map.
+    got[0] = 0.0
+    single = nn_ckm_predict(ckm, queries[1])
+    single[:] = 0.0
+    assert np.all(ckm.channels[0] != 0.0) and np.all(ckm.channels[1] != 0.0)
 
 
 def test_linear_gcp_recovers_constant_map():
@@ -285,18 +300,16 @@ def test_linear_gcp_recovers_constant_map():
 
 def test_linear_gcp_sparse_slot_never_invents_a_path():
     cfg = ChannelSceneConfig(num_antennas=4)
-    los = Path(kind="los", facade_id=None, length_m=10.0, delay_s=0.0,
-               gain=0.1 + 0.0j, aod_rad=0.2, aoa_rad=0.0, points=())
-    refl = Path(kind="reflection", facade_id="b0:ymax", length_m=15.0,
-                delay_s=0.0, gain=0.05j, aod_rad=-0.1, aoa_rad=0.0,
-                points=())
     ckm = CkmDataset(
         positions=np.array([[0.0, 0.0, 1.5], [1.0, 0.0, 1.5],
                             [2.0, 0.0, 1.5], [3.0, 0.0, 1.5]]),
         channels=np.zeros((4, 4), dtype=complex),
-        paths=({"los": los}, {"los": los}, {"los": los},
-               {"los": los, "b0:ymax": refl}))
+        slots=("los", "b0:ymin", "b0:ymax"),
+        present=np.array([[True, False, False]] * 3 + [[True, False, True]]),
+        gains=np.array([[0.1, 0.0, 0.0]] * 3 + [[0.1, 0.0, 0.05j]]),
+        sin_aod=np.array([[0.2, 0.0, 0.0]] * 3 + [[0.2, 0.0, -0.1]]))
     model = fit_linear_gcp(cfg, ckm)
+    assert model.slots == ("b0:ymax", "los")  # only slots seen somewhere
     assert not np.any(model.weights["b0:ymax"])  # under 3 samples: zeroed
 
 
@@ -479,4 +492,48 @@ def test_trace_row_does_not_depend_on_the_batch():
 def test_empty_batch_and_empty_map():
     cfg = load_fixture_scene(2).channel
     assert trace_paths_batch(cfg, np.zeros((0, 3))) == []
-    assert len(build_ckm(cfg, []).paths) == 0
+    ckm = build_ckm(cfg, [])
+    assert ckm.slots == ("los",) + tuple(f.facade_id
+                                         for f in enumerate_facades(cfg))
+    assert ckm.positions.shape == (0, 3)
+    assert ckm.channels.shape == (0, cfg.num_antennas)
+    for table in (ckm.present, ckm.gains, ckm.sin_aod):
+        assert table.shape == (0, len(ckm.slots))
+    assert fit_linear_gcp(cfg, ckm).slots == ()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cfg=scenes())
+def test_ckm_matches_path_oracle(data, cfg):
+    positions = data.draw(_users(cfg, 12))
+    ckm = build_ckm(cfg, positions)
+    channels, paths = oracle.build_ckm(cfg, positions)
+    assert ckm.slots == ("los",) + tuple(f.facade_id
+                                         for f in enumerate_facades(cfg))
+    assert np.array_equal(ckm.positions, np.asarray(positions, dtype=float))
+    assert np.array_equal(ckm.channels, channels)
+    present = np.array([[s in row for s in ckm.slots] for row in paths])
+    gains = np.array([[row[s].gain if s in row else 0.0 for s in ckm.slots]
+                      for row in paths])
+    sin_aod = np.array([[math.sin(row[s].aod_rad) if s in row else 0.0
+                         for s in ckm.slots] for row in paths])
+    assert np.array_equal(ckm.present, present)
+    assert np.array_equal(ckm.gains, gains)
+    assert np.array_equal(ckm.sin_aod, sin_aod)
+
+    model = fit_linear_gcp(cfg, ckm)
+    want = oracle.fit_linear_gcp(positions, paths)
+    assert model.slots == tuple(want)
+    for slot, w in want.items():
+        assert np.array_equal(model.weights[slot], w), slot
+
+    # Map points themselves and midpoints of pairs of them put exact ties
+    # in the batch.
+    queries = data.draw(_users(cfg, 6)) + positions
+    queries += [tuple((a + b) / 2 for a, b in zip(p, r))
+                for p, r in zip(positions, positions[1:])]
+    batch = nn_ckm_predict(ckm, queries)
+    assert batch.shape == (len(queries), cfg.num_antennas)
+    for q, row in zip(queries, batch):
+        assert np.array_equal(row, nn_ckm_predict(ckm, q))

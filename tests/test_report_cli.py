@@ -1,5 +1,6 @@
 """Run records, sweeps, CSV emission, and the command-line interface."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -16,11 +17,14 @@ from autocomm.configs import (
     SchedulingConfig,
     Track,
     TrafficConfig,
+    build_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     scenario_to_json,
 )
 from autocomm.geochannel import load_fixture_scene
 from autocomm.report import (
+    CHANNEL_METHODS,
     cells_csv,
     ckm_grid_positions,
     config_digest,
@@ -33,6 +37,7 @@ from autocomm.report import (
     sweep,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 QOS = ObjectiveSpec(kind=ObjectiveKind.QOS_SUM_RATE, min_rate_bps=1e6)
 
 
@@ -125,6 +130,31 @@ def test_channel_run_counters_on_shadowed_scene():
     assert counters["nn_ckm"] == dict(counters["geometry"], ckm_points=484)
 
 
+# sha256 over record_to_json of every (seed, scene, method) run below, in
+# that order.  Computed before the channel-map path became array-native;
+# change it only with a deliberate change to the channel metrics or
+# counters, and say so.
+CHANNEL_RECORDS_SHA256 = (
+    "a3c34b240961b79c55b7e06a3096bad9f63423cf15d63daf5f9fe37cfc56874d")
+
+
+def test_channel_records_are_pinned():
+    # The reference scene and the four fixture scenes under every channel
+    # method; scenes 3 and 4 have shadowed users and an infinite mean NMSE
+    # on these seeds.
+    text = (REPO / "docs" / "config-schema" / "channel.json").read_text(
+        encoding="utf-8")
+    docs = [scenario_to_dict(build_scenario(text))]
+    docs += [scenario_to_dict(load_fixture_scene(i)) for i in (1, 2, 3, 4)]
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for doc in docs:
+            for method in CHANNEL_METHODS:
+                rec = run(scenario_from_dict(dict(doc, seed=seed)), method)
+                digest.update(record_to_json(rec).encode("utf-8"))
+    assert digest.hexdigest() == CHANNEL_RECORDS_SHA256
+
+
 def test_run_safe_captures_failures_as_records():
     rec = run_safe(sched_scenario(), "no_such_method")
     assert rec.status == "error"
@@ -209,7 +239,6 @@ def test_cli_schedule_emits_and_saves_record(tmp_path, capsys):
         record_to_json(run(sched_scenario(), "round_robin"))
 
 
-REPO = Path(__file__).resolve().parent.parent
 REFERENCE_SCHEDULING = REPO / "docs" / "config-schema" / "scheduling.json"
 
 

@@ -347,6 +347,14 @@ def test_engine_controller_holds_on_unparseable():
     assert ctl.decide("not json", 0.0) == PHASE_ORDER[0]
 
 
+@pytest.mark.parametrize("observed", [
+    '{"phase": 9}', "[1]", '{"phase": true}', '{"phase": 2.0}',
+    '{"phase": [2]}', "null", '"phase 2"', "{}"])
+def test_engine_controller_holds_only_a_valid_phase(observed):
+    ctl = EngineController(Canned("no idea"))
+    assert ctl.decide(observed, 0.0) == PHASE_ORDER[0]
+
+
 def test_engine_controller_accepts_propose_objects():
     class Obj:
         def propose(self, prompt):
@@ -366,7 +374,13 @@ _reply = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(reply=_reply,
        observed=st.sampled_from(PHASE_ORDER).map(lambda p: payload(p, {}))
-       | st.just("not json"))
+       | st.just("not json")
+       | st.recursive(st.none() | st.booleans() | st.integers()
+                      | st.floats() | st.text(max_size=5),
+                      lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(["phase", "t"]),
+                                        inner, max_size=2),
+                      max_leaves=5).map(json.dumps))
 def test_engine_controller_always_returns_a_phase(reply, observed):
     assert EngineController(Canned(reply)).decide(observed, 0.0) in PHASE_ORDER
 
