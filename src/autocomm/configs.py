@@ -120,14 +120,30 @@ class TrafficConfig:
     def __post_init__(self):
         if self.num_vehicles < 0:
             raise ConfigError("traffic.num_vehicles", "must be >= 0")
-        if self.dt_s <= 0:
-            raise ConfigError("traffic.dt_s", "must be > 0")
+        if self.area_m <= 0:
+            raise ConfigError("traffic.area_m", "must be > 0")
         if self.free_flow_speed_mps <= 0:
             raise ConfigError("traffic.free_flow_speed_mps", "must be > 0")
         if self.headway_m <= 0:
             raise ConfigError("traffic.headway_m", "must be > 0")
+        if self.decision_interval_s <= 0:
+            raise ConfigError("traffic.decision_interval_s", "must be > 0")
+        if self.min_green_s < 0:
+            raise ConfigError("traffic.min_green_s", "must be >= 0")
+        if self.dt_s <= 0:
+            raise ConfigError("traffic.dt_s", "must be > 0")
+        # Shorter than one step, an episode runs no step at all.
+        if self.episode_s < self.dt_s:
+            raise ConfigError("traffic.episode_s",
+                              f"must be >= dt_s ({self.dt_s})")
+        if self.startup_delay_s < 0:
+            raise ConfigError("traffic.startup_delay_s", "must be >= 0")
+        if self.discharge_headway_s < 0:
+            raise ConfigError("traffic.discharge_headway_s", "must be >= 0")
         if self.visible_depth < 1:
             raise ConfigError("traffic.visible_depth", "must be >= 1")
+        if self.byte_budget < 1:
+            raise ConfigError("traffic.byte_budget", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -236,9 +252,7 @@ class ScenarioConfig:
 
 
 def _objective_from_dict(d) -> ObjectiveSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("scheduling.objective", "must be a JSON object")
-    _check_fields("scheduling.objective", d, ObjectiveSpec)
+    _check_section("scheduling.objective", d, ObjectiveSpec)
     try:
         kind = ObjectiveKind(d.get("kind", "pf"))
     except ValueError:
@@ -262,15 +276,25 @@ def _objective_number(d: dict, key: str, default: float) -> float:
                       f"must be a number in float range, got {value!r}")
 
 
-def _check_fields(section: str, d: dict, cls) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in known:
+def _check_section(section: str, d, cls) -> None:
+    """Raise ConfigError unless d is a JSON object holding only fields of
+    cls, with a JSON integer (not a bool or a float) in every int field."""
+    if not isinstance(d, dict):
+        raise ConfigError(section, "must be a JSON object")
+    # Field types are annotation strings (postponed evaluation).
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in d.items():
+        if key not in types:
             raise ConfigError(f"{section}.{key}", "unknown field")
+        integer = types[key] == "int" or (
+            types[key] == "Optional[int]" and value is not None)
+        if integer and type(value) is not int:
+            raise ConfigError(f"{section}.{key}",
+                              f"must be an integer, got {value!r}")
 
 
 def _scheduling_from_dict(d: dict) -> SchedulingConfig:
-    _check_fields("scheduling", d, SchedulingConfig)
+    _check_section("scheduling", d, SchedulingConfig)
     kwargs = dict(d)
     if "objective" in kwargs:
         kwargs["objective"] = _objective_from_dict(kwargs["objective"])
@@ -284,7 +308,7 @@ def _scheduling_from_dict(d: dict) -> SchedulingConfig:
 
 
 def _traffic_from_dict(d: dict) -> TrafficConfig:
-    _check_fields("traffic", d, TrafficConfig)
+    _check_section("traffic", d, TrafficConfig)
     return TrafficConfig(**d)
 
 
@@ -295,7 +319,7 @@ def _box_from_dict(d: dict) -> Box:
 
 
 def _channel_from_dict(d: dict) -> ChannelSceneConfig:
-    _check_fields("channel", d, ChannelSceneConfig)
+    _check_section("channel", d, ChannelSceneConfig)
     kwargs = dict(d)
     if "buildings" in kwargs:
         kwargs["buildings"] = tuple(_box_from_dict(b) for b in kwargs["buildings"])

@@ -6,14 +6,15 @@ flow speed unless held by the stop line, a leader, or the per-lane
 discharge clock that enforces saturation headway.  The model is built to
 keep two invariants checkable at every step: no two vehicles in a lane are
 closer than the safety headway, and every spawned vehicle is either still
-on the road or recorded as crossed.
+on the road or recorded as crossed.  One pass over the lanes checks both.
 
 Signal controllers consume encoded observations (not raw state), which is
 where the sensing gap lives: the connected-vehicle view reports exact
 queues, the roadside top view saturates at a visible depth.  An observation
-that exceeds its byte budget loses its farthest vehicle rows; how many rows
-fit comes from a prefix sum of the rows' serialized sizes, so the payload is
-serialized once rather than once per dropped row.
+that exceeds its byte budget loses its farthest vehicle rows.  The encoder
+serializes the foreground once and formats each vehicle row once, as the
+text ``json.dumps`` gives; how many rows fit comes from a prefix sum of the
+row sizes, and the kept rows are spliced into the foreground text.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import json
 import math
 import re
 from bisect import bisect_right
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Optional, Protocol
 
 from .configs import TrafficConfig
@@ -64,7 +66,7 @@ class InsufficientBudgetError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Vehicle:
     vid: int
     approach: str
@@ -91,22 +93,30 @@ class TrafficState:
     next_release: dict[str, float]
     spawned: int
 
-    def active_count(self) -> int:
-        return sum(len(q) for q in self.lanes.values())
-
     def check_invariants(self, cfg: TrafficConfig) -> None:
-        """Raise if spacing or vehicle conservation is violated."""
+        """Raise if spacing or vehicle conservation is violated.
+
+        One pass over the lanes checks spacing and counts the vehicles on
+        the road; the first lane in sorted order with a short gap names it.
+        """
+        min_gap = cfg.headway_m - 1e-9
+        active = 0
         for key in sorted(self.lanes):
             q = self.lanes[key]
-            for lead, follow in zip(q, q[1:]):
-                gap = follow.pos - lead.pos
-                if gap < cfg.headway_m - 1e-9:
-                    raise CrashInvariantError(
-                        f"lane {key}: vehicles {lead.vid} and {follow.vid} "
-                        f"separated by {gap:.3f} m at t={self.time_s:.1f}")
-        if self.active_count() + len(self.crossed) != self.spawned:
+            active += len(q)
+            lead = None
+            for follow in q:
+                if lead is not None:
+                    gap = follow.pos - lead.pos
+                    if gap < min_gap:
+                        raise CrashInvariantError(
+                            f"lane {key}: vehicles {lead.vid} and "
+                            f"{follow.vid} separated by {gap:.3f} m "
+                            f"at t={self.time_s:.1f}")
+                lead = follow
+        if active + len(self.crossed) != self.spawned:
             raise ConservationError(
-                f"{self.spawned} spawned but {self.active_count()} active + "
+                f"{self.spawned} spawned but {active} active + "
                 f"{len(self.crossed)} crossed at t={self.time_s:.1f}")
 
 
@@ -170,12 +180,17 @@ def step(state: TrafficState, cfg: TrafficConfig,
     Per lane, front to back: the head may cross if its movement is allowed
     and the lane's discharge clock has elapsed (one crossing per saturation
     headway per lane); everyone else advances at free flow speed, clamped
-    by the stop line and by the leader plus safety headway.
+    by the stop line and by the leader plus safety headway.  Only heads
+    cross, so a lane loses a prefix of its queue.
     """
     if phase_request is not None:
         _apply_phase_request(state, phase_request, cfg)
     t, dt = state.time_s, cfg.dt_s
     v_free = cfg.free_flow_speed_mps
+    travel = v_free * dt
+    t_end = t + dt - 1e-12
+    headway = cfg.headway_m
+    crossed = state.crossed
     green = PHASE_MOVEMENTS[state.phase]
 
     for key in sorted(state.lanes):
@@ -183,38 +198,42 @@ def step(state: TrafficState, cfg: TrafficConfig,
         if not q:
             continue
         is_green = key in green
-        new_q: list[Vehicle] = []
+        n_crossed = 0
         front_pos: Optional[float] = None
         for veh in q:
             pos0 = veh.pos
-            desired = pos0 - v_free * dt
-            if front_pos is None and desired < 0.0:
+            desired = pos0 - travel
+            if front_pos is not None:
+                # max(desired, front_pos + headway), ties to desired.
+                floor = front_pos + headway
+                new_pos = floor if floor > desired else desired
+            elif desired < 0.0:
                 # Head reaches the stop line inside this step.
                 t_line = t + pos0 / v_free
                 t_cross = max(t_line, state.next_release[key])
-                if is_green and t_cross < t + dt - 1e-12:
+                if is_green and t_cross < t_end:
                     veh.distance_m += pos0
                     veh.travel_time_s += t_cross - t
                     veh.speed = v_free
                     veh.crossed_t = t_cross
-                    state.crossed.append(veh)
+                    crossed.append(veh)
                     state.next_release[key] = t_cross + cfg.discharge_headway_s
+                    n_crossed += 1
                     continue
                 new_pos = 0.0
-            elif front_pos is None:
-                new_pos = desired
             else:
-                new_pos = max(desired, front_pos + cfg.headway_m)
+                new_pos = desired
             moved = pos0 - new_pos
-            veh.speed = moved / dt
+            speed = moved / dt
+            veh.speed = speed
             veh.distance_m += moved
             veh.travel_time_s += dt
-            if veh.speed < _STOPPED_SPEED:
+            if speed < _STOPPED_SPEED:
                 veh.wait_s += dt
             veh.pos = new_pos
             front_pos = new_pos
-            new_q.append(veh)
-        state.lanes[key] = new_q
+        if n_crossed:
+            del q[:n_crossed]
 
     state.time_s = t + dt
     return state
@@ -264,45 +283,44 @@ def encode_observation(state: TrafficState, kind: str,
     """
     if kind not in ("vue", "rsu"):
         raise ValueError(f"unknown observation kind {kind!r}")
-    foreground = {
+    foreground = json.dumps({
         "t": round(state.time_s, 1),
         "phase": state.phase,
         "lanes": _lane_summaries(state, kind, cfg),
-    }
-
-    vehicles: list[dict] = []
-    for key in sorted(state.lanes):
-        q = state.lanes[key]
-        visible = q if kind == "vue" else q[: cfg.visible_depth]
-        for veh in visible:
-            vehicles.append({"lane": key, "pos": round(veh.pos, 1),
-                             "v": round(veh.speed, 1)})
-    vehicles.sort(key=lambda r: (r["pos"], r["lane"]))
-
-    def emit(rows: list[dict]) -> str:
-        doc = dict(foreground)
-        if rows:
-            doc["vehicles"] = rows
-        return json.dumps(doc, sort_keys=True, separators=_SEPARATORS)
-
-    fg_bytes = len(emit([]).encode("utf-8"))
+    }, sort_keys=True, separators=_SEPARATORS)
+    # The output is ASCII (json escapes the rest), so characters are bytes.
+    fg_bytes = len(foreground)
     if fg_bytes > cfg.byte_budget:
         raise InsufficientBudgetError(
             f"foreground needs {fg_bytes} bytes, budget is {cfg.byte_budget}")
 
+    lane_text: dict[str, str] = {}
+    rows: list[tuple[float, str, float]] = []
+    for key, q in state.lanes.items():
+        lane_text[key] = json.dumps(key)
+        visible = q if kind == "vue" else q[: cfg.visible_depth]
+        rows += [(round(veh.pos, 1), key, round(veh.speed, 1))
+                 for veh in visible]
+    # By (pos, lane) only, and stable: rows that tie keep their lane order.
+    rows.sort(key=itemgetter(0, 1))
+    # Each row as json.dumps(..., sort_keys=True) writes it: repr is the
+    # float (and int) formatting json uses.
+    texts = [f'{{"lane":{lane_text[lane]},"pos":{pos!r},"v":{v!r}}}'
+             for pos, lane, v in rows]
+
     # "vehicles" sorts last, so k >= 1 rows cost the foreground without its
     # closing brace, ',"vehicles":[', the rows, k - 1 commas and ']}': that
-    # is fg_bytes + 13 plus the running sum of (row bytes + 1).  The output
-    # is ASCII (json escapes the rest), so characters are bytes.
-    row_cost = accumulate(
-        len(json.dumps(r, sort_keys=True, separators=_SEPARATORS)) + 1
-        for r in vehicles)
+    # is fg_bytes + 13 plus the running sum of (row bytes + 1).
+    row_cost = accumulate(len(text) + 1 for text in texts)
     kept = bisect_right(list(row_cost), cfg.byte_budget - fg_bytes - 13)
-    payload = emit(vehicles[:kept])
+    payload = foreground
+    if kept:
+        payload = (f'{foreground[:-1]},"vehicles":['
+                   f'{",".join(texts[:kept])}]}}')
     return EncodedObservation(
         kind=kind, payload=payload,
-        foreground_fraction=fg_bytes / len(payload.encode("utf-8")),
-        dropped_vehicles=len(vehicles) - kept)
+        foreground_fraction=fg_bytes / len(payload),
+        dropped_vehicles=len(rows) - kept)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ checks of a specular point that use no image method at all: the
 law-of-reflection residual and a path-length grid search over the facade
 (ACCEPTANCE 5 runs the image method against both).  The traffic
 section is the encoder that re-serialized the observation once per dropped
-row.
+row, and the step and invariant check that ``traffic.step`` and
+``TrafficState.check_invariants`` replace: attributes re-read and every lane
+list rebuilt per vehicle-step, spacing and vehicle count checked in separate
+passes.
 """
 
 import itertools
@@ -44,8 +47,13 @@ from autocomm.scheduling import (
     evaluate_batch,
 )
 from autocomm.traffic import (
+    _STOPPED_SPEED,
+    PHASE_MOVEMENTS,
+    ConservationError,
+    CrashInvariantError,
     EncodedObservation,
     InsufficientBudgetError,
+    _apply_phase_request,
     _lane_summaries,
 )
 
@@ -533,7 +541,77 @@ def grid_search_reflection_oracle(bs, user, facade, resolution: float = 0.01):
 
 
 # ---------------------------------------------------------------------------
-# Traffic: re-serialize once per dropped row
+# Traffic: one vehicle, one check and one dropped row at a time
+
+
+def step(state, cfg, phase_request=None):
+    """Advance the intersection by one dt, vehicle by vehicle."""
+    if phase_request is not None:
+        _apply_phase_request(state, phase_request, cfg)
+    t, dt = state.time_s, cfg.dt_s
+    v_free = cfg.free_flow_speed_mps
+    green = PHASE_MOVEMENTS[state.phase]
+
+    for key in sorted(state.lanes):
+        q = state.lanes[key]
+        if not q:
+            continue
+        is_green = key in green
+        new_q = []
+        front_pos = None
+        for veh in q:
+            pos0 = veh.pos
+            desired = pos0 - v_free * dt
+            if front_pos is None and desired < 0.0:
+                # Head reaches the stop line inside this step.
+                t_line = t + pos0 / v_free
+                t_cross = max(t_line, state.next_release[key])
+                if is_green and t_cross < t + dt - 1e-12:
+                    veh.distance_m += pos0
+                    veh.travel_time_s += t_cross - t
+                    veh.speed = v_free
+                    veh.crossed_t = t_cross
+                    state.crossed.append(veh)
+                    state.next_release[key] = t_cross + cfg.discharge_headway_s
+                    continue
+                new_pos = 0.0
+            elif front_pos is None:
+                new_pos = desired
+            else:
+                new_pos = max(desired, front_pos + cfg.headway_m)
+            moved = pos0 - new_pos
+            veh.speed = moved / dt
+            veh.distance_m += moved
+            veh.travel_time_s += dt
+            if veh.speed < _STOPPED_SPEED:
+                veh.wait_s += dt
+            veh.pos = new_pos
+            front_pos = new_pos
+            new_q.append(veh)
+        state.lanes[key] = new_q
+
+    state.time_s = t + dt
+    return state
+
+
+def active_count(state) -> int:
+    return sum(len(q) for q in state.lanes.values())
+
+
+def check_invariants(state, cfg) -> None:
+    """Spacing lane by lane, then conservation through a second count."""
+    for key in sorted(state.lanes):
+        q = state.lanes[key]
+        for lead, follow in zip(q, q[1:]):
+            gap = follow.pos - lead.pos
+            if gap < cfg.headway_m - 1e-9:
+                raise CrashInvariantError(
+                    f"lane {key}: vehicles {lead.vid} and {follow.vid} "
+                    f"separated by {gap:.3f} m at t={state.time_s:.1f}")
+    if active_count(state) + len(state.crossed) != state.spawned:
+        raise ConservationError(
+            f"{state.spawned} spawned but {active_count(state)} active + "
+            f"{len(state.crossed)} crossed at t={state.time_s:.1f}")
 
 
 def encode_observation(state, kind, cfg) -> EncodedObservation:

@@ -99,11 +99,57 @@ def test_scheduling_validation_names_field(kwargs, field):
     (dict(free_flow_speed_mps=0), "traffic.free_flow_speed_mps"),
     (dict(headway_m=0), "traffic.headway_m"),
     (dict(visible_depth=0), "traffic.visible_depth"),
+    (dict(area_m=-50.0), "traffic.area_m"),
+    (dict(area_m=0.0), "traffic.area_m"),
+    (dict(decision_interval_s=0.0), "traffic.decision_interval_s"),
+    (dict(decision_interval_s=-5.0), "traffic.decision_interval_s"),
+    (dict(min_green_s=-1.0), "traffic.min_green_s"),
+    (dict(episode_s=-10.0), "traffic.episode_s"),
+    (dict(episode_s=0.0), "traffic.episode_s"),
+    (dict(episode_s=0.4, dt_s=0.5), "traffic.episode_s"),
+    (dict(dt_s=1000.0), "traffic.episode_s"),
+    (dict(startup_delay_s=-2.0), "traffic.startup_delay_s"),
+    (dict(discharge_headway_s=-2.0), "traffic.discharge_headway_s"),
+    (dict(byte_budget=0), "traffic.byte_budget"),
 ])
 def test_traffic_validation_names_field(kwargs, field):
     with pytest.raises(ConfigError) as err:
         TrafficConfig(**kwargs)
     assert err.value.field == field
+
+
+def test_traffic_accepts_the_range_ends():
+    # One step per episode, no minimum green, no startup or discharge lag,
+    # a one-byte budget (every encode then fails, but the scenario is legal).
+    cfg = TrafficConfig(episode_s=0.5, dt_s=0.5, min_green_s=0.0,
+                        startup_delay_s=0.0, discharge_headway_s=0.0,
+                        byte_budget=1)
+    assert cfg.episode_s == cfg.dt_s
+
+
+_INT_FIELDS = [
+    ("scheduling", "num_robots"), ("scheduling", "num_rbs"),
+    ("scheduling", "max_rbs_per_robot"), ("traffic", "num_vehicles"),
+    ("traffic", "visible_depth"), ("traffic", "byte_budget"),
+    ("channel", "num_antennas"), ("channel", "num_lanes"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 300.5, 4.0, True, False, "4", [4]])
+@pytest.mark.parametrize("track, name", _INT_FIELDS)
+def test_integer_fields_take_only_json_integers(track, name, value):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": track, "seed": 1, track: {name: value}})
+    assert err.value.field == f"{track}.{name}"
+
+
+@pytest.mark.parametrize("section", ["abc", "", [], [{}], 3, 2.5, True, None])
+@pytest.mark.parametrize("track", ["scheduling", "traffic", "channel"])
+def test_section_that_is_not_an_object_names_the_section(track, section):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": track, "seed": 1, track: section})
+    assert err.value.field == track
+    assert "JSON object" in str(err.value)
 
 
 def test_box_validation_and_geometry():

@@ -155,6 +155,35 @@ def test_channel_records_are_pinned():
     assert digest.hexdigest() == CHANNEL_RECORDS_SHA256
 
 
+# sha256 over record_to_json of every (seed, vehicles, method, observation)
+# run below, in that order.  Computed before the traffic step loop, the
+# invariant check and the observation encoder were rewritten for speed;
+# change it only with a deliberate change to the traffic model or metrics,
+# and say so.
+TRAFFIC_RECORDS_SHA256 = (
+    "7371064d1a62906fd54d83b00f5a565191f16ed4c50bfaab109a249cf90bb39b")
+
+
+def test_traffic_records_are_pinned():
+    # The reference document under both controllers and both sensors at 80
+    # vehicles, and under the greedy controller with both sensors at 160,
+    # where the connected-vehicle view drops rows to fit its byte budget.
+    text = (REPO / "docs" / "config-schema" / "traffic.json").read_text(
+        encoding="utf-8")
+    doc = scenario_to_dict(build_scenario(text))
+    big = dict(doc, traffic=dict(doc["traffic"], num_vehicles=160))
+    kinds = [(doc, m, obs) for m in ("greedy", "round_robin")
+             for obs in ("vue", "rsu")]
+    kinds += [(big, "greedy", obs) for obs in ("vue", "rsu")]
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for base, method, obs in kinds:
+            rec = run(scenario_from_dict(dict(base, seed=seed)), method,
+                      {"observation": obs})
+            digest.update(record_to_json(rec).encode("utf-8"))
+    assert digest.hexdigest() == TRAFFIC_RECORDS_SHA256
+
+
 def test_run_safe_captures_failures_as_records():
     rec = run_safe(sched_scenario(), "no_such_method")
     assert rec.status == "error"

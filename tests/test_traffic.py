@@ -1,5 +1,7 @@
 """Intersection kinematics, invariants, observation encoding, controllers."""
 
+import copy
+import dataclasses
 import json
 import math
 
@@ -283,6 +285,128 @@ def test_encoder_matches_reserializing_oracle(state, kind, depth, data):
     cfg = TrafficConfig(visible_depth=depth, byte_budget=budget)
     assert _encode_or_error(encode_observation, state, kind, cfg) == \
         _encode_or_error(oracle.encode_observation, state, kind, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Differential: step, invariant check and encoder against the scalar oracle
+
+
+@st.composite
+def traffic_configs(draw):
+    """Configs that crowd the stop line: short approaches, headways down to
+    half a metre, discharge clocks shorter than a step (so several heads
+    cross in one step), no minimum green, integer or float speeds."""
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    return TrafficConfig(
+        num_vehicles=draw(st.integers(1, 200)),
+        area_m=draw(st.floats(1.0, 200.0)),
+        free_flow_speed_mps=draw(st.floats(1.0, 30.0) | st.integers(1, 30)),
+        headway_m=draw(st.floats(0.5, 10.0)),
+        decision_interval_s=draw(st.floats(0.1, 10.0)),
+        min_green_s=draw(st.just(0.0) | st.floats(0.0, 10.0)),
+        episode_s=dt * draw(st.integers(1, 60)),
+        dt_s=dt,
+        startup_delay_s=draw(st.floats(0.0, 3.0)),
+        discharge_headway_s=draw(st.floats(0.0, dt, exclude_max=True)
+                                 | st.floats(0.0, 4.0)),
+        visible_depth=draw(st.integers(1, 10)))
+
+
+def _error_or_none(check, *args):
+    try:
+        check(*args)
+    except (CrashInvariantError, ConservationError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=traffic_configs(), seed=st.integers(0, 2 ** 64 - 1),
+       kind=st.sampled_from(["vue", "rsu"]),
+       controller=st.sampled_from([RoundRobinController,
+                                   QueueGreedyController]),
+       slack=st.integers(0, 300) | st.integers(0, 20000))
+def test_episode_matches_scalar_oracle_step_by_step(cfg, seed, kind,
+                                                    controller, slack):
+    new = spawn_vehicles(cfg, stream(seed, "traffic/spawn"))
+    old = copy.deepcopy(new)
+    # The budget starts at the opening foreground's size; the foreground
+    # grows with the clock and the waits, so a tight budget may later fail
+    # on both sides alike.
+    opening = json.loads(oracle.encode_observation(
+        old, kind, dataclasses.replace(cfg, byte_budget=10**7)).payload)
+    opening.pop("vehicles", None)
+    cfg = dataclasses.replace(cfg, byte_budget=len(json.dumps(
+        opening, sort_keys=True, separators=(",", ":"))) + slack)
+    ctl = controller()
+    interval = max(1, int(round(cfg.decision_interval_s / cfg.dt_s)))
+    for k in range(int(round(cfg.episode_s / cfg.dt_s))):
+        request = None
+        if k % interval == 0:
+            obs = _encode_or_error(encode_observation, new, kind, cfg)
+            assert obs == _encode_or_error(oracle.encode_observation, old,
+                                           kind, cfg)
+            if isinstance(obs, tuple):
+                return
+            request = ctl.decide(obs.payload, new.time_s)
+        step(new, cfg, request)
+        oracle.step(old, cfg, request)
+        # Every vehicle's fields, next_release, phase, clock, and crossed
+        # in order.
+        assert new == old
+        failure = _error_or_none(new.check_invariants, cfg)
+        assert failure == _error_or_none(oracle.check_invariants, old, cfg)
+        if failure:
+            return
+
+
+def test_several_heads_cross_in_one_step_as_in_the_oracle():
+    cfg = TrafficConfig(dt_s=1.0, discharge_headway_s=0.2, headway_m=1.0)
+    new = empty_state()
+    for vid, pos in enumerate((0.5, 1.5, 2.5, 3.5, 40.0), start=1):
+        put(new, vid, "N:straight", pos)
+    old = copy.deepcopy(new)
+    step(new, cfg)
+    oracle.step(old, cfg)
+    assert new == old
+    assert [v.vid for v in new.crossed] == [1, 2, 3, 4]
+    assert [v.vid for v in new.lanes["N:straight"]] == [5]
+
+
+@pytest.mark.parametrize("early_s", [0.0, 5e-13, 2e-12])
+def test_head_due_at_the_step_end_crosses_as_in_the_oracle(early_s):
+    # A discharge clock that runs out within 1e-12 s of the step's end
+    # holds the head for the next step; one that runs out earlier does not.
+    cfg = TrafficConfig(dt_s=0.1)
+    new = empty_state(time_s=1.0)
+    put(new, 1, "N:straight", 0.0, speed=0.0)
+    new.next_release["N:straight"] = 1.0 + 0.1 - early_s
+    old = copy.deepcopy(new)
+    step(new, cfg)
+    oracle.step(old, cfg)
+    assert new == old
+    assert len(new.crossed) == (early_s > 1e-12)
+
+
+@pytest.mark.parametrize("fault", ["CrashInvariantError", "ConservationError"])
+def test_invariant_error_texts_match_the_oracle(fault):
+    cfg = TrafficConfig(num_vehicles=120)
+    new = spawn_vehicles(cfg, stream(4, "traffic/spawn"))
+    for _ in range(10):
+        step(new, cfg)
+    if fault == "CrashInvariantError":
+        # A follower inside the headway in every lane that has one: both
+        # checks must name the first lane in sorted order, the same pair
+        # and the same gap.
+        for q in new.lanes.values():
+            if len(q) >= 2:
+                q[1].pos = q[0].pos + cfg.headway_m / 3
+    else:
+        new.lanes[max(new.lanes, key=lambda k: len(new.lanes[k]))].pop()
+    old = copy.deepcopy(new)
+    got = _error_or_none(new.check_invariants, cfg)
+    assert got is not None and got[0] == fault
+    assert got == _error_or_none(oracle.check_invariants, old, cfg)
 
 
 # ---------------------------------------------------------------------------
