@@ -43,7 +43,7 @@ from .report import (
 def _load_scenario(path: str, seed: Optional[int]) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if seed is not None:
+    if seed is not None and isinstance(doc, dict):
         doc["seed"] = seed
     return scenario_from_dict(doc)
 

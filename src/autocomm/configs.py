@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -231,12 +233,7 @@ class ScenarioConfig:
     traffic: Optional[TrafficConfig] = None
 
     def __post_init__(self):
-        present = {
-            Track.SCHEDULING: self.scheduling,
-            Track.CHANNEL: self.channel,
-            Track.TRAFFIC: self.traffic,
-        }
-        set_tracks = [t for t, sub in present.items() if sub is not None]
+        set_tracks = [t for t in Track if getattr(self, t.value) is not None]
         if set_tracks != [self.track]:
             raise ConfigError(
                 "track",
@@ -247,139 +244,152 @@ class ScenarioConfig:
             raise ConfigError("seed", "must be an unsigned 64-bit integer")
 
 
+@dataclass(frozen=True)
+class ObjectiveSwitch:
+    """An OPRO run's ``--switch``: after ``at_iteration`` iterations the run
+    optimizes ``objective`` with the QoS threshold ``min_rate_bps``."""
+
+    at_iteration: int
+    objective: ObjectiveKind
+    min_rate_bps: float
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
 
-def _objective_from_dict(d) -> ObjectiveSpec:
-    _check_section("scheduling.objective", d, ObjectiveSpec)
-    try:
-        kind = ObjectiveKind(d.get("kind", "pf"))
-    except ValueError:
-        raise ConfigError("scheduling.objective.kind",
-                          f"unknown kind {d.get('kind')!r}")
-    return ObjectiveSpec(kind=kind,
-                         min_rate_bps=_objective_number(d, "min_rate_bps", 0.0),
-                         epsilon=_objective_number(d, "epsilon", 1.0))
+_SECTIONS = {"scheduling": SchedulingConfig, "traffic": TrafficConfig,
+             "channel": ChannelSceneConfig}
 
 
-def _objective_number(d: dict, key: str, default: float) -> float:
-    """d[key] (or the default) as a float; anything but a JSON number in
-    float range is a ConfigError naming the field."""
-    value = d.get(key, default)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"scheduling.objective.{key}",
-                      f"must be a number in float range, got {value!r}")
+@functools.cache
+def _fields(cls) -> tuple[dict, tuple]:
+    """cls's field readers, built once per class, and its required fields."""
+    required = tuple(f.name for f in dataclasses.fields(cls)
+                     if f.default is f.default_factory is dataclasses.MISSING)
+    return ({name: _reader(tp) for name, tp in
+             get_type_hints(cls).items()}, required)
 
 
-def _check_section(section: str, d, cls) -> None:
-    """Raise ConfigError unless d is a JSON object holding only fields of
-    cls, with a JSON integer (not a bool or a float) in every int field."""
+def _section(where: str, d, cls):
+    """Read the JSON object d into the dataclass cls, each field by its
+    annotation; anything else is a ConfigError naming the field's path."""
     if not isinstance(d, dict):
-        raise ConfigError(section, "must be a JSON object")
-    # Field types are annotation strings (postponed evaluation).
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for key, value in d.items():
-        if key not in types:
-            raise ConfigError(f"{section}.{key}", "unknown field")
-        integer = types[key] == "int" or (
-            types[key] == "Optional[int]" and value is not None)
-        if integer and type(value) is not int:
-            raise ConfigError(f"{section}.{key}",
-                              f"must be an integer, got {value!r}")
+        raise ConfigError(where, "must be a JSON object")
+    readers, required = _fields(cls)
+    for key in d:
+        if key not in readers:
+            raise ConfigError(f"{where}.{key}", "unknown field")
+    for name in required:
+        if name not in d:
+            raise ConfigError(f"{where}.{name}", "required field missing")
+    return cls(**{key: readers[key](f"{where}.{key}", value)
+                  for key, value in d.items()})
 
 
-def _scheduling_from_dict(d: dict) -> SchedulingConfig:
-    _check_section("scheduling", d, SchedulingConfig)
-    kwargs = dict(d)
-    if "objective" in kwargs:
-        kwargs["objective"] = _objective_from_dict(kwargs["objective"])
-    cfg = SchedulingConfig(**kwargs)
-    # A QoS objective without its own threshold inherits the scenario R_min.
-    obj = cfg.objective
-    if obj.is_qos and obj.min_rate_bps == 0.0:
-        cfg = dataclasses.replace(
-            cfg, objective=dataclasses.replace(obj, min_rate_bps=cfg.min_rate_bps))
-    return cfg
+# The JSON number types (a bool is not one) each numeric annotation takes.
+# RFC 8259 leaves numbers past the float range to the reader; these refuse.
+_NUMBERS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            complex: ((int, float), "a number or [re, im]")}
 
 
-def _traffic_from_dict(d: dict) -> TrafficConfig:
-    _check_section("traffic", d, TrafficConfig)
-    return TrafficConfig(**d)
+@functools.cache
+def _reader(tp):
+    """read(where, value): value as the annotated type tp."""
+    if tp in _NUMBERS:
+        types, what = _NUMBERS[tp]
+        pair = _reader(tuple[float, float]) if tp is complex else None
+
+        def read(where, value):
+            if type(value) in types and abs(value) <= sys.float_info.max:
+                return tp(value)
+            if pair and type(value) is list:
+                return complex(*pair(where, value))
+            raise ConfigError(where, f"must be {what} in float range, "
+                              f"got {value!r}")
+    elif isinstance(tp, enum.EnumMeta):
+        def read(where, value):
+            try:
+                return tp(value)
+            except ValueError:
+                raise ConfigError(where, f"must be one of "
+                                  f"{[m.value for m in tp]}, got {value!r}")
+    elif dataclasses.is_dataclass(tp):
+        read = functools.partial(_section, cls=tp)
+    elif get_origin(tp) is tuple:
+        # Each tuple field holds one type: (float, float) or (Box, ...).
+        args = get_args(tp)
+        item = _reader(args[0])
+        size = None if args[-1] is ... else len(args)
+
+        def read(where, value):
+            if type(value) is not list or size not in (None, len(value)):
+                raise ConfigError(where, f"must be a list of "
+                                  f"{size or 'any number of'} entries, "
+                                  f"got {value!r}")
+            return tuple([item(f"{where}[{i}]", v)
+                          for i, v in enumerate(value)])
+    else:  # Optional[X]
+        inner = _reader(get_args(tp)[0])
+
+        def read(where, value):
+            return None if value is None else inner(where, value)
+    return read
 
 
-def _box_from_dict(d: dict) -> Box:
-    return Box(x=(float(d["x"][0]), float(d["x"][1])),
-               y=(float(d["y"][0]), float(d["y"][1])),
-               height=float(d["height"]))
-
-
-def _channel_from_dict(d: dict) -> ChannelSceneConfig:
-    _check_section("channel", d, ChannelSceneConfig)
-    kwargs = dict(d)
-    if "buildings" in kwargs:
-        kwargs["buildings"] = tuple(_box_from_dict(b) for b in kwargs["buildings"])
-    if "bs_pos" in kwargs:
-        kwargs["bs_pos"] = tuple(float(v) for v in kwargs["bs_pos"])
-    if "reflection_coeff" in kwargs:
-        rc = kwargs["reflection_coeff"]
-        kwargs["reflection_coeff"] = complex(rc[0], rc[1]) if isinstance(rc, (list, tuple)) else complex(rc)
-    return ChannelSceneConfig(**kwargs)
-
-
-def _check_finite(value, where: str) -> None:
+def _check_finite(doc, where: str) -> None:
     """Raise ConfigError naming the first NaN or infinite float in a parsed
     document (JSON's NaN and Infinity tokens, or an overflowing literal)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(where, f"must be finite, got {value!r}")
-    if isinstance(value, dict):
-        for key, v in value.items():
-            _check_finite(v, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _check_finite(v, f"{where}[{i}]")
+    is_dict = isinstance(doc, dict)
+    for key, v in doc.items() if is_dict else enumerate(doc):
+        bad = isinstance(v, float) and not math.isfinite(v)
+        if bad or isinstance(v, (dict, list, tuple)):
+            name = ((f"{where}.{key}" if where else str(key)) if is_dict
+                    else f"{where}[{key}]")
+            if bad:
+                raise ConfigError(name, f"must be finite, got {v!r}")
+            _check_finite(v, name)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a ScenarioConfig with defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError("document", "top level must be a JSON object")
     _check_finite(doc, "")
-    if "track" not in doc:
-        raise ConfigError("track", "required field missing")
-    if "seed" not in doc:
-        raise ConfigError("seed", "required field missing")
-    try:
-        track = Track(doc["track"])
-    except ValueError:
-        raise ConfigError("track", f"unknown track {doc['track']!r}")
-    seed = doc["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer")
-
-    known = {"track", "seed", "scheduling", "channel", "traffic"}
+    for key in ("track", "seed"):
+        if key not in doc:
+            raise ConfigError(key, "required field missing")
+    track = _reader(Track)("track", doc["track"])
+    seed = _reader(int)("seed", doc["seed"])
+    name = track.value
     for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-
-    sections = {"scheduling": None, "channel": None, "traffic": None}
+        if key not in ("track", "seed", name):
+            raise ConfigError(key, f"section does not match track={name}"
+                              if key in _SECTIONS else "unknown field")
     # The minimal document (track + seed only) gets the track's defaults.
-    builders = {
-        Track.SCHEDULING: ("scheduling", _scheduling_from_dict),
-        Track.TRAFFIC: ("traffic", _traffic_from_dict),
-        Track.CHANNEL: ("channel", _channel_from_dict),
-    }
-    name, build = builders[track]
-    for other in sections:
-        if other != name and other in doc:
-            raise ConfigError(other, f"section does not match track={track.value}")
-    try:
-        sections[name] = build(doc.get(name, {}))
-    except TypeError as exc:
-        raise ConfigError(name, str(exc))
-    return ScenarioConfig(track=track, seed=seed, **sections)
+    cfg = _section(name, doc.get(name, {}), _SECTIONS[name])
+    # A QoS objective without its own threshold inherits the scenario R_min.
+    if track is Track.SCHEDULING and cfg.objective.is_qos \
+            and cfg.objective.min_rate_bps == 0.0:
+        cfg = dataclasses.replace(cfg, objective=dataclasses.replace(
+            cfg.objective, min_rate_bps=cfg.min_rate_bps))
+    return ScenarioConfig(track=track, seed=seed, **{name: cfg})
+
+
+def switch_from_dict(doc, cfg: SchedulingConfig,
+                     max_iterations: int) -> tuple[int, ObjectiveSpec]:
+    """(at_iteration, objective) of a switch document for a max_iterations
+    run on cfg; min_rate_bps defaults to cfg's."""
+    if isinstance(doc, dict):
+        doc = {"min_rate_bps": cfg.min_rate_bps, **doc}
+    switch = _section("switch", doc, ObjectiveSwitch)
+    if not 1 <= switch.at_iteration < max_iterations:
+        raise ConfigError("switch.at_iteration",
+                          f"must be in [1, {max_iterations - 1}]")
+    if switch.min_rate_bps < 0:
+        raise ConfigError("switch.min_rate_bps", "must be >= 0")
+    return switch.at_iteration, ObjectiveSpec(switch.objective,
+                                              switch.min_rate_bps)
 
 
 def build_scenario(raw_config: str) -> ScenarioConfig:
@@ -388,10 +398,7 @@ def build_scenario(raw_config: str) -> ScenarioConfig:
     Raises ConfigError naming the field on invariant violations and
     json.JSONDecodeError (with line/column) on parse errors.
     """
-    doc = json.loads(raw_config)
-    if not isinstance(doc, dict):
-        raise ConfigError("document", "top level must be a JSON object")
-    return scenario_from_dict(doc)
+    return scenario_from_dict(json.loads(raw_config))
 
 
 def _to_jsonable(obj):

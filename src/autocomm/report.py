@@ -23,13 +23,12 @@ import numpy as np
 from . import __version__
 from .configs import (
     USER_EDGE_MARGIN_M,
-    ObjectiveKind,
-    ObjectiveSpec,
     ScenarioConfig,
     Track,
     scenario_from_dict,
     scenario_to_dict,
     scenario_to_json,
+    switch_from_dict,
 )
 from .geochannel import (
     build_ckm,
@@ -109,18 +108,11 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
 
     if method in OPRO_METHODS:
         params = OproParams(**opts.get("opro_params", {}))
-        switch = opts.get("switch")
-        if switch:
-            at = int(switch["at_iteration"])
-            second = ObjectiveSpec(
-                kind=ObjectiveKind(switch["objective"]),
-                min_rate_bps=float(switch.get("min_rate_bps",
-                                              cfg.min_rate_bps)),
-            )
-            segments = [(objective, at),
-                        (second, params.max_iterations - at)]
-        else:
-            segments = [(objective, params.max_iterations)]
+        segments = [(objective, params.max_iterations)]
+        if opts.get("switch") is not None:
+            at, second = switch_from_dict(opts["switch"], cfg,
+                                          params.max_iterations)
+            segments = [(objective, at), (second, params.max_iterations - at)]
         if method == "opro_mock":
             engine = nullcontext(
                 MockLocalSearchEngine(stream(seed, "scheduling/engine")))

@@ -454,7 +454,7 @@ def run_episode(cfg: TrafficConfig, controller: SignalController,
         "avg_speed_mps": avg_speed,
         "throughput_veh": float(len(state.crossed)),
         "mean_wait_s": mean_wait,
-        "episode_s": cfg.episode_s,
+        "episode_s": n_steps * cfg.dt_s,
         "num_vehicles": float(cfg.num_vehicles),
     }
     return EpisodeResult(metrics=metrics, state=state)

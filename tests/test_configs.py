@@ -24,6 +24,7 @@ from autocomm.configs import (
     scenario_from_dict,
     scenario_to_dict,
     scenario_to_json,
+    switch_from_dict,
 )
 from autocomm.geochannel import synthesize_channel, trace_paths_batch
 from autocomm.report import ckm_grid_positions, default_user_positions
@@ -141,6 +142,36 @@ def test_integer_fields_take_only_json_integers(track, name, value):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict({"track": track, "seed": 1, track: {name: value}})
     assert err.value.field == f"{track}.{name}"
+
+
+_FLOAT_FIELDS = [
+    (track, f.name) for track, cls in (("scheduling", SchedulingConfig),
+                                       ("traffic", TrafficConfig),
+                                       ("channel", ChannelSceneConfig))
+    for f in dataclasses.fields(cls) if f.type in ("float", "complex")]
+
+
+@pytest.mark.parametrize("value", [True, False, "4", [4.0],
+                                   pytest.param(10 ** 400, id="10**400")])
+@pytest.mark.parametrize("track, name", _FLOAT_FIELDS)
+def test_number_fields_take_only_json_numbers(track, name, value):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": track, "seed": 1, track: {name: value}})
+    assert err.value.field == f"{track}.{name}"
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.5, 4.0, "4", [4], None])
+def test_seed_takes_only_json_integers(seed):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": "traffic", "seed": seed})
+    assert err.value.field == "seed"
+
+
+def test_integer_literal_in_float_field_is_stored_as_float():
+    scn = scenario_from_dict({"track": "scheduling", "seed": 1,
+                              "scheduling": {"cell_radius_m": 100}})
+    assert type(scn.scheduling.cell_radius_m) is float
+    assert scn == scenario_from_dict({"track": "scheduling", "seed": 1})
 
 
 @pytest.mark.parametrize("section", ["abc", "", [], [{}], 3, 2.5, True, None])
@@ -431,11 +462,23 @@ _scheduling_doc = _section({
 _traffic_doc = _section({
     f.name: _count if f.type == "int" else _size
     for f in dataclasses.fields(TrafficConfig)})
+# Coordinate lists of 0 to 4 entries, so of the right and the wrong length;
+# boxes with missing, extra and ill-typed keys.
+_coords = st.lists(_coord, max_size=4)
+_any_channel_doc = _section({
+    "buildings": st.lists(_section({"x": _range | _coords,
+                                    "y": _range | _coords,
+                                    "height": _extent}), max_size=5),
+    "bs_pos": _coords, "carrier_hz": _size, "num_antennas": _count,
+    "reflection_coeff": _coords, "lane_width_m": _size, "num_lanes": _count,
+    "user_height_m": _size,
+})
 
 
 @settings(max_examples=400, deadline=None)
 @given(doc=st.tuples(st.just("scheduling"), _scheduling_doc)
-       | st.tuples(st.just("traffic"), _traffic_doc),
+       | st.tuples(st.just("traffic"), _traffic_doc)
+       | st.tuples(st.just("channel"), _any_channel_doc),
        seed=st.integers(0, 2 ** 64 - 1) | _json)
 def test_scheduling_and_traffic_documents_fail_only_with_config_errors(
         doc, seed):
@@ -467,6 +510,52 @@ def test_bad_objective_names_the_field(objective, field):
         scenario_from_dict({"track": "scheduling", "seed": 1,
                             "scheduling": {"objective": objective}})
     assert err.value.field == field
+
+
+_BOX = {"x": [0.0, 20.0], "y": [-11.0, -5.0], "height": 15.0}
+
+
+@pytest.mark.parametrize("track, section, field", [
+    ("channel", {"buildings": [{"x": [0, 1]}]}, "channel.buildings[0].y"),
+    ("channel", {"buildings": [{**_BOX, "height": "a"}]},
+     "channel.buildings[0].height"),
+    ("channel", {"buildings": [{**_BOX, "x": [0]}]}, "channel.buildings[0].x"),
+    ("channel", {"buildings": [{**_BOX, "y": [0, 1, 2]}]},
+     "channel.buildings[0].y"),
+    ("channel", {"buildings": [{**_BOX, "x": [0, True]}]},
+     "channel.buildings[0].x[1]"),
+    ("channel", {"buildings": [{**_BOX, "z": 1}]}, "channel.buildings[0].z"),
+    ("channel", {"buildings": [_BOX, 3]}, "channel.buildings[1]"),
+    ("channel", {"buildings": _BOX}, "channel.buildings"),
+    ("channel", {"bs_pos": [1, 2]}, "channel.bs_pos"),
+    ("channel", {"bs_pos": [1, 2, 3, 4]}, "channel.bs_pos"),
+    ("channel", {"bs_pos": [1, "2", 3]}, "channel.bs_pos[1]"),
+    ("channel", {"bs_pos": 1.0}, "channel.bs_pos"),
+    ("channel", {"reflection_coeff": True}, "channel.reflection_coeff"),
+    ("channel", {"reflection_coeff": [1]}, "channel.reflection_coeff"),
+    ("channel", {"reflection_coeff": "x"}, "channel.reflection_coeff"),
+    ("channel", {"reflection_coeff": [0.5, None]},
+     "channel.reflection_coeff[1]"),
+    pytest.param("channel", {"num_lanes": 10 ** 400}, "channel.num_lanes",
+                 id="num_lanes-10**400"),
+    ("scheduling", {"cell_radius_m": True}, "scheduling.cell_radius_m"),
+    ("scheduling", {"cell_radius_m": "100"}, "scheduling.cell_radius_m"),
+    ("traffic", {"area_m": True, "episode_s": True}, "traffic.area_m"),
+])
+def test_ill_typed_fields_name_their_path(track, section, field):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict({"track": track, "seed": 1, track: section})
+    assert err.value.field == field
+
+
+def test_switch_takes_the_section_min_rate_unless_given():
+    cfg = SchedulingConfig(min_rate_bps=5e5)
+    doc = {"at_iteration": 20, "objective": "qos_sum_rate"}
+    assert switch_from_dict(doc, cfg, 200) == (
+        20, ObjectiveSpec(ObjectiveKind.QOS_SUM_RATE, 5e5))
+    assert switch_from_dict({**doc, "min_rate_bps": 0}, cfg, 200) == (
+        20, ObjectiveSpec(ObjectiveKind.QOS_SUM_RATE, 0.0))
+    assert switch_from_dict({**doc, "at_iteration": 199}, cfg, 200)[0] == 199
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])

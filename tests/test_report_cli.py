@@ -11,6 +11,7 @@ import pytest
 
 from autocomm.cli import main
 from autocomm.configs import (
+    ConfigError,
     ObjectiveKind,
     ObjectiveSpec,
     ScenarioConfig,
@@ -336,6 +337,15 @@ def test_cli_seed_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3"])
+def test_cli_config_that_is_not_an_object_is_a_config_error(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        main(["schedule", "--config", str(path), "--seed", "3"])
+    assert err.value.field == "document"
+
+
 def test_cli_opro_mock_with_switch(tmp_path, capsys):
     cfg = write_config(tmp_path, sched_scenario())
     out = tmp_path / "runs"
@@ -348,6 +358,36 @@ def test_cli_opro_mock_with_switch(tmp_path, capsys):
     assert doc["details"]["segments"] == ["qos_sum_rate", "pf"]
     files = list(out.glob("run-scheduling-opro_mock-switch-*.json"))
     assert len(files) == 1
+
+
+@pytest.mark.parametrize("switch, field", [
+    ({"at_iteration": 500, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": 200, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": 0, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": -5, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": 60.7, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": True, "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": "60", "objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"objective": "qos_sum_rate"}, "switch.at_iteration"),
+    ({"at_iteration": 60}, "switch.objective"),
+    ({"at_iteration": 60, "objective": "max_min"}, "switch.objective"),
+    ({"at_iteration": 60, "objective": "pf", "min_rate_bps": -1},
+     "switch.min_rate_bps"),
+    ({"at_iteration": 60, "objective": "pf", "min_rate_bps": True},
+     "switch.min_rate_bps"),
+    ({"at_iteration": 60, "objective": "pf", "min_rate_bps": None},
+     "switch.min_rate_bps"),
+    ({"at_iteration": 60, "objective": "pf", "min_rate_bps": float("nan")},
+     "switch.min_rate_bps"),
+    ({"at_iteration": 60, "objective": "pf", "bogus": 1}, "switch.bogus"),
+    ({}, "switch.at_iteration"),
+    ([60, "pf"], "switch"),
+    ("pf", "switch"),
+])
+def test_bad_switch_names_the_field(switch, field):
+    with pytest.raises(ConfigError) as err:
+        run(sched_scenario(), "opro_mock", {"switch": switch})
+    assert err.value.field == field
 
 
 def test_cli_traffic_rsu(tmp_path, capsys):

@@ -531,3 +531,13 @@ def test_run_episode_phases_cover_all_movements():
     res = run_episode(cfg, RoundRobinController(), stream(11, "traffic"))
     assert res.metrics["throughput_veh"] == 12.0
     assert all(PHASE_MOVEMENTS[p] for p in PHASE_ORDER)
+
+
+@pytest.mark.parametrize("episode_s, dt_s, steps", [(1.0, 0.3, 3),
+                                                    (1.0, 0.4, 2)])
+def test_run_episode_reports_the_simulated_time(episode_s, dt_s, steps):
+    # round(episode_s / dt_s) whole steps run; the record says how long.
+    cfg = TrafficConfig(num_vehicles=4, episode_s=episode_s, dt_s=dt_s)
+    res = run_episode(cfg, RoundRobinController(), stream(5, "traffic"))
+    assert res.metrics["episode_s"] == steps * dt_s
+    assert res.state.time_s == pytest.approx(steps * dt_s)
