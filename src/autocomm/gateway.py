@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -131,14 +132,27 @@ def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
         f"{last_exc}")
 
 
+def _is_entry(entry) -> bool:
+    """A replayable cassette line: string digest and text, finite latency."""
+    if not isinstance(entry, dict):
+        return False
+    latency = entry.get("latency_ms", 0.0)
+    return (isinstance(entry.get("request_digest"), str)
+            and isinstance(entry.get("response_text"), str)
+            and isinstance(latency, (int, float))
+            and not isinstance(latency, bool) and math.isfinite(latency))
+
+
 class Cassette:
     """JSON-lines request/response log for offline replay.
 
     Each line is {"request_digest", "response_text", "latency_ms"}.  Record
     mode truncates the file, then writes responses as they arrive, so a
-    re-recording never leaves stale entries behind.  In replay mode the
-    next line must match the incoming request digest, in order; a mismatch
-    or an exhausted file raises instead of touching the network.
+    re-recording never leaves stale entries behind.  Replay mode checks
+    every line on load: an object with string request_digest and
+    response_text and, when present, a finite numeric latency_ms.  The next line
+    must then match the incoming request digest, in order; a mismatch or
+    an exhausted file raises instead of touching the network.
     """
 
     def __init__(self, path: str, mode: str):
@@ -160,6 +174,11 @@ class Cassette:
                     except ValueError as exc:
                         raise CassetteError(
                             f"{self.path}:{line_no}: bad cassette line: {exc}")
+                    if not _is_entry(entry):
+                        raise CassetteError(
+                            f"{self.path}:{line_no}: bad cassette line: not an "
+                            "object with string request_digest and "
+                            "response_text and a finite latency_ms")
                     self._entries.append(entry)
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
@@ -198,10 +217,10 @@ class Cassette:
             raise CassetteError(
                 f"cassette {self.path} exhausted at request {self._cursor + 1}")
         entry = self._entries[self._cursor]
-        if entry.get("request_digest") != digest:
+        if entry["request_digest"] != digest:
             raise CassetteError(
                 f"cassette {self.path} entry {self._cursor + 1} digest mismatch: "
-                f"expected {entry.get('request_digest')}, got {digest}")
+                f"expected {entry['request_digest']}, got {digest}")
         self._cursor += 1
         return ChatResponse(text=entry["response_text"],
                             latency_ms=float(entry.get("latency_ms", 0.0)))

@@ -8,15 +8,14 @@ rectangle; Fermat's principle makes that the unique stationary path, which
 an independent grid search over the facade (no mirror math, in the tests)
 can confirm.
 
-One array kernel traces a whole batch of users (trace_paths_batch): the
-image method over [users x facades], then a slab test of every LoS and
+One array kernel traces a whole batch of users (_trace_rows): the image
+method over [users x facades], then a slab test of every LoS and
 reflection leg against every box (only in-rectangle pairs get legs), then
-lengths, delays, gains and angles as arrays (_path_arrays).  Path objects
-are a thin reader of those arrays; build_ckm reads them directly into dense
-per-slot tables and makes no Path at all.  The single-user functions
-(trace_paths, classify_scatterers, mirror_reflection_point, is_blocked)
-read one row of the same kernel, and every row is bit-equal to tracing
-that user alone.
+lengths, delays, gains and angles as arrays (_path_arrays).  build_ckm
+reads those arrays into dense per-slot tables and synthesizes every
+channel in one call; it is also where a run's true channels come from.
+trace_paths and mirror_reflection_point read one row of the same kernel,
+and every row is bit-equal to tracing that user alone.
 
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
@@ -99,8 +98,6 @@ _ON_PLANE_TOL = 1e-12
 # Facade status codes.  The image stage sets the first three and leaves
 # in-rectangle pairs ACTIVE; the slab stage demotes occluded ones to BLOCKED.
 _ON_PLANE, _BEHIND, _OUTSIDE, _BLOCKED, _ACTIVE = range(5)
-_STATUS_NAMES = ("behind_plane", "behind_plane", "outside_extent", "blocked",
-                 "active")
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -209,18 +206,6 @@ def mirror_reflection_point(bs: Sequence[float], user: Sequence[float],
     return q[0, 0] if status[0, 0] == _ACTIVE else None
 
 
-def is_blocked(p: Sequence[float], q: Sequence[float],
-               buildings: Sequence[Box]) -> bool:
-    """True when the open segment p->q passes through any box interior.
-
-    Touching a face, edge, or vertex does not block; the test is strict, so
-    a reflection leg ending on its own facade is never self-blocked.
-    """
-    return bool(_blocked(np.asarray(p, dtype=float).reshape(1, 3),
-                         np.asarray(q, dtype=float).reshape(1, 3),
-                         buildings)[0])
-
-
 # ---------------------------------------------------------------------------
 # Path tracing
 
@@ -241,21 +226,6 @@ class Path:
     @property
     def slot(self) -> str:
         return self.facade_id if self.facade_id is not None else "los"
-
-
-def classify_scatterers(cfg: ChannelSceneConfig,
-                        user: Sequence[float]) -> dict[str, str]:
-    """Status of every facade for a given user.
-
-    "active"          single-bounce specular path exists and is clear
-    "behind_plane"    BS or user on (or behind) the facade plane
-    "outside_extent"  stationary point misses the facade rectangle
-    "blocked"         a leg of the path is occluded by some building
-    """
-    facades = enumerate_facades(cfg)
-    _, status, _ = _trace(cfg, np.asarray(user, dtype=float).reshape(1, 3),
-                          facades)
-    return {f.facade_id: _STATUS_NAMES[s] for f, s in zip(facades, status[0])}
 
 
 def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
@@ -285,24 +255,6 @@ def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
     return length, gain_re, gain_im, aod, aoa
 
 
-def _build_paths(cfg: ChannelSceneConfig, users: np.ndarray,
-                 via: np.ndarray, facade_ids: Sequence[Optional[str]]
-                 ) -> list[Path]:
-    """One Path per row of _path_arrays, with Python floats; a facade id
-    of None marks the line of sight."""
-    los = np.array([f is None for f in facade_ids], dtype=bool)
-    length, gain_re, gain_im, aod, aoa = _path_arrays(cfg, users, via, los)
-    start = tuple(float(v) for v in cfg.bs_pos)
-    return [Path(kind="los" if fid is None else "reflection", facade_id=fid,
-                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
-                 gain=complex(g_re, g_im), aod_rad=a_d, aoa_rad=a_a,
-                 points=(start, u) if fid is None else (start, v, u))
-            for fid, l_m, g_re, g_im, a_d, a_a, u, v in zip(
-                facade_ids, length.tolist(), gain_re.tolist(),
-                gain_im.tolist(), aod.tolist(), aoa.tolist(),
-                zip(*users.T.tolist()), zip(*via.T.tolist()))]
-
-
 def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
     """Facades, the [users, 1 + facades] path-presence mask, and the
     present (user, slot) rows in that order: user index, slot index and via
@@ -316,25 +268,33 @@ def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
     return facades, present, user_idx, slot, via
 
 
-def trace_paths_batch(cfg: ChannelSceneConfig,
-                      users: Sequence[Sequence[float]]) -> list[list[Path]]:
-    """trace_paths for many users at once, one array pass for the batch.
-
-    Each user's row is bit-equal to tracing that user alone.
-    """
-    users = np.asarray(users, dtype=float).reshape(-1, 3)
-    facades, _, user_idx, slot, via = _trace_rows(cfg, users)
-    ids = [None] + [f.facade_id for f in facades]
-    paths = _build_paths(cfg, users[user_idx], via, [ids[s] for s in slot])
-    out: list[list[Path]] = [[] for _ in range(len(users))]
-    for u, path in zip(user_idx.tolist(), paths):
-        out[u].append(path)
-    return out
+def _gains(cfg: ChannelSceneConfig, users: np.ndarray, via: np.ndarray,
+           los: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex gain and sin of the AoD of each row of _path_arrays."""
+    _, gain_re, gain_im, aod, _ = _path_arrays(cfg, users, via, los)
+    gain = np.empty(len(los), dtype=complex)
+    gain.real, gain.imag = gain_re, gain_im
+    # math.sin, as synthesis from Path objects takes it.
+    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
+    return gain, sin_aod
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
     """LoS plus all clear single-reflection paths, in facade order."""
-    return trace_paths_batch(cfg, [user])[0]
+    users = np.asarray(user, dtype=float).reshape(1, 3)
+    facades, _, user_idx, slot, via = _trace_rows(cfg, users)
+    length, gain_re, gain_im, aod, aoa = _path_arrays(cfg, users[user_idx],
+                                                      via, slot == 0)
+    ids = [None] + [f.facade_id for f in facades]
+    start = tuple(float(v) for v in cfg.bs_pos)
+    end = tuple(users[0].tolist())
+    return [Path(kind="los" if s == 0 else "reflection", facade_id=ids[s],
+                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
+                 gain=complex(g_re, g_im), aod_rad=a_d, aoa_rad=a_a,
+                 points=(start, end) if s == 0 else (start, tuple(v), end))
+            for s, l_m, g_re, g_im, a_d, a_a, v in zip(
+                slot.tolist(), length.tolist(), gain_re.tolist(),
+                gain_im.tolist(), aod.tolist(), aoa.tolist(), via.tolist())]
 
 
 def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
@@ -355,20 +315,13 @@ def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
     return h
 
 
-def _synthesize_rows(cfg: ChannelSceneConfig,
-                     rows: Sequence[Sequence[Path]]) -> np.ndarray:
-    """Channels of many path lists at once, [rows, num_antennas]."""
-    flat = [p for row in rows for p in row]
-    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    gains = np.array([p.gain for p in flat], dtype=complex)
-    sin_aod = np.array([math.sin(p.aod_rad) for p in flat], dtype=float)
-    return _synthesize(cfg.num_antennas, len(rows), owner, gains, sin_aod)
-
-
 def synthesize_channel(cfg: ChannelSceneConfig,
                        paths: Sequence[Path]) -> np.ndarray:
     """Narrowband ULA response: h[n] = sum_l g_l exp(-j pi n sin(aod_l))."""
-    return _synthesize_rows(cfg, [paths])[0]
+    gains = np.array([p.gain for p in paths], dtype=complex)
+    sin_aod = np.array([math.sin(p.aod_rad) for p in paths], dtype=float)
+    return _synthesize(cfg.num_antennas, 1, np.zeros(len(paths), dtype=int),
+                       gains, sin_aod)[0]
 
 
 NMSE_FLOOR_DB = -150.0
@@ -422,11 +375,11 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     column = {f.facade_id: i for i, f in enumerate(facades)}
     status, q = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
                              user.reshape(1, 3), facades)
-    ids: list[Optional[str]] = []
+    los: list[bool] = []
     via: list[np.ndarray] = []
     for slot in slots:
         if slot == "los":
-            ids.append(None)
+            los.append(True)
             via.append(user)
             continue
         f = column[slot]
@@ -439,12 +392,13 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
             u = float(np.clip(u + stage2_offset,
                               facade.urange[0], facade.urange[1]))
             point = facade.embed(u, z)
-        ids.append(slot)
+        los.append(False)
         via.append(point)
     via_arr = np.array(via, dtype=float).reshape(-1, 3)
-    paths = _build_paths(cfg, np.broadcast_to(user, via_arr.shape),
-                         via_arr, ids)
-    return synthesize_channel(cfg, paths)
+    gain, sin_aod = _gains(cfg, np.broadcast_to(user, via_arr.shape), via_arr,
+                           np.array(los, dtype=bool))
+    return _synthesize(cfg.num_antennas, 1, np.zeros(len(gain), dtype=int),
+                       gain, sin_aod)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +426,7 @@ def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
-    _, gain_re, gain_im, aod, _ = _path_arrays(cfg, pos[user_idx], via,
-                                               slot == 0)
-    gain = np.empty(len(slot), dtype=complex)
-    gain.real, gain.imag = gain_re, gain_im
-    # math.sin, as synthesis from Path objects takes it.
-    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
+    gain, sin_aod = _gains(cfg, pos[user_idx], via, slot == 0)
     gains = np.zeros(present.shape, dtype=complex)
     gains[user_idx, slot] = gain
     sins = np.zeros(present.shape)

@@ -238,8 +238,8 @@ PARSE_FEEDBACK = {
 
 def feedback_message(report: Optional[ValidationReport],
                      score: Optional[float],
-                     parse_failure: Optional[ParseFailure] = None,
-                     num_rbs: Optional[int] = None) -> str:
+                     parse_failure: Optional[ParseFailure],
+                     num_rbs: int) -> str:
     """Natural-language feedback for one proposal; fixed sentence templates."""
     if parse_failure is not None:
         return PARSE_FEEDBACK[parse_failure]
@@ -250,11 +250,8 @@ def feedback_message(report: Optional[ValidationReport],
     parts = []
     for v in report.violations:
         if v.kind is ViolationKind.WRONG_LENGTH:
-            if num_rbs:
-                parts.append("RB allocation vector has the wrong length; "
-                             f"exactly {num_rbs} entries are required.")
-            else:
-                parts.append("RB allocation vector has the wrong length.")
+            parts.append("RB allocation vector has the wrong length; "
+                         f"exactly {num_rbs} entries are required.")
         elif v.kind is ViolationKind.UNKNOWN_ROBOT:
             parts.append("RB allocation vector references robots that do not "
                          f"exist: {_robot_list(v.robots)}.")

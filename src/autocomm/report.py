@@ -37,8 +37,6 @@ from .geochannel import (
     linear_gcp_predict,
     nn_ckm_predict,
     nmse_db,
-    trace_paths_batch,
-    _synthesize_rows,
 )
 from .opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
 from .radio import RadioParams, generate_snr_map
@@ -225,9 +223,8 @@ def _run_channel(scenario: ScenarioConfig, method: str,
         raise ValueError(f"unknown channel method {method!r}; "
                          f"expected one of {CHANNEL_METHODS}")
 
-    truth_paths = trace_paths_batch(cfg, users)
-    truth = _synthesize_rows(cfg, truth_paths)
-    values = [nmse_db(h, p) for h, p in zip(truth, predictions)]
+    truth = build_ckm(cfg, users)
+    values = [nmse_db(h, p) for h, p in zip(truth.channels, predictions)]
     arr = np.asarray(values)
     metrics = {
         "nmse_db_mean": float(arr.mean()),
@@ -235,13 +232,14 @@ def _run_channel(scenario: ScenarioConfig, method: str,
         "nmse_db_max": float(arr.max()),
         "num_users": float(len(arr)),
     }
-    # Shadowed users (no path at all) have a zero true channel, which is
-    # what makes the NMSE non-finite on the blockage-rich scenes.
+    # Slot 0 is the line of sight.  Shadowed users (no path at all) have a
+    # zero true channel, which is what makes the NMSE non-finite on the
+    # blockage-rich scenes.
+    present = truth.present
     counters = {
-        "los_users": sum(bool(r) and r[0].kind == "los" for r in truth_paths),
-        "reflection_paths": sum(p.kind == "reflection"
-                                for r in truth_paths for p in r),
-        "shadowed_users": sum(not r for r in truth_paths),
+        "los_users": int(present[:, 0].sum()),
+        "reflection_paths": int(present[:, 1:].sum()),
+        "shadowed_users": int((~present.any(axis=1)).sum()),
         "ckm_points": ckm_points,
     }
     return metrics, {"counters": counters}
@@ -323,10 +321,18 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
     The axis is a dotted path into the scenario document (for example
     "scheduling.num_robots"); each cell revalidates the patched document.
     A failing cell is recorded with its error and the sweep continues.
+    A cassette in opts serves at most one opro_chat cell: every cell would
+    open the same file, so recording would keep only the last cell's
+    exchanges and replay would serve every cell the first cell's.
     """
     result = SweepResult(axis_name=axis_name)
     if axis_name is None:
         axis_values = (None,)
+    chat_cells = (list(methods).count("opro_chat") * len(seeds)
+                  * len(axis_values))
+    if (opts or {}).get("cassette") and chat_cells > 1:
+        raise ValueError(f"one cassette cannot serve {chat_cells} opro_chat "
+                         "cells; run them one at a time")
     for value in axis_values:
         for seed in seeds:
             doc = scenario_to_dict(base)

@@ -44,9 +44,7 @@ class ViolationKind(str, enum.Enum):
 @dataclass(frozen=True)
 class Violation:
     kind: ViolationKind
-    detail: str
     robots: tuple[int, ...] = ()
-    count: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -195,36 +193,25 @@ def validate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
     violations: list[Violation] = []
 
     if row.shape[1] != cfg.num_rbs:
-        violations.append(Violation(
-            ViolationKind.WRONG_LENGTH,
-            f"expected {cfg.num_rbs} entries, got {row.shape[1]}"))
+        violations.append(Violation(ViolationKind.WRONG_LENGTH))
 
     if counts[n]:
         unknown = np.unique(row[(row < 1) | (row > n)]).tolist()
-        violations.append(Violation(
-            ViolationKind.UNKNOWN_ROBOT,
-            f"ids not in this scenario: {unknown}", robots=tuple(unknown)))
+        violations.append(Violation(ViolationKind.UNKNOWN_ROBOT,
+                                    tuple(unknown)))
 
     empty = (np.flatnonzero((counts[:n] > 0) & ~snr.buffer_nonempty) + 1).tolist()
     if empty:
-        violations.append(Violation(
-            ViolationKind.EMPTY_BUFFER_ROBOT,
-            f"robots with empty buffers assigned: {empty}", robots=tuple(empty)))
+        violations.append(Violation(ViolationKind.EMPTY_BUFFER_ROBOT,
+                                    tuple(empty)))
 
-    cap = cfg.rb_cap
-    for rid in (np.flatnonzero(counts[:n] > cap) + 1).tolist():
-        count = int(counts[rid - 1])
-        violations.append(Violation(
-            ViolationKind.EXCESSIVE_RBS,
-            f"robot {rid} assigned {count} RBs, cap is {cap}",
-            robots=(rid,), count=count))
+    for rid in (np.flatnonzero(counts[:n] > cfg.rb_cap) + 1).tolist():
+        violations.append(Violation(ViolationKind.EXCESSIVE_RBS, (rid,)))
 
     level, score = assessed.key(0)
     if level == LEVEL_QOS_VIOLATED:
         bad = (np.flatnonzero(assessed.starved[0]) + 1).tolist()
-        violations.append(Violation(
-            ViolationKind.QOS_VIOLATION,
-            f"rate below threshold for robots: {bad}", robots=tuple(bad)))
+        violations.append(Violation(ViolationKind.QOS_VIOLATION, tuple(bad)))
 
     return ValidationReport(tuple(violations), level, score)
 

@@ -10,8 +10,9 @@ as the reference for ``scheduling.ga_schedule``, which runs them in
 lockstep.
 
 The geochannel section traces one user at a time, facade by facade, in
-numpy scalars: the image method, the slab test and the hand-written ``Path``
-constructions that ``geochannel.trace_paths_batch`` replaces, the
+numpy scalars: the image method, the slab test, the facade statuses by
+name and the hand-written ``Path`` constructions that the array stage of
+``geochannel`` (``_trace``, ``_path_arrays``) replaces, the
 channel-knowledge map and its affine fit kept as per-sample dicts of
 ``Path`` objects (``geochannel.build_ckm`` keeps dense arrays), plus two
 checks of a specular point that use no image method at all: the
@@ -96,40 +97,28 @@ def violations(alloc, snr, cfg, objective) -> tuple[Violation, ...]:
     alloc = tuple(int(a) for a in alloc)
 
     if len(alloc) != cfg.num_rbs:
-        found.append(Violation(
-            ViolationKind.WRONG_LENGTH,
-            f"expected {cfg.num_rbs} entries, got {len(alloc)}"))
+        found.append(Violation(ViolationKind.WRONG_LENGTH))
 
     unknown = sorted({a for a in alloc if not 1 <= a <= n})
     if unknown:
-        found.append(Violation(
-            ViolationKind.UNKNOWN_ROBOT,
-            f"ids not in this scenario: {unknown}", robots=tuple(unknown)))
+        found.append(Violation(ViolationKind.UNKNOWN_ROBOT, tuple(unknown)))
 
     empty = sorted({a for a in alloc
                     if 1 <= a <= n and not snr.buffer_nonempty[a - 1]})
     if empty:
-        found.append(Violation(
-            ViolationKind.EMPTY_BUFFER_ROBOT,
-            f"robots with empty buffers assigned: {empty}", robots=tuple(empty)))
+        found.append(Violation(ViolationKind.EMPTY_BUFFER_ROBOT, tuple(empty)))
 
     cap = cfg.rb_cap
     for rid in sorted({a for a in alloc if 1 <= a <= n}):
-        count = alloc.count(rid)
-        if count > cap:
-            found.append(Violation(
-                ViolationKind.EXCESSIVE_RBS,
-                f"robot {rid} assigned {count} RBs, cap is {cap}",
-                robots=(rid,), count=count))
+        if alloc.count(rid) > cap:
+            found.append(Violation(ViolationKind.EXCESSIVE_RBS, (rid,)))
 
     if objective.is_qos and not found:
         rates = rate_vector(alloc, snr, cfg)
         bad = [i + 1 for i in range(n)
                if snr.buffer_nonempty[i] and rates[i] < objective.min_rate_bps]
         if bad:
-            found.append(Violation(
-                ViolationKind.QOS_VIOLATION,
-                f"rate below threshold for robots: {bad}", robots=tuple(bad)))
+            found.append(Violation(ViolationKind.QOS_VIOLATION, tuple(bad)))
     return tuple(found)
 
 

@@ -26,7 +26,7 @@ from autocomm.configs import (
     scenario_to_json,
     switch_from_dict,
 )
-from autocomm.geochannel import synthesize_channel, trace_paths_batch
+from autocomm.geochannel import build_ckm
 from autocomm.report import ckm_grid_positions, default_user_positions
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "config-schema"
@@ -419,10 +419,9 @@ def test_channel_documents_fail_only_with_config_errors(channel, seed,
     users += [tuple(u) for u in evaluated]
     # A user at the BS itself has a zero-length line of sight.
     users = [u for u in users if math.dist(u, cfg.bs_pos) > 1e-3]
-    for row in trace_paths_batch(cfg, users):
-        h = synthesize_channel(cfg, row)
-        assert h.shape == (cfg.num_antennas,)
-        assert np.isfinite(h).all()
+    channels = build_ckm(cfg, users).channels
+    assert channels.shape == (len(users), cfg.num_antennas)
+    assert np.isfinite(channels).all()
 
 
 # Any JSON value, including numbers past the float range and non-finite

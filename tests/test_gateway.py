@@ -21,7 +21,7 @@ from autocomm.gateway import (
     chat_complete,
     request_digest,
 )
-from autocomm.report import run
+from autocomm.report import run, sweep
 
 
 def chat_body(text):
@@ -259,6 +259,25 @@ def test_cassette_blank_lines_skipped_bad_line_raises(tmp_path):
         Cassette(path, "replay")
 
 
+@pytest.mark.parametrize("bad", [
+    "[1]",
+    '"s"',
+    '{"request_digest": "x"}',
+    '{"request_digest": "x", "response_text": 5}',
+    '{"request_digest": "x", "response_text": "t", "latency_ms": "5"}',
+    '{"request_digest": "x", "response_text": "t", "latency_ms": true}',
+    '{"request_digest": "x", "response_text": "t", "latency_ms": NaN}',
+])
+def test_cassette_rejects_malformed_entries_on_load(tmp_path, bad):
+    # Replay reads these fields without further checks, so a bad line must
+    # fail here, naming its line, and not at some later request.
+    path = tmp_path / "run.jsonl"
+    good = json.dumps({"request_digest": "d", "response_text": "t"})
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(CassetteError, match=rf"run\.jsonl:2: bad cassette line"):
+        Cassette(path, "replay")
+
+
 def test_cassette_mode_errors(tmp_path):
     path = tmp_path / "run.jsonl"
     with pytest.raises(ValueError, match="record or replay"):
@@ -410,6 +429,44 @@ def test_replay_run_with_leftover_entries_raises(stub_server, tmp_path):
     path.write_text("".join(lines + lines[-1:]), encoding="utf-8")
     with pytest.raises(CassetteError, match="1 entries left over"):
         _scheduling_chat_run(scenario, stub_server, path, "replay", 3)
+
+
+def _chat_opts(url, path, mode):
+    return {"endpoint_url": url, "model": "m", "cassette": str(path),
+            "cassette_mode": mode, "opro_params": {"max_iterations": 3}}
+
+
+@pytest.mark.parametrize("methods, seeds, axis_values", [
+    (["opro_chat"], [1, 2], [2]),
+    (["opro_chat", "opro_chat"], [1], [2]),
+    (["round_robin", "opro_chat"], [1], [2, 3]),
+])
+def test_sweep_refuses_one_cassette_for_many_chat_cells(
+        stub_server, tmp_path, methods, seeds, axis_values):
+    # Every cell would open the same file: recording keeps only the last
+    # cell's exchanges, and replay serves every cell from entry 1.
+    path = tmp_path / "run.jsonl"
+    scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    with pytest.raises(ValueError, match="opro_chat cells"):
+        sweep(scenario, methods, seeds, "scheduling.num_robots", axis_values,
+              _chat_opts(stub_server, path, "record"))
+    assert not path.exists() and not StubHandler.seen
+
+
+def test_sweep_allows_one_cassette_for_one_chat_cell(stub_server, tmp_path):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
+                              scheduling=SchedulingConfig(num_robots=2))
+    path = tmp_path / "run.jsonl"
+    methods = ["round_robin", "opro_chat"]
+    live = sweep(scenario, methods, [3],
+                 opts=_chat_opts(stub_server, path, "record"))
+    replayed = sweep(scenario, methods, [3],
+                     opts=_chat_opts(stub_server, path, "replay"))
+    assert live.all_ok and replayed.all_ok
+    assert [c.record for c in replayed.cells] == [c.record for c in live.cells]
+    assert len(StubHandler.seen) == 3
 
 
 def test_leftover_check_keeps_the_first_error(stub_server, tmp_path):

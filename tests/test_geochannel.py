@@ -1,24 +1,23 @@
 """Mirror geometry, ray tracing, channel synthesis, and CKM baselines."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import scalar_oracle as oracle
 from hypothesis import assume, given, settings, strategies as st
 
-from autocomm.configs import Box, ChannelSceneConfig, Track
+from autocomm.configs import Box, ChannelSceneConfig, Track, build_scenario
 from autocomm.geochannel import (
     CkmDataset,
     DegenerateGeometry,
     Facade,
     Path,
     build_ckm,
-    classify_scatterers,
     enumerate_facades,
     fit_linear_gcp,
     geometry_predictor,
-    is_blocked,
     linear_gcp_predict,
     load_fixture_scene,
     mirror_reflection_point,
@@ -26,9 +25,16 @@ from autocomm.geochannel import (
     nn_ckm_predict,
     synthesize_channel,
     trace_paths,
-    trace_paths_batch,
-    _synthesize_rows,
+    _ACTIVE,
+    _BEHIND,
+    _BLOCKED,
+    _ON_PLANE,
+    _OUTSIDE,
+    _blocked,
+    _synthesize,
+    _trace,
 )
+from autocomm.report import default_user_positions
 
 WALL = Facade("wall", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 20.0)
 BS = (0.0, 8.0, 10.0)
@@ -95,6 +101,13 @@ def test_enumerate_facades_fixed_order():
 BOX = Box((0.0, 20.0), (0.0, 6.0), 10.0)
 
 
+def is_blocked(p, q, buildings) -> bool:
+    """_blocked on the one segment p->q."""
+    return bool(_blocked(np.asarray(p, dtype=float).reshape(1, 3),
+                         np.asarray(q, dtype=float).reshape(1, 3),
+                         buildings)[0])
+
+
 def test_segment_through_box_is_blocked():
     assert is_blocked((-5.0, 3.0, 2.0), (25.0, 3.0, 2.0), [BOX])
 
@@ -128,20 +141,35 @@ def test_nearly_parallel_leg_uses_the_slab_interval():
 # Scene tracing
 
 
+# The scalar oracle's name for each of _trace's facade status codes.
+STATUS_NAMES = {_ON_PLANE: "behind_plane", _BEHIND: "behind_plane",
+                _OUTSIDE: "outside_extent", _BLOCKED: "blocked",
+                _ACTIVE: "active"}
+
+
+def statuses(cfg, users):
+    """Facade statuses of every user from one _trace call, by name."""
+    facades = enumerate_facades(cfg)
+    _, status, _ = _trace(cfg, np.asarray(users, dtype=float).reshape(-1, 3),
+                          facades)
+    return [{f.facade_id: STATUS_NAMES[s] for f, s in zip(facades, row)}
+            for row in status.tolist()]
+
+
 def test_scene1_paths_and_statuses():
     cfg = load_fixture_scene(1).channel
     slots = [p.slot for p in trace_paths(cfg, (5.0, -3.0, 1.5))]
     assert slots == ["los", "b0:ymax"]
-    statuses = classify_scatterers(cfg, (5.0, -3.0, 1.5))
-    assert statuses == {"b0:xmin": "behind_plane", "b0:xmax": "behind_plane",
-                        "b0:ymin": "behind_plane", "b0:ymax": "active"}
+    assert statuses(cfg, [(5.0, -3.0, 1.5)]) == [
+        {"b0:xmin": "behind_plane", "b0:xmax": "behind_plane",
+         "b0:ymin": "behind_plane", "b0:ymax": "active"}]
 
 
 def test_classify_covers_blocked_and_outside():
     cfg3 = load_fixture_scene(3).channel
-    assert classify_scatterers(cfg3, (45.0, 3.0, 1.5))["b2:ymax"] == "blocked"
+    assert statuses(cfg3, [(45.0, 3.0, 1.5)])[0]["b2:ymax"] == "blocked"
     cfg1 = load_fixture_scene(1).channel
-    assert classify_scatterers(cfg1, (40.0, -3.0, 1.5))["b0:ymax"] == \
+    assert statuses(cfg1, [(40.0, -3.0, 1.5)])[0]["b0:ymax"] == \
         "outside_extent"
 
 
@@ -404,12 +432,11 @@ def _users(cfg, count):
 @given(data=st.data(), cfg=scenes())
 def test_batch_matches_scalar_oracle(data, cfg):
     users = data.draw(_users(cfg, 12))
-    rows = trace_paths_batch(cfg, users)
+    rows = statuses(cfg, users)
     assert len(rows) == len(users)
     for user, row in zip(users, rows):
-        assert row == oracle.trace_paths(cfg, user)
-        assert classify_scatterers(cfg, user) == \
-            oracle.classify_scatterers(cfg, user)
+        assert trace_paths(cfg, user) == oracle.trace_paths(cfg, user)
+        assert row == oracle.classify_scatterers(cfg, user)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -417,10 +444,9 @@ def test_batch_matches_scalar_oracle(data, cfg):
 @given(data=st.data(), cfg=scenes())
 def test_mirror_and_blockage_match_scalar_oracle(data, cfg):
     p, q = data.draw(_users(cfg, 2).filter(lambda u: len(u) == 2))
-    assert is_blocked(p, q, cfg.buildings) == \
-        oracle.is_blocked(p, q, cfg.buildings)
-    assert is_blocked(cfg.bs_pos, p, cfg.buildings) == \
-        oracle.is_blocked(cfg.bs_pos, p, cfg.buildings)
+    got = _blocked(np.array([p, cfg.bs_pos]), np.array([q, p]), cfg.buildings)
+    assert got.tolist() == [oracle.is_blocked(p, q, cfg.buildings),
+                            oracle.is_blocked(cfg.bs_pos, p, cfg.buildings)]
     for facade in enumerate_facades(cfg):
         try:
             want = oracle.mirror_reflection_point(cfg.bs_pos, p, facade)
@@ -454,8 +480,10 @@ def test_on_plane_users_match_the_oracle_without_warnings():
     users = [(20.0, 1.0, 1.5), (0.0, -5.0, 1.5), (10.0, -5.0, 10.0),
              (20.0, -8.0, 1.5), (10.0, -11.0, 0.0), (-3.0, -5.0, 10.0)]
     with np.errstate(all="raise"):
-        rows = trace_paths_batch(cfg, users)
+        rows = [trace_paths(cfg, u) for u in users]
+        channels = build_ckm(cfg, users).channels
     assert rows == [oracle.trace_paths(cfg, u) for u in users]
+    assert np.array_equal(channels, oracle.build_ckm(cfg, users)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,7 +497,11 @@ def test_synthesis_matches_scalar_oracle(rows, antennas):
     paths = [[Path(kind="reflection", facade_id=f"f{i}", length_m=1.0,
                    delay_s=0.0, gain=g, aod_rad=a, aoa_rad=0.0, points=())
               for i, (g, a) in enumerate(row)] for row in rows]
-    batch = _synthesize_rows(cfg, paths)
+    owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    gains = np.array([g for row in rows for g, _ in row], dtype=complex)
+    sin_aod = np.array([math.sin(a) for row in rows for _, a in row],
+                       dtype=float)
+    batch = _synthesize(antennas, len(rows), owner, gains, sin_aod)
     assert batch.shape == (len(rows), antennas)
     for row, h in zip(paths, batch):
         want = oracle.synthesize_channel(cfg, row)
@@ -483,15 +515,53 @@ def test_trace_row_does_not_depend_on_the_batch():
     users = np.column_stack([rng.uniform(-5.0, 35.0, 500),
                              rng.uniform(-4.0, 4.0, 500),
                              np.full(500, 1.5)])
-    batch = trace_paths_batch(cfg, users)
+    batch = build_ckm(cfg, users)
     for i in range(0, 500, 7):
-        assert trace_paths(cfg, users[i]) == batch[i]
-    assert trace_paths_batch(cfg, users[::-1])[::-1] == batch
+        row = trace_paths(cfg, users[i])
+        on = batch.present[i]
+        assert [p.slot for p in row] == np.array(batch.slots)[on].tolist()
+        assert [p.gain for p in row] == batch.gains[i, on].tolist()
+        assert [math.sin(p.aod_rad) for p in row] == \
+            batch.sin_aod[i, on].tolist()
+        assert np.array_equal(synthesize_channel(cfg, row), batch.channels[i])
+    flipped = build_ckm(cfg, users[::-1])
+    for name in ("channels", "present", "gains", "sin_aod"):
+        assert np.array_equal(getattr(flipped, name)[::-1],
+                              getattr(batch, name)), name
+
+
+REFERENCE_CHANNEL = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+                     / "config-schema" / "channel.json")
+
+
+@pytest.mark.parametrize("scene", ["reference", 1, 2, 3, 4])
+def test_map_rows_equal_single_user_channels(scene):
+    # A run's true channels are build_ckm rows; the geometry predictor and
+    # anything that traces one user must give the same bits for that user.
+    scenario = (build_scenario(REFERENCE_CHANNEL.read_text(encoding="utf-8"))
+                if scene == "reference" else load_fixture_scene(scene))
+    cfg = scenario.channel
+    rng = np.random.default_rng(11)
+    half = cfg.road_halfwidth_m
+    users = [tuple(u) for u in default_user_positions(scenario)]
+    users += zip(rng.uniform(-5.0, 35.0, 100), rng.uniform(-half, half, 100),
+                 np.full(100, cfg.user_height_m))
+    # Users on facade planes, edges and corners, on the ground, at user
+    # height and on the roof lines.
+    xs, ys, zs = _special_coordinates(cfg.buildings)
+    users += [(x, y, z) for x in xs for y in ys for z in zs]
+    users = [u for u in users if math.dist(u, cfg.bs_pos) > 1e-3]
+    assert len(users) >= 125    # over 500 users across the five scenes
+    channels = build_ckm(cfg, users).channels
+    for user, h in zip(users, channels):
+        assert np.array_equal(h, synthesize_channel(cfg,
+                                                    trace_paths(cfg, user)))
+        assert np.array_equal(h, geometry_predictor(cfg, user))
 
 
 def test_empty_batch_and_empty_map():
     cfg = load_fixture_scene(2).channel
-    assert trace_paths_batch(cfg, np.zeros((0, 3))) == []
+    assert statuses(cfg, np.zeros((0, 3))) == []
     ckm = build_ckm(cfg, [])
     assert ckm.slots == ("los",) + tuple(f.facade_id
                                          for f in enumerate_facades(cfg))
