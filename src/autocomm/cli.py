@@ -66,6 +66,17 @@ def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for t in _csv_list(text):
+        try:
+            seeds.append(int(t))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"--seeds expects integers, got {t!r}") from None
+    return seeds
+
+
 def _parse_axis(text: str) -> tuple[str, list]:
     if "=" not in text:
         raise argparse.ArgumentTypeError(
@@ -125,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--methods", required=True,
                     help="comma-separated method names")
-    sp.add_argument("--seeds", required=True,
+    sp.add_argument("--seeds", required=True, type=_parse_seeds,
                     help="comma-separated integer seeds")
-    sp.add_argument("--axis", default=None,
+    sp.add_argument("--axis", default=None, type=_parse_axis,
                     help="dotted.path=v1,v2,... applied per cell")
     sp.add_argument("--observation", default=None, choices=["vue", "rsu"])
     sp.add_argument("--switch", default=None,
@@ -182,11 +193,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             opts["observation"] = args.observation
         if args.switch:
             opts["switch"] = json.loads(args.switch)
-        axis_name, axis_values = (None, (None,))
-        if args.axis:
-            axis_name, axis_values = _parse_axis(args.axis)
-        sw = sweep(scenario, _csv_list(args.methods),
-                   [int(s) for s in _csv_list(args.seeds)],
+        axis_name, axis_values = args.axis or (None, (None,))
+        sw = sweep(scenario, _csv_list(args.methods), args.seeds,
                    axis_name, axis_values, opts)
         digest = config_digest(scenario)[:12]
         _save(cells_csv(sw), args.out, f"sweep-cells-{digest}.csv")

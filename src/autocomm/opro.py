@@ -17,7 +17,7 @@ import enum
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .configs import (
     USER_EDGE_MARGIN_M,
+    ConfigError,
     ScenarioConfig,
     Track,
     scenario_from_dict,
@@ -307,8 +308,10 @@ class SweepResult:
 def _set_dotted(doc: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = doc
-    for k in keys[:-1]:
+    for i, k in enumerate(keys[:-1]):
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(keys[:i + 1]), "is not an object")
     node[keys[-1]] = value
 
 
@@ -337,9 +340,9 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
         for seed in seeds:
             doc = scenario_to_dict(base)
             doc["seed"] = int(seed)
-            if axis_name is not None:
-                _set_dotted(doc, axis_name, value)
             try:
+                if axis_name is not None:
+                    _set_dotted(doc, axis_name, value)
                 scenario = scenario_from_dict(doc)
             except Exception as exc:
                 for method in methods:

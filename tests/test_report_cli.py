@@ -438,6 +438,40 @@ def test_cli_sweep_bad_axis_value_exits_nonzero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_sweep_axis_through_a_number_records_every_cell(tmp_path,
+                                                            capsys):
+    cfg = write_config(tmp_path, sched_scenario())
+    out = tmp_path / "runs"
+    code = main(["sweep", "--config", cfg, "--methods", "round_robin,ga",
+                 "--seeds", "1,2", "--axis", "scheduling.num_robots.x=1,2",
+                 "--out", str(out)])
+    assert code == 1
+    capsys.readouterr()
+    digest = config_digest(sched_scenario())[:12]
+    rows = (out / f"sweep-cells-{digest}.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 8      # 2 axis values x 2 seeds x 2 methods
+    assert all(row.endswith(",error,ConfigError: scheduling.num_robots: "
+                            "is not an object") for row in rows)
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--seeds", "1,a", "got 'a'"),
+    ("--seeds", "1,2.5", "got '2.5'"),
+    ("--axis", "scheduling.num_robots", "path=value1,value2"),
+])
+def test_cli_sweep_bad_flag_is_a_usage_error(tmp_path, capsys, flag, value,
+                                             named):
+    cfg = write_config(tmp_path, sched_scenario())
+    argv = ["sweep", "--config", cfg, "--methods", "round_robin",
+            "--seeds", "1", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and named in err
+
+
 def test_cli_report_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path, sched_scenario())
     runs = tmp_path / "runs"

@@ -9,6 +9,8 @@ import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from autocomm.configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
+from autocomm.opro import (MockLocalSearchEngine, OproParams,
+                           opro_optimize_segments)
 from autocomm.radio import (RadioParams, SnrMap, generate_snr_map,
                             rb_rate_matrix)
 from autocomm.rng import stream
@@ -264,22 +266,54 @@ def test_brute_force_tie_break_lexicographic():
     assert tuple(best_alloc) == (1, 1, 2, 2)
 
 
+def no_single_rb_change_improves(alloc, snr, cfg, objective):
+    """No vector that moves one RB to another eligible robot outranks
+    alloc, and none that ties it is lexicographically smaller."""
+    key = allocation_rank(alloc, snr, cfg, objective)
+    for b in range(len(alloc)):
+        for rid in snr.eligible_ids():
+            other = alloc[:b] + (rid,) + alloc[b + 1:]
+            other_key = allocation_rank(other, snr, cfg, objective)
+            if other_key > key or (other_key == key and other < alloc):
+                return False
+    return True
+
+
 def test_brute_force_enumeration_cap():
-    # 7 robots on 9 Rayleigh RBs: 7^9 = 40,353,607 vectors, over the cap.
+    # The subset DP takes k * 3^m steps: 7 robots on 9 Rayleigh RBs (7^9
+    # vectors) are 137,781 of them; 12 robots on 20 RBs are over the cap.
     assert ENUMERATION_CAP == 1 << 24
     cfg = SchedulingConfig(num_robots=7, objective=PF)
     snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
                            stream(44, "scheduling/snr"))
-    with pytest.raises(ValueError, match=r"7\^9 > 16777216$"):
-        brute_force_optimal(cfg, snr, PF)
+    alloc, score = brute_force_optimal(cfg, snr, PF)
+    assert allocation_rank(alloc, snr, cfg, PF) == (LEVEL_OK, score)
+    assert no_single_rb_change_improves(alloc, snr, cfg, PF)
+    _, ga_score, _ = ga_schedule(cfg, snr, PF, GaParams(), stream(44, "ga"))
+    assert ga_score <= score
+    big = SchedulingConfig(num_robots=12, num_rbs=20, objective=PF)
+    with pytest.raises(ValueError, match=r"too large.*12 x 3\^20"):
+        brute_force_optimal(big, flat_map(12, num_rbs=20), PF)
+    # With equal rates for all robots, every sum-rate allocation ties up to
+    # rounding, which depends on where the rates fall in the sum: the
+    # rebuild keeps a prefix per RB-count vector, which at 10 robots it can
+    # hold and at 20 it refuses.
+    rate = ObjectiveSpec(kind=ObjectiveKind.QOS_SUM_RATE)
+    alloc, score = brute_force_optimal(
+        SchedulingConfig(num_robots=10, objective=rate), flat_map(10), rate)
+    assert alloc == (1,) * 9
+    with pytest.raises(ValueError, match=r"too large.*prefixes of \d RBs tie"):
+        brute_force_optimal(SchedulingConfig(num_robots=20, objective=rate),
+                            flat_map(20), rate)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_flat_map_oracle_matches_enumeration(data):
-    """On flat maps the counts-only search must return the exhaustive
-    search's allocation and score, bit for bit, over 1-4 robots, 1-9 RBs,
-    empty buffers, every RB cap and all three objectives."""
+def test_oracle_matches_enumeration(data):
+    """The subset DP must return the exhaustive search's allocation and
+    score, bit for bit, over 1-4 robots, 1-9 RBs, uniform, flat and
+    Rayleigh maps, empty buffers, every RB cap, all three objectives, and
+    QoS thresholds and log floors on the rate boundaries."""
     n = data.draw(st.integers(1, 4), label="num_robots")
     m = data.draw(st.integers(1, 9), label="num_rbs")
     cfg = SchedulingConfig(
@@ -287,23 +321,31 @@ def test_flat_map_oracle_matches_enumeration(data):
         max_rbs_per_robot=data.draw(st.none() | st.integers(1, m), label="cap"),
         buffer_occupancy_prob=data.draw(st.sampled_from([0.6, 1.0]),
                                         label="occupancy"))
-    snr = generate_snr_map(cfg, RadioParams(),
-                           stream(data.draw(st.integers(0, 2 ** 32),
-                                            label="seed"), "scheduling/snr"))
-    if data.draw(st.booleans(), label="equal_snr"):
+    shape = data.draw(st.sampled_from(["uniform", "flat", "rayleigh"]),
+                      label="map")
+    snr = generate_snr_map(
+        cfg, RadioParams(fading="rayleigh" if shape == "rayleigh" else "none"),
+        stream(data.draw(st.integers(0, 2 ** 32), label="seed"),
+               "scheduling/snr"))
+    if shape == "uniform":
         snr = flat_map(n, m, empty=[i + 1 for i in range(n)
                                     if not snr.buffer_nonempty[i]])
     if not snr.eligible_ids():
         return
     rb = rb_rate_matrix(snr, cfg)
     # Thresholds at one-, two- and three-RB rates put ties and starvation
-    # on the boundary.
+    # on the boundary; robot 1 reaches the next only by holding every RB,
+    # and only a lone robot reaches the last.
     min_rate = data.draw(st.sampled_from(
-        [0.0, float(rb[0, 0]), float(rb[-1, 0] * 2), float(rb[0, 0] * 3)]),
-        label="min_rate")
+        [0.0, float(rb[0, 0]), float(rb[-1, 0] * 2), float(rb[0, 0] * 3),
+         float(rb[0].sum()), float(rb.sum())]), label="min_rate")
+    # A log floor above some rates ties every allocation that keeps those
+    # robots below it.
+    epsilon = data.draw(st.sampled_from([1.0, float(rb[0, 0] * 2),
+                                         float(rb.sum())]), label="epsilon")
     objective = ObjectiveSpec(
         kind=data.draw(st.sampled_from(list(ObjectiveKind)), label="kind"),
-        min_rate_bps=min_rate)
+        min_rate_bps=min_rate, epsilon=epsilon)
 
     alloc, score = brute_force_optimal(cfg, snr, objective)
     want_alloc, want_score = oracle.brute_force(cfg, snr, objective)
@@ -311,20 +353,113 @@ def test_flat_map_oracle_matches_enumeration(data):
     assert score == want_score
 
 
-def test_flat_oracle_counts_its_candidates():
-    # 10 robots on 9 flat RBs: C(18, 9) = 48,620 count vectors, not 10^9.
+@pytest.mark.parametrize("shape", ["uniform", "flat", "rayleigh"])
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_oracle_matches_enumeration_where_sums_are_pairwise(shape, kind):
+    """From eight robots numpy sums a row pairwise, not in robot order as
+    the DP does, so near-ties can rank differently in the last bit; a log
+    floor below 1 gives robots without RBs terms that do not sum exactly."""
+    objective = ObjectiveSpec(kind=kind, epsilon=1e-3)
+    for n, m in ((8, 5), (9, 4)):
+        cfg = SchedulingConfig(num_robots=n, num_rbs=m, objective=objective)
+        fading = "rayleigh" if shape == "rayleigh" else "none"
+        snr = (flat_map(n, m, snr=2.0) if shape == "uniform"
+               else generate_snr_map(cfg, RadioParams(fading=fading),
+                                     stream(n, "scheduling/snr")))
+        assert (brute_force_optimal(cfg, snr, objective)
+                == oracle.brute_force(cfg, snr, objective))
+
+
+def test_flat_oracle_at_reference_scale():
+    # 10 robots on 9 flat RBs: every robot but one gets an RB, in id order.
     cfg = SchedulingConfig(num_robots=10, objective=PF)
     alloc, _ = brute_force_optimal(cfg, flat_map(10), PF)
     assert alloc == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    # 12 robots on 20 flat RBs: C(31, 20) = 84,672,315, over the cap.
-    big = SchedulingConfig(num_robots=12, num_rbs=20, objective=PF)
-    with pytest.raises(ValueError, match=r"C\(31, 20\) > 16777216$"):
-        brute_force_optimal(big, flat_map(12, num_rbs=20), PF)
-    # A map flat in all but one entry is enumerated in full: 7^9 vectors.
+    # A map flat in all but one entry takes the same path as any other.
     snr = flat_map(7)
     snr.values[2, 4] = 5.0
-    with pytest.raises(ValueError, match=r"7\^9 > 16777216$"):
-        brute_force_optimal(SchedulingConfig(num_robots=7), snr, PF)
+    cfg = SchedulingConfig(num_robots=7, objective=PF)
+    alloc, score = brute_force_optimal(cfg, snr, PF)
+    assert allocation_rank(alloc, snr, cfg, PF) == (LEVEL_OK, score)
+    assert alloc[4] == 3
+    assert no_single_rb_change_improves(alloc, snr, cfg, PF)
+
+
+@pytest.mark.parametrize("kind,floors", [
+    (ObjectiveKind.QOS_SUM_RATE, {"min_rate_bps": 1e12}),
+    (ObjectiveKind.QOS_PF, {"min_rate_bps": 1e12}),
+    (ObjectiveKind.PF, {"epsilon": 1e12}),
+])
+def test_oracle_on_a_map_where_every_allocation_ties(kind, floors):
+    # No robot reaches the floor, so all 10^9 vectors score the same and
+    # the smallest, robot 1 on every RB, wins.
+    objective = ObjectiveSpec(kind=kind, **floors)
+    cfg = SchedulingConfig(num_robots=10, objective=objective)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(45, "scheduling/snr"))
+    alloc, score = brute_force_optimal(cfg, snr, objective)
+    assert alloc == (1,) * 9
+    assert (allocation_rank(alloc, snr, cfg, objective)
+            == allocation_rank((2,) * 9, snr, cfg, objective)
+            == allocation_rank(tuple(range(1, 10)), snr, cfg, objective))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_when_a_log_floor_hides_starvation(seed):
+    # With the floor above every rate all terms are equal, and only the
+    # QoS level tells allocations apart.
+    cfg = SchedulingConfig(num_robots=2, num_rbs=5)
+    snr = generate_snr_map(cfg, RadioParams(), stream(seed, "scheduling/snr"))
+    rb = rb_rate_matrix(snr, cfg)
+    objective = ObjectiveSpec(kind=ObjectiveKind.QOS_PF,
+                              min_rate_bps=float(rb[0, 0]),
+                              epsilon=float(rb.sum()))
+    assert (brute_force_optimal(cfg, snr, objective)
+            == oracle.brute_force(cfg, snr, objective))
+
+
+@pytest.mark.parametrize("empty", [(), (1,)])
+def test_oracle_without_a_valid_allocation(empty):
+    # Three eligible robots capped at two RBs each cannot fill nine RBs:
+    # every vector is invalid and the first, all first eligible id, wins.
+    n = 3 + len(empty)
+    cfg = SchedulingConfig(num_robots=n, objective=PF, max_rbs_per_robot=2)
+    snr = flat_map(n, empty=empty)
+    first = snr.eligible_ids()[0]
+    assert brute_force_optimal(cfg, snr, PF) == ((first,) * 9, -np.inf)
+    assert allocation_rank((first,) * 9, snr, cfg, PF) == (LEVEL_INVALID,
+                                                           -np.inf)
+    small = SchedulingConfig(num_robots=n, num_rbs=7, objective=PF,
+                             max_rbs_per_robot=2)
+    assert (brute_force_optimal(small, snr, PF)
+            == oracle.brute_force(small, snr, PF) == ((first,) * 7, -np.inf))
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_search_methods_near_faded_reference_scale_optimum(kind):
+    """GA within 1% and the mock engine within 2% of the exact optimum on
+    10 robots and 9 Rayleigh RBs, at the optimum's level.  With full
+    buffers the QoS objectives cannot serve every robot, so their optimum
+    is level 1."""
+    objective = ObjectiveSpec(kind=kind, min_rate_bps=1e6)
+    cfg = SchedulingConfig(num_robots=10, objective=objective)
+    for seed in range(1, 5):
+        snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                               stream(seed, "scheduling/snr"))
+        alloc, best = brute_force_optimal(cfg, snr, objective)
+        level, _ = allocation_rank(alloc, snr, cfg, objective)
+        assert level == (LEVEL_OK if kind is ObjectiveKind.PF
+                         else LEVEL_QOS_VIOLATED)
+        ga_alloc, _, _ = ga_schedule(cfg, snr, objective, GaParams(),
+                                     stream(seed, "scheduling/ga"))
+        result = opro_optimize_segments(
+            cfg, snr, [(objective, 200)],
+            MockLocalSearchEngine(stream(seed, "scheduling/engine")),
+            OproParams())
+        for got, ratio in ((ga_alloc, 0.99), (result.best_alloc, 0.98)):
+            got_level, score = allocation_rank(got, snr, cfg, objective)
+            assert got_level == level, (seed, got)
+            assert best >= score >= ratio * best, (seed, got)
 
 
 def test_brute_force_rayleigh_matches_reference(pf_instance):
