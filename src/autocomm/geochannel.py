@@ -60,11 +60,6 @@ class Facade:
     urange: tuple[float, float]
     height: float
 
-    def point_on_plane(self) -> np.ndarray:
-        if self.axis == "x":
-            return np.array([self.offset, self.urange[0], 0.0])
-        return np.array([self.urange[0], self.offset, 0.0])
-
     def embed(self, u: float, z: float) -> np.ndarray:
         """Map facade coordinates (u, z) to a 3D point."""
         if self.axis == "x":

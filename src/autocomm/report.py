@@ -104,6 +104,14 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
     seed = scenario.seed
     snr = generate_snr_map(cfg, RadioParams(), stream(seed, "scheduling/snr"))
     objective = cfg.objective
+    # Every vector would be invalid, so no method has anything to rank.
+    k = len(snr.eligible_ids())
+    if not k:
+        raise ValueError("no eligible robots to schedule")
+    if k * cfg.rb_cap < cfg.num_rbs:
+        raise ValueError(f"max_rbs_per_robot {cfg.max_rbs_per_robot} lets "
+                         f"{k} eligible robots hold at most {k * cfg.rb_cap} "
+                         f"of {cfg.num_rbs} RBs")
 
     if method in OPRO_METHODS:
         params = OproParams(**opts.get("opro_params", {}))

@@ -120,7 +120,8 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
     robot, yields the per-robot RB counts and the per-robot rates summed in
     RB order.  Structural validity (unknown ids, empty-buffer robots, the
     RB cap, the width) comes from the counts; the QoS mask, levels and
-    scores come from the rates.
+    scores come from the rates.  A score adds its per-robot terms left to
+    right in robot order, the order brute_force_optimal's DP adds them in.
     """
     allocs = np.asarray(allocs)
     P, width = allocs.shape
@@ -163,9 +164,10 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
         terms = scored
     else:  # PF and QOS_PF
         terms = np.log2(np.maximum(scored[:, eligible], objective.epsilon))
-    # numpy sums a row in an order set by the memory layout; in C order
-    # every row sums as it would alone, whatever the batch.
-    scores = np.ascontiguousarray(terms).sum(axis=1)
+    # A strict left fold, whatever the batch: np.sum would add eight or
+    # more terms pairwise, in blocks set by their positions.
+    scores = (np.add.accumulate(terms, axis=1)[:, -1] if terms.shape[1]
+              else np.zeros(P))
     levels[invalid] = LEVEL_INVALID
     scores[invalid] = -np.inf
     return Assessment(levels, scores, rates, counts, starved)
@@ -235,14 +237,9 @@ def round_robin_alloc(cfg: SchedulingConfig, snr: SnrMap) -> Allocation:
 ENUMERATION_CAP = 1 << 24
 # The max-plus convolution works in blocks of at most 3^_BLOCK_BITS
 # (subset, sub-subset) pairs per prefix and about _BLOCK_CELLS floats in
-# all; the rebuild makes children in chunks of about _BLOCK_CELLS
-# (child, robot) cells.
+# all.
 _BLOCK_BITS = 10
 _BLOCK_CELLS = 1 << 18
-# Exact ties that no merge removes, as on maps where robots have equal
-# rates, can leave more prefixes than the rebuild should hold; it refuses
-# past this many (prefix, robot or RB) cells.
-_PREFIX_CELLS = 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,16 +317,11 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
     the cap (and, for level 2, on starved sets), and a max-plus dynamic
     programme over robots on subsets (Bjorklund, Husfeldt and Koivisto's
     k * 3^m set partitioning) give the optimum V.  Rates in the tables are
-    summed in ascending RB order, so each equals evaluate_batch's bit for
-    bit.  The DP adds terms in another order than evaluate_batch, so the
-    vector is rebuilt RB by RB in lexicographic order: a prefix survives
-    if its best completion under the DP reaches V - 1e-9 * (1 + |V|), and
-    prefixes whose robots agree on everything their futures depend on
-    (partial rate and RB count, less what no remaining RB can change)
-    merge into the first, lexicographically smallest one.  evaluate_batch
-    ranks the surviving vectors.  Raises if the DP would take more than
-    ENUMERATION_CAP steps, or if exact ties leave more prefixes than
-    _PREFIX_CELLS allows, as on maps where many robots have equal rates.
+    summed in ascending RB order and terms are added in robot order, as
+    evaluate_batch does, so V is the score of every optimal vector bit for
+    bit.  The vector is rebuilt RB by RB: each goes to the first robot
+    whose best completion under the DP still reaches V.  Raises if the DP
+    would take more than ENUMERATION_CAP steps.
     """
     eligible = snr.eligible_ids()
     if not eligible:
@@ -361,58 +353,19 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
         scored = np.log2(np.maximum(scored, objective.epsilon))
     terms = np.where(size > cap, -np.inf, scored)
     feasible = np.where(starved, -np.inf, terms)
-    empty = np.zeros((1, k), dtype=np.int64)
-    v = _completion_bounds(feasible, empty, 0)[0]
+    mask = np.zeros((1, k), dtype=np.int64)   # RBs each robot holds so far
+    v = _completion_bounds(feasible, mask, 0)[0]
     if v == -np.inf:                  # no level-2 vector: best at level 1
         feasible = terms
-        v = _completion_bounds(feasible, empty, 0)[0]
-    floor = v - 1e-9 * (1.0 + abs(v))
+        v = _completion_bounds(feasible, mask, 0)[0]
 
-    masks = empty                             # [N, k] RBs held in the prefix
-    owners = np.zeros((1, 0), dtype=np.intp)  # [N, p] owner of each RB
-    robot = np.arange(k)
-    per_chunk = max(1, _BLOCK_CELLS // (k * k))
+    owners = []
     for p in range(m):
-        # A robot's future depends on its rate and RB count.  Its term and
-        # starvation are monotone in the rate, so if taking every remaining
-        # RB leaves both as they are now, they are settled and stand in for
-        # the rate; if it keeps the robot within the cap, the count drops out.
-        full = np.arange(1 << m) | ((1 << m) - (2 << p))
-        settled = (scored == scored[:, full]) & (starved == starved[:, full])
-        value = np.where(settled, scored, rate)
-        code = (4 * np.where(size + (m - p - 1) <= cap, -1, size)
-                + 2 * settled + starved)
-        # Give RB p to each robot in turn; children come in lexicographic
-        # order, and of those with equal futures only the first is kept.
-        seen: set[bytes] = set()
-        kept_masks, kept_owners = [], []
-        for lo in range(0, len(masks), per_chunk):
-            child = np.repeat(masks[lo:lo + per_chunk], k, axis=0)
-            row = np.arange(len(child))
-            child[row, row % k] |= 1 << p
-            new = []
-            for i, key in enumerate(np.hstack([value[robot, child],
-                                               code[robot, child]])):
-                key = key.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new.append(i)
-            if len(seen) * (k + m) > _PREFIX_CELLS:
-                raise ValueError(f"instance too large for the subset DP: "
-                                 f"over {len(seen)} prefixes of {p + 1} "
-                                 f"RBs tie")
-            new = np.asarray(new, dtype=np.intp)
-            kept_masks.append(child[new])
-            kept_owners.append(np.column_stack([owners[lo + new // k],
-                                                new % k]))
-        masks, owners = np.concatenate(kept_masks), np.concatenate(kept_owners)
-        keep = _completion_bounds(feasible, masks, p + 1) >= floor
-        masks, owners = masks[keep], owners[keep]
-
-    allocs = ids[owners]
-    assessed = evaluate_batch(allocs, snr, cfg, objective)
-    best = max(range(len(allocs)), key=assessed.key)   # first of the best
-    return tuple(int(v) for v in allocs[best]), float(assessed.scores[best])
+        child = mask | (np.eye(k, dtype=np.int64) << p)   # row j: RB p to j
+        j = int(np.argmax(_completion_bounds(feasible, child, p + 1) >= v))
+        mask = child[j:j + 1]
+        owners.append(int(ids[j]))
+    return tuple(owners), float(v)
 
 
 def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,

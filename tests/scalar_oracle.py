@@ -80,14 +80,21 @@ def clamp(rates, min_rate_bps) -> np.ndarray:
 
 
 def score(alloc, snr, cfg, objective) -> float:
-    """Objective value of one allocation, structure aside."""
+    """Objective value of one allocation, structure aside: the per-robot
+    terms added one at a time in robot order (np.sum adds eight or more
+    pairwise, and Python's sum compensates from 3.12 on)."""
     rates = rate_vector(alloc, snr, cfg)
     if objective.is_qos:
         rates = clamp(rates, objective.min_rate_bps)
     if objective.kind is ObjectiveKind.QOS_SUM_RATE:
-        return float(rates.sum())
-    return float(np.log2(np.maximum(rates[snr.buffer_nonempty],
-                                    objective.epsilon)).sum())
+        terms = rates
+    else:
+        terms = np.log2(np.maximum(rates[snr.buffer_nonempty],
+                                   objective.epsilon))
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def violations(alloc, snr, cfg, objective) -> tuple[Violation, ...]:
@@ -246,9 +253,16 @@ def ga_run(cfg, snr, objective, ga, rng):
 # Geochannel: one user, one facade, one box at a time
 
 
+def point_on_plane(facade) -> np.ndarray:
+    """The facade corner at u = urange[0] on the ground."""
+    if facade.axis == "x":
+        return np.array([facade.offset, facade.urange[0], 0.0])
+    return np.array([facade.urange[0], facade.offset, 0.0])
+
+
 def _signed_distance(p, facade) -> float:
     n = np.asarray(facade.normal)
-    return float(np.dot(np.asarray(p, dtype=float) - facade.point_on_plane(), n))
+    return float(np.dot(np.asarray(p, dtype=float) - point_on_plane(facade), n))
 
 
 def mirror_reflection_point(bs, user, facade):

@@ -13,7 +13,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 from conftest import record_criterion
-from scalar_oracle import grid_search_reflection_oracle, rate_vector, reflection_residual
+from scalar_oracle import (
+    grid_search_reflection_oracle,
+    point_on_plane,
+    rate_vector,
+    reflection_residual,
+)
 
 from autocomm.cli import main
 from autocomm.configs import (
@@ -221,8 +226,8 @@ def _random_mirror_case(rng, margin=0.05):
             return facade.embed(u, z) + d * n
 
         bs, user = endpoint(), endpoint()
-        d_bs = float((bs - facade.point_on_plane()) @ n)
-        d_user = float((user - facade.point_on_plane()) @ n)
+        d_bs = float((bs - point_on_plane(facade)) @ n)
+        d_user = float((user - point_on_plane(facade)) @ n)
         mirrored = bs - 2.0 * d_bs * n
         t = d_bs / (d_bs + d_user)
         q = mirrored + t * (user - mirrored)

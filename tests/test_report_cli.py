@@ -330,6 +330,33 @@ def test_search_methods_near_reference_scale_optimum(kind):
                     >= ratio * best["score"]), (seed, rec.method)
 
 
+@pytest.mark.parametrize("section, error", [
+    # Three robots capped at two RBs each cannot fill nine RBs.
+    ({"num_robots": 3, "max_rbs_per_robot": 2},
+     "max_rbs_per_robot 2 lets 3 eligible robots hold at most 6 of 9 RBs"),
+    ({"num_robots": 3, "buffer_occupancy_prob": 0.0},
+     "no eligible robots to schedule"),
+])
+@pytest.mark.parametrize("command", [
+    ["schedule", "--method", "brute_force"],
+    ["schedule", "--method", "ga"],
+    ["schedule", "--method", "round_robin"],
+    ["opro", "--engine", "mock"],
+])
+def test_cli_run_without_a_valid_allocation_is_an_error(tmp_path, capsys,
+                                                        command, section,
+                                                        error):
+    # No vector is valid, so the run fails with strict JSON instead of
+    # reporting a score of -inf.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"track": "scheduling", "seed": 3,
+                                "scheduling": section}), encoding="utf-8")
+    assert main(command + ["--config", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert doc["status"] == "error" and doc["metrics"] == {}
+    assert doc["error"] == f"ValueError: {error}"
+
+
 def test_cli_seed_override(tmp_path, capsys):
     cfg = write_config(tmp_path, sched_scenario(seed=5))
     assert main(["schedule", "--config", cfg, "--seed", "9",

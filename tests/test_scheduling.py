@@ -217,6 +217,39 @@ def test_row_scores_do_not_depend_on_the_batch(kind):
         assert score == allocation_rank(row, snr, cfg, objective)[1]
 
 
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("n", [8, 11, 16, 20])
+def test_score_is_a_left_fold_in_robot_order(n, kind):
+    """A row scores its per-robot terms added one at a time in robot order.
+
+    Every robot here has the same rate on a given RB, and robots without
+    RBs add zero (no rate, or log2 of the floor 1).  So two allocations
+    that hand the same RB sets to different robots, kept in the same
+    order, score the same bit for bit: in a left fold the zeros change
+    nothing wherever they stand, while np.sum's pairwise blocks would
+    group the terms by position.
+    """
+    objective = ObjectiveSpec(kind=kind)
+    cfg = SchedulingConfig(num_robots=n, objective=objective)
+    rng = np.random.default_rng(n)
+    snr = SnrMap(values=np.tile(rng.uniform(0.5, 30.0, 9), (n, 1)),
+                 robot_positions=np.zeros((n, 2)),
+                 buffer_nonempty=np.ones(n, dtype=bool))
+    for _ in range(50):
+        holders = int(rng.integers(2, min(n, 9) + 1))
+        slots = rng.integers(0, holders, 9)
+        a, b = (np.sort(rng.permutation(n)[:holders]) + 1 for _ in range(2))
+        assessed = evaluate_batch(np.stack([a[slots], b[slots]]), snr, cfg,
+                                  objective)
+        rates = oracle.rate_vector(a[slots], snr, cfg)
+        terms = (rates if kind is ObjectiveKind.QOS_SUM_RATE
+                 else np.log2(np.maximum(rates, objective.epsilon)))
+        folded = 0.0
+        for term in terms.tolist():
+            folded += term
+        assert assessed.scores.tolist() == [folded, folded]
+
+
 def test_qos_pf_objective_scores_clamped_log():
     obj = ObjectiveSpec(kind=ObjectiveKind.QOS_PF, min_rate_bps=1e6)
     cfg = SchedulingConfig(num_robots=3, objective=obj)
@@ -294,17 +327,16 @@ def test_brute_force_enumeration_cap():
     big = SchedulingConfig(num_robots=12, num_rbs=20, objective=PF)
     with pytest.raises(ValueError, match=r"too large.*12 x 3\^20"):
         brute_force_optimal(big, flat_map(12, num_rbs=20), PF)
-    # With equal rates for all robots, every sum-rate allocation ties up to
-    # rounding, which depends on where the rates fall in the sum: the
-    # rebuild keeps a prefix per RB-count vector, which at 10 robots it can
-    # hold and at 20 it refuses.
+    # With equal rates for all robots, every sum-rate allocation ties
+    # exactly, since robots without RBs add zeros to the same sum: robot 1
+    # on every RB wins at any number of robots.
     rate = ObjectiveSpec(kind=ObjectiveKind.QOS_SUM_RATE)
-    alloc, score = brute_force_optimal(
-        SchedulingConfig(num_robots=10, objective=rate), flat_map(10), rate)
-    assert alloc == (1,) * 9
-    with pytest.raises(ValueError, match=r"too large.*prefixes of \d RBs tie"):
-        brute_force_optimal(SchedulingConfig(num_robots=20, objective=rate),
-                            flat_map(20), rate)
+    for n in (10, 20):
+        cfg = SchedulingConfig(num_robots=n, objective=rate)
+        alloc, score = brute_force_optimal(cfg, flat_map(n), rate)
+        assert alloc == (1,) * 9
+        assert allocation_rank(alloc, flat_map(n), cfg, rate) == (LEVEL_OK,
+                                                                  score)
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,10 +387,11 @@ def test_oracle_matches_enumeration(data):
 
 @pytest.mark.parametrize("shape", ["uniform", "flat", "rayleigh"])
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
-def test_oracle_matches_enumeration_where_sums_are_pairwise(shape, kind):
-    """From eight robots numpy sums a row pairwise, not in robot order as
-    the DP does, so near-ties can rank differently in the last bit; a log
-    floor below 1 gives robots without RBs terms that do not sum exactly."""
+def test_oracle_matches_enumeration_at_8_and_9_robots(shape, kind):
+    """From eight robots np.sum would add a row's terms pairwise; the
+    kernel and the DP both add them in robot order, so near-ties rank the
+    same to the last bit.  A log floor below 1 gives robots without RBs
+    negative terms that do not sum exactly."""
     objective = ObjectiveSpec(kind=kind, epsilon=1e-3)
     for n, m in ((8, 5), (9, 4)):
         cfg = SchedulingConfig(num_robots=n, num_rbs=m, objective=objective)
@@ -375,6 +408,12 @@ def test_flat_oracle_at_reference_scale():
     cfg = SchedulingConfig(num_robots=10, objective=PF)
     alloc, _ = brute_force_optimal(cfg, flat_map(10), PF)
     assert alloc == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    # With 12 robots, those left out add log2 of the floor 1, zero, wherever
+    # they stand, so every choice of nine ties exactly and the first wins.
+    cfg = SchedulingConfig(num_robots=12, objective=PF)
+    alloc, score = brute_force_optimal(cfg, flat_map(12), PF)
+    assert alloc == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert allocation_rank(alloc, flat_map(12), cfg, PF) == (LEVEL_OK, score)
     # A map flat in all but one entry takes the same path as any other.
     snr = flat_map(7)
     snr.values[2, 4] = 5.0
