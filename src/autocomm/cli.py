@@ -11,7 +11,9 @@ Subcommands mirror the three tracks plus sweep/report plumbing:
   autocomm report   --runs runs/
 
 Every run prints its record as JSON; --out also writes it to a file named
-by method and config digest.  Exit status is 0 only when everything ran.
+by method and config digest.  Exit status is 0 only when everything ran,
+and 2 on a usage error, which includes a config, switch or run record
+that cannot be read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .configs import ScenarioConfig, scenario_from_dict
+from .configs import ConfigError, ScenarioConfig, scenario_from_dict
 from .report import (
     CHANNEL_METHODS,
     OPRO_METHODS,
@@ -40,12 +42,27 @@ from .report import (
 )
 
 
-def _load_scenario(path: str, seed: Optional[int]) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _read_json(parser: argparse.ArgumentParser, flag: str, path: str):
+    """The JSON document at path; a file that cannot be read or is not JSON
+    is a usage error naming flag and path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        parser.error(f"argument {flag}: cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(f"argument {flag}: {path} is not JSON: {exc}")
+
+
+def _load_scenario(parser: argparse.ArgumentParser, path: str,
+                   seed: Optional[int]) -> ScenarioConfig:
+    doc = _read_json(parser, "--config", path)
     if seed is not None and isinstance(doc, dict):
         doc["seed"] = seed
-    return scenario_from_dict(doc)
+    try:
+        return scenario_from_dict(doc)
+    except ConfigError as exc:
+        parser.error(f"argument --config: {path}: {exc}")
 
 
 def _save(text: str, out_dir: Optional[str], name: str) -> None:
@@ -91,6 +108,14 @@ def _parse_axis(text: str) -> tuple[str, list]:
     return name.strip(), parsed
 
 
+def _parse_switch(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"--switch expects a JSON document, got {text!r}: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="autocomm",
@@ -114,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--engine", default="mock",
                     choices=[m.removeprefix("opro_") for m in OPRO_METHODS])
-    sp.add_argument("--switch", default=None,
+    sp.add_argument("--switch", default=None, type=_parse_switch,
                     help='objective switch as JSON, e.g. '
                          '\'{"at_iteration": 100, "objective": "qos_sum_rate"}\'')
     sp.add_argument("--endpoint-url", default="")
@@ -141,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", default=None, type=_parse_axis,
                     help="dotted.path=v1,v2,... applied per cell")
     sp.add_argument("--observation", default=None, choices=["vue", "rsu"])
-    sp.add_argument("--switch", default=None,
+    sp.add_argument("--switch", default=None, type=_parse_switch,
                     help="objective switch JSON for opro methods")
 
     sp = sub.add_parser("report", help="summarize saved run records")
@@ -151,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _single_run(args, method: str, opts: dict, tag: str = "") -> int:
-    scenario = _load_scenario(args.config, args.seed)
+def _single_run(args, scenario: ScenarioConfig, method: str, opts: dict,
+                tag: str = "") -> int:
     rec = run_safe(scenario, method, opts)
     _emit(record_to_json(rec), args.out,
           f"run-{rec.track}-{rec.method}{tag}-{rec.config_digest[:12]}.json")
@@ -160,39 +185,60 @@ def _single_run(args, method: str, opts: dict, tag: str = "") -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    if args.command == "report":
+        try:
+            names = sorted(os.listdir(args.runs))
+        except OSError as exc:
+            parser.error(f"argument --runs: cannot read {args.runs}: "
+                         f"{exc.strerror}")
+        records = []
+        for name in names:
+            if name.startswith("run-") and name.endswith(".json"):
+                path = os.path.join(args.runs, name)
+                try:
+                    records.append(record_from_dict(
+                        _read_json(parser, "--runs", path)))
+                except ValueError as exc:
+                    parser.error(f"argument --runs: {path} is not a run "
+                                 f"record: {exc}")
+        _emit(format_report(records), args.out, "report.txt")
+        return 0
+
+    scenario = _load_scenario(parser, args.config, args.seed)
 
     if args.command == "schedule":
-        return _single_run(args, args.method, {})
+        return _single_run(args, scenario, args.method, {})
 
     if args.command == "opro":
         opts: dict = {}
-        if args.switch:
-            opts["switch"] = json.loads(args.switch)
+        if args.switch is not None:
+            opts["switch"] = args.switch
         if args.engine == "chat":
             opts.update({"endpoint_url": args.endpoint_url,
                          "model": args.model})
             if args.cassette:
                 opts["cassette"] = args.cassette
                 opts["cassette_mode"] = args.cassette_mode
-        return _single_run(args, f"opro_{args.engine}", opts,
-                           tag="-switch" if args.switch else "")
+        return _single_run(args, scenario, f"opro_{args.engine}", opts,
+                           tag="-switch" if args.switch is not None else "")
 
     if args.command == "traffic":
-        return _single_run(args, args.controller,
+        return _single_run(args, scenario, args.controller,
                            {"observation": args.observation},
                            tag=f"-{args.observation}")
 
     if args.command == "channel":
-        return _single_run(args, args.method, {})
+        return _single_run(args, scenario, args.method, {})
 
     if args.command == "sweep":
-        scenario = _load_scenario(args.config, args.seed)
         opts = {}
         if args.observation:
             opts["observation"] = args.observation
-        if args.switch:
-            opts["switch"] = json.loads(args.switch)
+        if args.switch is not None:
+            opts["switch"] = args.switch
         axis_name, axis_values = args.axis or (None, (None,))
         sw = sweep(scenario, _csv_list(args.methods), args.seeds,
                    axis_name, axis_values, opts)
@@ -200,16 +246,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _save(cells_csv(sw), args.out, f"sweep-cells-{digest}.csv")
         _emit(summary_csv(sw), args.out, f"sweep-summary-{digest}.csv")
         return 0 if sw.all_ok else 1
-
-    if args.command == "report":
-        records = []
-        for name in sorted(os.listdir(args.runs)):
-            if name.startswith("run-") and name.endswith(".json"):
-                with open(os.path.join(args.runs, name), encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                records.append(record_from_dict(doc))
-        _emit(format_report(records), args.out, "report.txt")
-        return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 

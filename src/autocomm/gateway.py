@@ -126,7 +126,10 @@ def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
             text = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed chat response body: {exc}") from exc
-        return ChatResponse(text=str(text), latency_ms=latency_ms)
+        if not isinstance(text, str):
+            raise GatewayError(f"malformed chat response body: message content "
+                               f"is {type(text).__name__}, not a string")
+        return ChatResponse(text=text, latency_ms=latency_ms)
     raise GatewayError(
         f"chat endpoint unreachable after {endpoint.max_retries + 1} attempts: "
         f"{last_exc}")

@@ -84,8 +84,18 @@ def record_to_dict(rec: RunRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> RunRecord:
-    """Inverse of record_to_dict."""
-    return RunRecord(**doc)
+    """Inverse of record_to_dict; a document that is not a run record (not
+    an object, a field missing or unknown, metrics that are not numbers)
+    is a ValueError."""
+    try:
+        rec = RunRecord(**doc)
+    except TypeError as exc:
+        raise ValueError(exc) from None
+    if not (isinstance(rec.metrics, dict)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in rec.metrics.values())):
+        raise ValueError("metrics is not an object of numbers")
+    return rec
 
 
 def record_to_json(rec: RunRecord) -> str:

@@ -116,7 +116,7 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
 
     allocs: [P, width] robot ids, one candidate per row; a width other than
     cfg.num_rbs makes every row structurally invalid.  One bincount over
-    (row, owner) slots, with column n standing for every id that names no
+    (owner, row) slots, with owner n standing for every id that names no
     robot, yields the per-robot RB counts and the per-robot rates summed in
     RB order.  Structural validity (unknown ids, empty-buffer robots, the
     RB cap, the width) comes from the counts; the QoS mask, levels and
@@ -128,34 +128,36 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
     n = snr.num_robots
     eligible = snr.buffer_nonempty
 
-    # Owner column of each slot: robot id - 1, or n for an id no robot has.
+    # Owner of each slot: robot id - 1, or n for an id no robot has.
     owner = np.where((allocs >= 1) & (allocs <= n), allocs - 1, n)
     owner = owner.astype(np.intp, copy=False)
-    # Rate of each slot: zero for empty buffers, unknown owners and
-    # positions past the last RB.
+    # Rate of each slot, from a [width, n + 1] table: zero for empty
+    # buffers, unknown owners and positions past the last RB.
     rb = rb_rate_matrix(snr, cfg)
     m = min(width, rb.shape[1])
-    slot_rate = np.zeros((n + 1, width))
-    slot_rate[:n, :m] = np.where(eligible[:, None], rb[:, :m], 0.0)
-    weights = slot_rate[owner, np.arange(width)].ravel()
-    bins = (owner + (n + 1) * np.arange(P)[:, None]).ravel()
-    size = P * (n + 1)
-    counts = np.bincount(bins, minlength=size).reshape(P, n + 1)
+    table = np.zeros((width, n + 1))
+    table[:m, :n] = np.where(eligible, rb[:, :m].T, 0.0)
+    weights = table.take(owner + (n + 1) * np.arange(width)).ravel()
+    # Robot-major bins, so each robot's rates and terms are one contiguous
+    # row of P values.
+    bins = (owner * P + np.arange(P)[:, None]).ravel()
+    size = (n + 1) * P
+    counts = np.bincount(bins, minlength=size).reshape(n + 1, P)
     rates = np.bincount(bins, weights=weights,
-                        minlength=size).reshape(P, n + 1)[:, :n]
+                        minlength=size).reshape(n + 1, P)[:n]
 
     # RBs each robot may hold: the cap, or none at all with an empty buffer.
     allowed = np.where(eligible, cfg.rb_cap, 0)
-    invalid = counts[:, n] > 0
+    invalid = counts[n] > 0
     if width != cfg.num_rbs:
         invalid[:] = True
     elif (allowed < width).any():      # no count can exceed the width
-        invalid |= (counts[:, :n] > allowed).any(axis=1)
+        invalid |= (counts[:n] > allowed[:, None]).any(axis=0)
 
     levels = np.full(P, LEVEL_OK, dtype=np.int8)
     if objective.is_qos:
-        starved = (rates < objective.min_rate_bps) & eligible
-        levels[starved.any(axis=1)] = LEVEL_QOS_VIOLATED
+        starved = (rates < objective.min_rate_bps) & eligible[:, None]
+        levels[starved.any(axis=0)] = LEVEL_QOS_VIOLATED
         scored = clamp_qos(rates, objective.min_rate_bps)
     else:
         starved = np.zeros(rates.shape, dtype=bool)
@@ -163,14 +165,14 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
     if objective.kind is ObjectiveKind.QOS_SUM_RATE:
         terms = scored
     else:  # PF and QOS_PF
-        terms = np.log2(np.maximum(scored[:, eligible], objective.epsilon))
-    # A strict left fold, whatever the batch: np.sum would add eight or
-    # more terms pairwise, in blocks set by their positions.
-    scores = (np.add.accumulate(terms, axis=1)[:, -1] if terms.shape[1]
+        terms = np.log2(np.maximum(scored[eligible], objective.epsilon))
+    # A strict left fold in robot order, whatever the batch: np.sum would
+    # add eight or more terms pairwise, in blocks set by their positions.
+    scores = (np.add.accumulate(terms, axis=0)[-1] if len(terms)
               else np.zeros(P))
     levels[invalid] = LEVEL_INVALID
     scores[invalid] = -np.inf
-    return Assessment(levels, scores, rates, counts, starved)
+    return Assessment(levels, scores, rates.T, counts.T, starved.T)
 
 
 def allocation_rank(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
@@ -385,7 +387,13 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     every row the bits it would get alone.  Restart r draws from its own
     `restart{r}` substream, in the order a run of that restart by itself
     would, and selection, crossover, mutation and elitism never mix
-    restarts.
+    restarts.  Per generation a restart makes three draws: its tournament
+    contenders, one block of doubles read as the crossover, swap and
+    mutation uniforms, then the mutation redraws.  PCG64 makes each double
+    from a whole 64-bit word, so the block holds the doubles that three
+    calls would.  Contenders and redraws are bounded integers, made from
+    32-bit halves of such words; with the block between them they can join
+    neither it nor each other.
 
     Returns (best allocation, its score, total generations run).
     """
@@ -394,72 +402,82 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         raise ValueError("no eligible robots to schedule")
     ids = np.asarray(eligible)
     k, m = len(ids), cfg.num_rbs
-    R, P, e = ga.restarts, ga.population, ga.elitism
+    R, P, e, T = ga.restarts, ga.population, ga.elitism, ga.tournament_size
     half = P // 2
     streams = [rng.substream(f"restart{r}") for r in range(R)]
 
-    genes = np.stack([s.integers(0, k, (P, m)) for s in streams])   # [R, P, m]
+    # The populations as [R * P, m] eligible-robot indices, restart by
+    # restart.
+    genes = np.concatenate([s.integers(0, k, (P, m)) for s in streams])
     best_gene = np.zeros((R, m), dtype=genes.dtype)
     best_level = np.full(R, LEVEL_INVALID - 1)
     best_score = np.full(R, -np.inf)
-    restart = np.arange(R)
-    row = restart[:, None]
-    position = np.arange(P)
-    tiebreak = np.broadcast_to(position, (R, P))
-    # Each generation's draws, restart by restart.
-    contenders = np.empty((R, P, ga.tournament_size), dtype=np.int64)
+    first = np.arange(R) * P          # flat row of each restart's first row
+    rows = np.arange(R * P)
+    # Each generation's draws, restart by restart; a uniform below its
+    # limit means cross the pair, swap the gene, or mutate the gene.
+    contenders = np.empty((R, P, T), dtype=np.int64)
     redraw = np.empty((R, P, m), dtype=np.int64)
-    cross_u, swap_u, mut_u = (np.empty((R, half)), np.empty((R, half, m)),
-                              np.empty((R, P, m)))
+    limits = np.concatenate([np.full(half, ga.crossover_prob),
+                             np.full(half * m, 0.5),
+                             np.full(P * m, ga.mutation_prob)])
+    uniforms = np.empty((R, len(limits)))
+    hits = np.empty(uniforms.shape, dtype=bool)
+    cross, swap, mutate = (hits[:, :half],
+                           hits[:, half:half + half * m].reshape(R, half, m),
+                           hits[:, half + half * m:].reshape(R, P, m))
 
     def rank() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Score every population; promote each restart's improved top row."""
-        assessed = evaluate_batch(ids[genes].reshape(R * P, m), snr, cfg,
-                                  objective)
-        levels = assessed.levels.reshape(R, P)
-        scores = assessed.scores.reshape(R, P)
-        order = np.lexsort((tiebreak, -scores, -levels), axis=-1)
+        """Score every population; promote each restart's improved top row.
+        Returns levels and scores by flat row, and each restart's flat rows
+        in ranked order."""
+        assessed = evaluate_batch(ids[genes], snr, cfg, objective)
+        levels, scores = assessed.levels, assessed.scores
+        # lexsort is stable: equal keys stay in row order.
+        order = np.lexsort((-scores.reshape(R, P), -levels.reshape(R, P)),
+                           axis=-1) + first[:, None]
         top = order[:, 0]
-        level, score = levels[restart, top], scores[restart, top]
+        level, score = levels[top], scores[top]
         better = (level > best_level) | ((level == best_level)
                                          & (score > best_score))
         best_level[better], best_score[better] = level[better], score[better]
-        best_gene[better] = genes[restart[better], top[better]]
+        best_gene[better] = genes[top[better]]
         return levels, scores, order
 
     for _ in range(ga.generations):
         levels, scores, order = rank()
         for r, s in enumerate(streams):
-            contenders[r] = s.integers(0, P, (P, ga.tournament_size))
-            cross_u[r] = s.random(half)
-            swap_u[r] = s.random((half, m))
-            mut_u[r] = s.random((P, m))
+            contenders[r] = s.integers(0, P, (P, T))
+            uniforms[r] = s.random(uniforms.shape[1])
             redraw[r] = s.integers(0, k, (P, m))
+        np.less(uniforms, limits, out=hits)
 
-        # Tournament selection over the feasibility-first key.
-        keys = levels.astype(np.float64) * 1e18 + np.where(
-            np.isfinite(scores), scores, -1e17)
-        pick = keys[row[..., None], contenders].argmax(axis=2)
-        children = genes[row, contenders[row, position, pick]]
+        # Tournament selection over the feasibility-first key, contenders
+        # as flat rows; finite scores lie far above -1e17, so the floor only
+        # replaces -inf.
+        keys = levels * 1e18 + np.maximum(scores, -1e17)
+        drawn = (contenders + first[:, None, None]).reshape(R * P, T)
+        winners = drawn[rows, keys[drawn].argmax(axis=1)]
+        children = genes.take(winners, axis=0)
+        brood = children.reshape(R, P, m)     # a view, restart by restart
 
         # Uniform crossover on consecutive pairs; a trailing unpaired parent
         # passes through unchanged.
-        swap = (swap_u < 0.5) & (cross_u < ga.crossover_prob)[..., None]
-        a, b = children[:, 0:2 * half:2], children[:, 1:2 * half:2]
-        children[:, 0:2 * half:2], children[:, 1:2 * half:2] = (
-            np.where(swap, b, a), np.where(swap, a, b))
+        swap &= cross[..., None]
+        pairs = brood[:, :2 * half].reshape(R, half, 2, m)
+        pairs[...] = np.where(swap[:, :, None], pairs[:, :, ::-1], pairs)
 
         # Per-gene mutation redraws a uniform eligible robot.
-        children = np.where(mut_u < ga.mutation_prob, redraw, children)
+        np.copyto(brood, redraw, where=mutate)
 
         # Elitism: the incumbent best, then this generation's runners-up,
         # replace the tail of the new population.
         if e:
-            children[:, P - 1] = best_gene
-            children[:, P - e:P - 1][:, ::-1] = genes[row, order[:, 1:e]]
+            brood[:, P - 1] = best_gene
+            brood[:, P - e:P - 1][:, ::-1] = genes[order[:, 1:e]]
         genes = children
     rank()
 
-    r = max(restart, key=lambda r: (int(best_level[r]), float(best_score[r])))
+    r = max(range(R), key=lambda r: (int(best_level[r]), float(best_score[r])))
     return (tuple(int(v) for v in ids[best_gene[r]]), float(best_score[r]),
             R * ga.generations)

@@ -159,6 +159,21 @@ def test_chat_complete_malformed_body(stub_server):
         chat_complete(ep, MESSAGES)
 
 
+@pytest.mark.parametrize("content", [None, 42])
+def test_chat_reply_that_is_not_a_string_is_malformed(stub_server, tmp_path,
+                                                      content):
+    # A null reply used to come back, and go into the cassette, as "None".
+    StubHandler.script = [(200, chat_body(content))]
+    ep = EndpointConfig(base_url=stub_server, model="m")
+    with pytest.raises(GatewayError, match="malformed chat response body"):
+        chat_complete(ep, MESSAGES)
+    path = tmp_path / "session.jsonl"
+    with Cassette(path, "record") as rec:
+        with pytest.raises(GatewayError, match="malformed chat response"):
+            ChatProposalEngine(ep, cassette=rec).propose("p1")
+    assert path.read_text(encoding="utf-8") == ""
+
+
 def test_chat_complete_exhausts_retries(stub_server, no_sleep):
     StubHandler.script = [(503, "down")]
     ep = EndpointConfig(base_url=stub_server, model="m", max_retries=2)

@@ -185,6 +185,41 @@ def test_traffic_records_are_pinned():
     assert digest.hexdigest() == TRAFFIC_RECORDS_SHA256
 
 
+# sha256 over record_to_json of every (seed, robots, objective, method) run
+# below, in that order, then of the switched opro_mock runs.  Computed
+# before the GA generation loop and the scoring kernel were rewritten for
+# speed; change it only with a deliberate change to a scheduling method's
+# draws, ranking or scores, and say so.
+SCHEDULING_RECORDS_SHA256 = (
+    "1e47f8e2ce2cb7d3513d852df2b1da13360f8b38396667828b8519198b9a9dbf")
+
+
+def test_scheduling_records_are_pinned():
+    # The 10-robot reference document and its 4-robot variant under every
+    # objective and every offline method, then the mock engine with the
+    # README's pf -> qos_sum_rate switch.
+    doc = json.loads(REFERENCE_SCHEDULING.read_text(encoding="utf-8"))
+    small = dict(doc, scheduling=dict(doc["scheduling"], num_robots=4))
+    switch = {"at_iteration": 60, "objective": "qos_sum_rate"}
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for base in (doc, small):
+            for kind in ("pf", "qos_sum_rate", "qos_pf"):
+                section = dict(base["scheduling"], objective={"kind": kind})
+                scenario = scenario_from_dict(
+                    dict(base, seed=seed, scheduling=section))
+                for method in ("ga", "brute_force", "round_robin",
+                               "opro_mock"):
+                    digest.update(record_to_json(
+                        run(scenario, method)).encode("utf-8"))
+    for seed in (1, 2):
+        for base in (doc, small):
+            rec = run(scenario_from_dict(dict(base, seed=seed)), "opro_mock",
+                      {"switch": switch})
+            digest.update(record_to_json(rec).encode("utf-8"))
+    assert digest.hexdigest() == SCHEDULING_RECORDS_SHA256
+
+
 def test_run_safe_captures_failures_as_records():
     rec = run_safe(sched_scenario(), "no_such_method")
     assert rec.status == "error"
@@ -365,12 +400,64 @@ def test_cli_seed_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3"])
-def test_cli_config_that_is_not_an_object_is_a_config_error(tmp_path, text):
+def test_cli_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys,
+                                                            text):
+    # The document-level ConfigError, reported as a usage error.
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(SystemExit) as exc:
         main(["schedule", "--config", str(path), "--seed", "3"])
-    assert err.value.field == "document"
+    assert exc.value.code == 2
+    assert f"argument --config: {path}: document: " in capsys.readouterr().err
+
+
+SCHED_JSON = scenario_to_json(sched_scenario())
+
+
+@pytest.mark.parametrize("files, argv, named", [
+    ({}, ["schedule", "--config", "missing.json"],
+     "argument --config: cannot read missing.json"),
+    ({"cfg.json": "{"}, ["schedule", "--config", "cfg.json"],
+     "argument --config: cfg.json is not JSON"),
+    ({"cfg.json": '{"track": "scheduling", "seed": 1, '
+                  '"scheduling": {"num_robots": "x"}}'},
+     ["schedule", "--config", "cfg.json"],
+     "argument --config: cfg.json: scheduling.num_robots: "),
+    ({"cfg.json": SCHED_JSON},
+     ["opro", "--config", "cfg.json", "--switch", "notjson"],
+     "argument --switch: --switch expects a JSON document, got 'notjson'"),
+    ({"cfg.json": SCHED_JSON},
+     ["sweep", "--config", "cfg.json", "--methods", "opro_mock",
+      "--seeds", "1", "--switch", "notjson"],
+     "argument --switch: --switch expects a JSON document, got 'notjson'"),
+    ({"runs/run-a.json": "[1, 2]"}, ["report", "--runs", "runs"],
+     "argument --runs: runs/run-a.json is not a run record"),
+    ({"runs/run-a.json": '{"track": "scheduling"}'},
+     ["report", "--runs", "runs"],
+     "argument --runs: runs/run-a.json is not a run record"),
+    ({"runs/run-a.json": json.dumps({
+        "track": "scheduling", "method": "ga", "seed": 1,
+        "config_digest": "0" * 64, "package_version": "0.1.0",
+        "status": "ok", "metrics": {"score": "high"}, "details": {}})},
+     ["report", "--runs", "runs"],
+     "argument --runs: runs/run-a.json is not a run record: metrics"),
+    ({"runs/run-a.json": "{"}, ["report", "--runs", "runs"],
+     "argument --runs: runs/run-a.json is not JSON"),
+    ({}, ["report", "--runs", "runs"], "argument --runs: cannot read runs"),
+], ids=["config-missing", "config-not-json", "config-ill-typed",
+        "opro-switch-not-json", "sweep-switch-not-json", "runs-not-object",
+        "runs-fields-missing", "runs-metrics-not-numbers", "runs-not-json",
+        "runs-missing"])
+def test_cli_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files,
+                                        argv, named):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_opro_mock_with_switch(tmp_path, capsys):

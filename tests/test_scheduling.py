@@ -140,6 +140,8 @@ def test_allocation_rank_never_raises():
 
 
 SNR_KINDS = ("uniform", "none", "rayleigh")
+# Unknown ids at the dtype's edges: a robot id is matched in int64.
+INT64_EDGE_IDS = (2 ** 40, -2 ** 40, 2 ** 63 - 1, -(2 ** 63 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,9 +171,10 @@ def test_kernel_matches_scalar_oracle(data):
                      buffer_nonempty=snr.buffer_nonempty)
     width = data.draw(st.sampled_from([m, m, m, 0, m - 1, m + 1, m + 2]),
                       label="width")
-    # Ids in [-1, n + 2], half of them drawn from the known robots so that
-    # structurally valid rows are common.
-    ids = st.integers(1, n) | st.integers(-1, n + 2)
+    # Ids in [-1, n + 2] or near int64's ends, half of them drawn from the
+    # known robots so that structurally valid rows are common.
+    ids = st.integers(1, n) | st.sampled_from([*range(-1, n + 3),
+                                               *INT64_EDGE_IDS])
     rows = data.draw(st.lists(st.lists(ids, min_size=width, max_size=width),
                               min_size=1, max_size=40), label="rows")
 
@@ -215,6 +218,20 @@ def test_row_scores_do_not_depend_on_the_batch(kind):
     for row, score in zip(allocs, assessed.scores):
         assert score == oracle.score(row, snr, cfg, objective)
         assert score == allocation_rank(row, snr, cfg, objective)[1]
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("empty", [(), (1, 2, 3)])
+def test_empty_batch_gives_an_empty_assessment(kind, empty):
+    # With no eligible robot a PF row has no terms at all; an empty batch
+    # must still get zero scores, not one.
+    objective = ObjectiveSpec(kind=kind, min_rate_bps=1e6)
+    cfg = SchedulingConfig(num_robots=3, objective=objective)
+    assessed = evaluate_batch(np.zeros((0, 9), dtype=np.int64),
+                              flat_map(3, empty=empty), cfg, objective)
+    assert assessed.levels.shape == assessed.scores.shape == (0,)
+    assert assessed.rates.shape == assessed.starved.shape == (0, 3)
+    assert assessed.counts.shape == (0, 4)
 
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
