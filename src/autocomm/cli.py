@@ -83,6 +83,14 @@ def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _parse_methods(text: str) -> list[str]:
+    methods = _csv_list(text)
+    if not methods:
+        raise argparse.ArgumentTypeError("--methods expects at least one "
+                                         "method name")
+    return methods
+
+
 def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for t in _csv_list(text):
@@ -91,6 +99,8 @@ def _parse_seeds(text: str) -> list[int]:
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"--seeds expects integers, got {t!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("--seeds expects at least one seed")
     return seeds
 
 
@@ -105,6 +115,8 @@ def _parse_axis(text: str) -> tuple[str, list]:
             parsed.append(json.loads(v))
         except ValueError:
             parsed.append(v)
+    if not parsed:
+        raise argparse.ArgumentTypeError("--axis expects at least one value")
     return name.strip(), parsed
 
 
@@ -159,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="axis x seeds x methods grid")
     common(sp)
-    sp.add_argument("--methods", required=True,
+    sp.add_argument("--methods", required=True, type=_parse_methods,
                     help="comma-separated method names")
     sp.add_argument("--seeds", required=True, type=_parse_seeds,
                     help="comma-separated integer seeds")
@@ -240,7 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.switch is not None:
             opts["switch"] = args.switch
         axis_name, axis_values = args.axis or (None, (None,))
-        sw = sweep(scenario, _csv_list(args.methods), args.seeds,
+        sw = sweep(scenario, args.methods, args.seeds,
                    axis_name, axis_values, opts)
         digest = config_digest(scenario)[:12]
         _save(cells_csv(sw), args.out, f"sweep-cells-{digest}.csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .configs import (
     USER_EDGE_MARGIN_M,
+    ChannelSceneConfig,
     ConfigError,
     ScenarioConfig,
     Track,
@@ -32,6 +34,7 @@ from .configs import (
     switch_from_dict,
 )
 from .geochannel import (
+    CkmDataset,
     build_ckm,
     fit_linear_gcp,
     geometry_predictor,
@@ -209,10 +212,8 @@ def default_user_positions(scenario: ScenarioConfig,
     return np.column_stack([xs, ys, np.full(num_users, cfg.user_height_m)])
 
 
-def ckm_grid_positions(scenario: ScenarioConfig) -> np.ndarray:
+def ckm_grid_positions(cfg: ChannelSceneConfig) -> np.ndarray:
     """Lane-center sampling grid, every 0.25 m, for building a channel map."""
-    cfg = scenario.channel
-    assert cfg is not None
     half = cfg.road_halfwidth_m
     centers = [-half + (k + 0.5) * cfg.lane_width_m
                for k in range(cfg.num_lanes)]
@@ -220,6 +221,28 @@ def ckm_grid_positions(scenario: ScenarioConfig) -> np.ndarray:
     xs = np.arange(ROAD_X_M[0], ROAD_X_M[1] + step / 2, step)
     rows = [(x, y, cfg.user_height_m) for y in centers for x in xs]
     return np.asarray(rows)
+
+
+def _grid_ckm(cfg: ChannelSceneConfig) -> CkmDataset:
+    """The channel map over cfg's lane grid, built once per scene config.
+
+    The map depends on the scene alone, not on the seed, so every map
+    baseline run on the scene reads one map.  The cache key is cfg's repr,
+    which tells 0.0 from -0.0, so a hit is bit-equal to a fresh build.
+    """
+    return _grid_ckm_cached(repr(cfg), cfg)
+
+
+@functools.lru_cache(maxsize=8)     # a map is at most about 0.35 MB
+def _grid_ckm_cached(key: str, cfg: ChannelSceneConfig) -> CkmDataset:
+    """_grid_ckm's store; key, not cfg's ==, tells configs apart.  The
+    map's arrays are read-only, so no run can change a map others read."""
+    ckm = build_ckm(cfg, ckm_grid_positions(cfg))
+    for f in dataclasses.fields(ckm):
+        value = getattr(ckm, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return ckm
 
 
 def _run_channel(scenario: ScenarioConfig, method: str,
@@ -231,7 +254,7 @@ def _run_channel(scenario: ScenarioConfig, method: str,
     if method == "geometry":
         predictions = (geometry_predictor(cfg, u) for u in users)
     elif method in ("nn_ckm", "linear_gcp"):
-        ckm = build_ckm(cfg, ckm_grid_positions(scenario))
+        ckm = _grid_ckm(cfg)
         ckm_points = len(ckm.positions)
         if method == "nn_ckm":
             predictions = nn_ckm_predict(ckm, users)
@@ -308,6 +331,7 @@ def run_safe(scenario: ScenarioConfig, method: str,
 @dataclass(frozen=True)
 class SweepCell:
     axis_value: object
+    axis_index: int                      # position of axis_value in the sweep
     seed: int
     method: str
     record: RunRecord
@@ -354,7 +378,7 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
     if (opts or {}).get("cassette") and chat_cells > 1:
         raise ValueError(f"one cassette cannot serve {chat_cells} opro_chat "
                          "cells; run them one at a time")
-    for value in axis_values:
+    for index, value in enumerate(axis_values):
         for seed in seeds:
             doc = scenario_to_dict(base)
             doc["seed"] = int(seed)
@@ -365,17 +389,21 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
             except Exception as exc:
                 for method in methods:
                     rec = _error_record(base.track, method, int(seed), "", exc)
-                    result.cells.append(SweepCell(value, int(seed), method, rec))
+                    result.cells.append(
+                        SweepCell(value, index, int(seed), method, rec))
                 continue
             for method in methods:
                 rec = run_safe(scenario, method, opts)
-                result.cells.append(SweepCell(value, int(seed), method, rec))
+                result.cells.append(
+                    SweepCell(value, index, int(seed), method, rec))
     return result
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, (list, dict)):
+        return json.dumps(v, sort_keys=True)
     return "" if v is None else str(v)
 
 
@@ -408,19 +436,22 @@ def _metric_groups(keyed: Sequence[tuple[object, RunRecord]]
 
 
 def summary_csv(sw: SweepResult) -> str:
-    """Mean/min/max per (axis value, method, metric) over seeds; ok cells only."""
-    groups = _metric_groups([((c.axis_value, c.method), c.record)
+    """Mean/min/max per (axis value, method, metric) over seeds; ok cells
+    only.  Axis values come in the order the sweep visited them."""
+    groups = _metric_groups([((c.axis_index, c.method), c.record)
                              for c in sw.cells])
+    values = {c.axis_index: c.axis_value for c in sw.cells}
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["axis", "axis_value", "method", "metric",
                 "mean", "min", "max", "n"])
-    for (value, method) in sorted(groups, key=lambda t: (str(t[0]), t[1])):
-        for metric in sorted(groups[(value, method)]):
-            vals = groups[(value, method)][metric]
-            w.writerow([sw.axis_name or "", _fmt(value), method, metric,
-                        repr(float(np.mean(vals))), repr(float(min(vals))),
-                        repr(float(max(vals))), len(vals)])
+    for (index, method) in sorted(groups):
+        for metric in sorted(groups[(index, method)]):
+            vals = groups[(index, method)][metric]
+            w.writerow([sw.axis_name or "", _fmt(values[index]), method,
+                        metric, repr(float(np.mean(vals))),
+                        repr(float(min(vals))), repr(float(max(vals))),
+                        len(vals)])
     return buf.getvalue()
 
 

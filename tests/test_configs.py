@@ -411,7 +411,7 @@ def test_channel_documents_fail_only_with_config_errors(channel, seed,
     # Every accepted scene can be run: its users and map grid are drawn
     # and every channel is finite.
     evaluated = default_user_positions(scn)
-    grid = ckm_grid_positions(scn)
+    grid = ckm_grid_positions(cfg)
     assert evaluated.shape == (25, 3) and np.isfinite(evaluated).all()
     assert grid.shape == (cfg.num_lanes * 121, 3) and np.isfinite(grid).all()
     users = [(0.0, 0.0, cfg.user_height_m), (15.0, -3.0, 1.5),

@@ -1,5 +1,6 @@
 """Run records, sweeps, CSV emission, and the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from autocomm import report
 from autocomm.cli import main
 from autocomm.configs import (
     ConfigError,
@@ -23,7 +25,7 @@ from autocomm.configs import (
     scenario_to_dict,
     scenario_to_json,
 )
-from autocomm.geochannel import load_fixture_scene
+from autocomm.geochannel import build_ckm, fit_linear_gcp, load_fixture_scene
 from autocomm.report import (
     CHANNEL_METHODS,
     cells_csv,
@@ -129,6 +131,81 @@ def test_channel_run_counters_on_shadowed_scene():
     assert counters["geometry"] == {"los_users": 4, "reflection_paths": 22,
                                     "shadowed_users": 3, "ckm_points": 0}
     assert counters["nn_ckm"] == dict(counters["geometry"], ckm_points=484)
+
+
+CKM_ARRAYS = ("positions", "channels", "present", "gains", "sin_aod")
+
+
+def assert_same_map(a, b):
+    """a and b hold the same slots and, array by array, the same bits."""
+    assert a.slots == b.slots
+    for name in CKM_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def fresh_grid_map(cfg):
+    return build_ckm(cfg, ckm_grid_positions(cfg))
+
+
+def test_grid_map_hit_is_a_read_only_copy_of_a_fresh_build():
+    report._grid_ckm_cached.cache_clear()
+    first = report._grid_ckm(load_fixture_scene(2).channel)
+    # An equal config from another document is a hit.
+    cfg = load_fixture_scene(2).channel
+    hit = report._grid_ckm(cfg)
+    assert hit is first
+    assert report._grid_ckm_cached.cache_info().hits == 1
+    assert_same_map(hit, fresh_grid_map(cfg))
+    for name in CKM_ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(hit, name)[0] = 0
+
+
+def test_grid_map_cache_tells_configs_apart():
+    report._grid_ckm_cached.cache_clear()
+    cfg = load_fixture_scene(1).channel
+    fewer = dataclasses.replace(cfg, num_antennas=8)
+    # Equal under == and hash, but not the same document.
+    signed = dataclasses.replace(cfg, reflection_coeff=complex(0.6, -0.0))
+    assert cfg.reflection_coeff == complex(0.6, 0.0) and signed == cfg
+    maps = [report._grid_ckm(c) for c in (cfg, fewer, signed)]
+    assert report._grid_ckm_cached.cache_info().currsize == 3
+    assert len({id(m) for m in maps}) == 3
+    assert maps[1].channels.shape == (484, 8)
+    for c, m in zip((cfg, fewer, signed), maps):
+        assert_same_map(m, fresh_grid_map(c))
+
+
+def test_grid_map_cache_stays_at_its_bound():
+    report._grid_ckm_cached.cache_clear()
+    bound = report._grid_ckm_cached.cache_info().maxsize
+    cfg = load_fixture_scene(1).channel
+    for n in range(1, bound + 3):
+        report._grid_ckm(dataclasses.replace(cfg, num_antennas=n))
+        assert report._grid_ckm_cached.cache_info().currsize == min(n, bound)
+
+
+def test_sweep_builds_the_grid_map_once(monkeypatch):
+    calls = {"grid": 0, "truth": 0, "fit": 0}
+
+    def counting_build(cfg, positions):
+        calls["grid" if len(positions) == 484 else "truth"] += 1
+        return build_ckm(cfg, positions)
+
+    def counting_fit(cfg, ckm):
+        calls["fit"] += 1
+        return fit_linear_gcp(cfg, ckm)
+
+    monkeypatch.setattr(report, "build_ckm", counting_build)
+    monkeypatch.setattr(report, "fit_linear_gcp", counting_fit)
+    report._grid_ckm_cached.cache_clear()
+    sw = sweep(load_fixture_scene(1), ["nn_ckm", "linear_gcp"], [1, 2, 3])
+    assert sw.all_ok and len(sw.cells) == 6
+    assert calls == {"grid": 1, "truth": 6, "fit": 3}
+    assert {c.record.details["counters"]["ckm_points"]
+            for c in sw.cells} == {484}
 
 
 # sha256 over record_to_json of every (seed, scene, method) run below, in
@@ -237,7 +314,7 @@ def test_user_position_helpers():
     assert np.all(np.abs(users[:, 1]) <= half - 0.5)
     np.testing.assert_array_equal(
         users, default_user_positions(scenario, num_users=7))
-    grid = ckm_grid_positions(scenario)
+    grid = ckm_grid_positions(scenario.channel)
     assert grid.shape == (scenario.channel.num_lanes * 121, 3)
     assert (grid[:, 0].min(), grid[:, 0].max()) == (0.0, 30.0)
     assert set(grid[:, 2]) == {scenario.channel.user_height_m}
@@ -266,6 +343,31 @@ def test_sweep_cross_product_and_csvs():
     # 2 axis values x (2 metrics for rr + 3 for ga)
     assert len(summary) == 1 + 2 * (2 + 3)
     assert all(row.endswith(",2") for row in summary[1:])  # n == len(seeds)
+
+
+def test_summary_lists_axis_values_in_sweep_order():
+    # As strings "10" < "2"; the summary keeps the order the sweep visited.
+    sw = sweep(sched_scenario(), ["round_robin"], [1, 2],
+               axis_name="scheduling.num_robots", axis_values=[2, 10, 3])
+    rows = summary_csv(sw).splitlines()[1:]
+    values = [row.split(",")[1] for row in rows]
+    assert values == ["2", "2", "10", "10", "3", "3"]    # level, score each
+
+
+def test_summary_groups_object_axis_values():
+    sw = sweep(sched_scenario(), ["round_robin"], [1, 2],
+               axis_name="scheduling.objective",
+               axis_values=[{"kind": "qos_sum_rate"}, {"kind": "pf"}])
+    assert sw.all_ok
+    rows = summary_csv(sw).splitlines()[1:]
+    assert len(rows) == 2 * 2            # 2 values x (level, score)
+    assert all(row.endswith(",2") for row in rows)
+    # JSON text, in the order the sweep visited the values.
+    texts = ['"{""kind"": ""qos_sum_rate""}"', '"{""kind"": ""pf""}"']
+    assert [row.split(",round_robin,")[0] for row in rows] == [
+        f"scheduling.objective,{t}" for t in texts for _ in range(2)]
+    cells = cells_csv(sw)
+    assert all(f",{t}," in cells for t in texts)
 
 
 def test_sweep_records_invalid_cells_and_continues():
@@ -430,6 +532,16 @@ SCHED_JSON = scenario_to_json(sched_scenario())
      ["sweep", "--config", "cfg.json", "--methods", "opro_mock",
       "--seeds", "1", "--switch", "notjson"],
      "argument --switch: --switch expects a JSON document, got 'notjson'"),
+    ({"cfg.json": SCHED_JSON},
+     ["sweep", "--config", "cfg.json", "--methods", " , ", "--seeds", "1"],
+     "argument --methods: --methods expects at least one method name"),
+    ({"cfg.json": SCHED_JSON},
+     ["sweep", "--config", "cfg.json", "--methods", "ga", "--seeds", ""],
+     "argument --seeds: --seeds expects at least one seed"),
+    ({"cfg.json": SCHED_JSON},
+     ["sweep", "--config", "cfg.json", "--methods", "ga", "--seeds", "1",
+      "--axis", "scheduling.num_robots="],
+     "argument --axis: --axis expects at least one value"),
     ({"runs/run-a.json": "[1, 2]"}, ["report", "--runs", "runs"],
      "argument --runs: runs/run-a.json is not a run record"),
     ({"runs/run-a.json": '{"track": "scheduling"}'},
@@ -445,7 +557,8 @@ SCHED_JSON = scenario_to_json(sched_scenario())
      "argument --runs: runs/run-a.json is not JSON"),
     ({}, ["report", "--runs", "runs"], "argument --runs: cannot read runs"),
 ], ids=["config-missing", "config-not-json", "config-ill-typed",
-        "opro-switch-not-json", "sweep-switch-not-json", "runs-not-object",
+        "opro-switch-not-json", "sweep-switch-not-json", "sweep-no-methods",
+        "sweep-no-seeds", "sweep-no-axis-values", "runs-not-object",
         "runs-fields-missing", "runs-metrics-not-numbers", "runs-not-json",
         "runs-missing"])
 def test_cli_bad_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files,
@@ -542,6 +655,16 @@ def test_cli_sweep_writes_csvs(tmp_path, capsys):
     assert (out / f"sweep-summary-{digest}.csv").read_text(
         encoding="utf-8") == stdout
     assert cells.count("\n") == 5  # header + 2 axis values x 2 seeds
+
+
+def test_cli_sweep_over_a_list_axis(tmp_path, capsys):
+    cfg = write_config(tmp_path, load_fixture_scene(1))
+    code = main(["sweep", "--config", cfg, "--methods", "geometry",
+                 "--seeds", "1", "--axis", "channel.buildings=[]"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "axis,axis_value,method,metric,mean,min,max,n"
+    assert rows[1].startswith("channel.buildings,[],geometry,nmse_db_max,")
 
 
 def test_cli_sweep_bad_axis_value_exits_nonzero(tmp_path, capsys):
