@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -79,8 +80,21 @@ def _emit(text: str, out_dir: Optional[str], name: str) -> None:
     _save(text, out_dir, name)
 
 
+# A JSON string (closed or not), a bracket or comma, or a run of the rest;
+# a comma is top-level outside strings, [] and {}.
+_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{},]|[^][{},"]+')
+
+
 def _csv_list(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+    """Stripped, non-empty pieces of text between top-level commas."""
+    pieces, depth = [""], 0
+    for token in _TOKENS.findall(text):
+        if token == "," and depth == 0:
+            pieces.append("")
+            continue
+        depth = max(depth + (token in ("[", "{")) - (token in ("]", "}")), 0)
+        pieces[-1] += token
+    return [p.strip() for p in pieces if p.strip()]
 
 
 def _parse_methods(text: str) -> list[str]:

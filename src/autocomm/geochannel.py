@@ -20,9 +20,11 @@ and every row is bit-equal to tracing that user alone.
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
 gain (lambda / (4*pi*len)) * Gamma^bounces * exp(-j*2*pi*len/lambda).
+One kernel, _synthesize, sums paths into channels for every caller.
 
 Two data-driven baselines share the interface: nearest-neighbor lookup in
-a channel-knowledge map and an affine per-scatterer regression.
+a channel-knowledge map and an affine per-scatterer regression; both
+predict one query or a batch.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ class Path:
 def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
                  via: np.ndarray, los: np.ndarray
                  ) -> tuple[np.ndarray, ...]:
-    """Length, gain (re, im), AoD and AoA of each row BS -> via -> user, or
+    """Length, complex gain, AoD and AoA of each row BS -> via -> user, or
     of the line of sight where los is set (via is then the user itself)."""
     bs = np.asarray(cfg.bs_pos, dtype=float)
     lam = SPEED_OF_LIGHT / cfg.carrier_hz
@@ -243,11 +245,11 @@ def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
     amp_re = amp * np.where(los, 1.0, gamma.real)
     amp_im = amp * np.where(los, 0.0, gamma.imag)
     rot = np.exp(1j * (-2.0 * math.pi * length / lam))
-    gain_re = amp_re * rot.real - amp_im * rot.imag
-    gain_im = amp_re * rot.imag + amp_im * rot.real
+    gain = (amp_re * rot.real - amp_im * rot.imag).astype(complex)
+    gain.imag = amp_re * rot.imag + amp_im * rot.real
     aod = np.arcsin(np.clip(out_leg[:, 0] / _norm(out_leg), -1.0, 1.0))
     aoa = np.arcsin(np.clip(back[:, 0] / _norm(back), -1.0, 1.0))
-    return length, gain_re, gain_im, aod, aoa
+    return length, gain, aod, aoa
 
 
 def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
@@ -263,33 +265,30 @@ def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
     return facades, present, user_idx, slot, via
 
 
-def _gains(cfg: ChannelSceneConfig, users: np.ndarray, via: np.ndarray,
-           los: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex gain and sin of the AoD of each row of _path_arrays."""
-    _, gain_re, gain_im, aod, _ = _path_arrays(cfg, users, via, los)
-    gain = np.empty(len(los), dtype=complex)
-    gain.real, gain.imag = gain_re, gain_im
-    # math.sin, as synthesis from Path objects takes it.
-    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
-    return gain, sin_aod
+def _read_paths(cfg: ChannelSceneConfig, user: np.ndarray,
+                facades: Sequence[Facade], slot: np.ndarray,
+                via: np.ndarray) -> list[Path]:
+    """Path k runs BS -> via[k] -> user; slot[k] is 0 for the line of sight
+    (via the user itself) and f + 1 for a reflection off facade f."""
+    length, gain, aod, aoa = _path_arrays(
+        cfg, np.broadcast_to(user, via.shape), via, slot == 0)
+    ids = [None] + [f.facade_id for f in facades]
+    start = tuple(float(v) for v in cfg.bs_pos)
+    end = tuple(user.tolist())
+    return [Path(kind="los" if s == 0 else "reflection", facade_id=ids[s],
+                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
+                 gain=g, aod_rad=a_d, aoa_rad=a_a,
+                 points=(start, end) if s == 0 else (start, tuple(v), end))
+            for s, l_m, g, a_d, a_a, v in zip(
+                slot.tolist(), length.tolist(), gain.tolist(), aod.tolist(),
+                aoa.tolist(), via.tolist())]
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
     """LoS plus all clear single-reflection paths, in facade order."""
     users = np.asarray(user, dtype=float).reshape(1, 3)
-    facades, _, user_idx, slot, via = _trace_rows(cfg, users)
-    length, gain_re, gain_im, aod, aoa = _path_arrays(cfg, users[user_idx],
-                                                      via, slot == 0)
-    ids = [None] + [f.facade_id for f in facades]
-    start = tuple(float(v) for v in cfg.bs_pos)
-    end = tuple(users[0].tolist())
-    return [Path(kind="los" if s == 0 else "reflection", facade_id=ids[s],
-                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
-                 gain=complex(g_re, g_im), aod_rad=a_d, aoa_rad=a_a,
-                 points=(start, end) if s == 0 else (start, tuple(v), end))
-            for s, l_m, g_re, g_im, a_d, a_a, v in zip(
-                slot.tolist(), length.tolist(), gain_re.tolist(),
-                gain_im.tolist(), aod.tolist(), aoa.tolist(), via.tolist())]
+    facades, _, _, slot, via = _trace_rows(cfg, users)
+    return _read_paths(cfg, users[0], facades, slot, via)
 
 
 def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
@@ -358,42 +357,31 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     horizontal tangent by that many meters (clamped to the facade), leaving
     stage 1 intact.  Defaults reproduce trace_paths exactly.
     """
-    if stage1_labels is None and stage2_offset == 0.0:
-        return synthesize_channel(cfg, trace_paths(cfg, user))
-    if stage1_labels is None:
-        slots = [p.slot for p in trace_paths(cfg, user)]
-    else:
-        slots = list(stage1_labels)
-
-    user = np.asarray(user, dtype=float)
-    facades = enumerate_facades(cfg)
-    column = {f.facade_id: i for i, f in enumerate(facades)}
-    status, q = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
-                             user.reshape(1, 3), facades)
-    los: list[bool] = []
-    via: list[np.ndarray] = []
-    for slot in slots:
-        if slot == "los":
-            los.append(True)
-            via.append(user)
-            continue
-        f = column[slot]
-        if status[0, f] != _ACTIVE:    # on, behind, or off the facade
-            continue
-        point = q[0, f]
+    paths = trace_paths(cfg, user) if stage1_labels is None else None
+    if paths is None or stage2_offset != 0.0:
+        facades = enumerate_facades(cfg)
+        ids = ["los"] + [f.facade_id for f in facades]
+        labels = (list(stage1_labels) if paths is None
+                  else [p.slot for p in paths])
+        unknown = [s for s in labels if s not in ids]
+        if unknown:
+            raise ValueError(f"unknown stage1 labels {unknown}; slots: {ids}")
+        user = np.asarray(user, dtype=float)
+        status, q = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
+                                 user.reshape(1, 3), facades)
+        # Slot 0 runs via the user, slot f + 1 via facade f's reflection
+        # point; facades with an endpoint on, behind or off them drop out.
+        slot = np.array([ids.index(s) for s in labels], dtype=int)
+        slot = slot[np.append(True, status[0] == _ACTIVE)[slot]]
+        via = np.concatenate([user[None, :], q[0]])[slot]
         if stage2_offset != 0.0:
-            facade = facades[f]
-            u, z = facade.coords(point)
-            u = float(np.clip(u + stage2_offset,
-                              facade.urange[0], facade.urange[1]))
-            point = facade.embed(u, z)
-        los.append(False)
-        via.append(point)
-    via_arr = np.array(via, dtype=float).reshape(-1, 3)
-    gain, sin_aod = _gains(cfg, np.broadcast_to(user, via_arr.shape), via_arr,
-                           np.array(los, dtype=bool))
-    return _synthesize(cfg.num_antennas, 1, np.zeros(len(gain), dtype=int),
-                       gain, sin_aod)[0]
+            for k in np.nonzero(slot)[0]:
+                facade = facades[slot[k] - 1]
+                u, z = facade.coords(via[k])
+                via[k] = facade.embed(
+                    float(np.clip(u + stage2_offset, *facade.urange)), z)
+        paths = _read_paths(cfg, user, facades, slot, via)
+    return synthesize_channel(cfg, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,9 @@ def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
-    gain, sin_aod = _gains(cfg, pos[user_idx], via, slot == 0)
+    _, gain, aod, _ = _path_arrays(cfg, pos[user_idx], via, slot == 0)
+    # math.sin, as synthesize_channel takes it from each Path.
+    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
     gains = np.zeros(present.shape, dtype=complex)
     gains[user_idx, slot] = gain
     sins = np.zeros(present.shape)
@@ -457,7 +447,7 @@ class LinearGcp:
 
     num_antennas: int
     slots: tuple[str, ...]
-    weights: dict[str, np.ndarray]   # [5 targets, 3] per slot
+    weights: np.ndarray              # [slots, 5 targets, 3], in slot order
 
 
 def fit_linear_gcp(cfg: ChannelSceneConfig, ckm: CkmDataset) -> LinearGcp:
@@ -466,10 +456,9 @@ def fit_linear_gcp(cfg: ChannelSceneConfig, ckm: CkmDataset) -> LinearGcp:
                      if ckm.present[:, j].any())
     design = np.column_stack([ckm.positions[:, 0], ckm.positions[:, 1],
                               np.ones(len(ckm.positions))])
-    weights: dict[str, np.ndarray] = {}
-    for slot, j in columns:
+    weights = np.zeros((len(columns), 5, 3))
+    for w, (_, j) in zip(weights, columns):
         present = ckm.present[:, j]
-        w = np.zeros((5, 3))
         # Under 3 samples the affine fits are rank-deficient; leave the slot
         # all-zero so prediction never invents a path from it.
         if present.sum() >= 3:
@@ -482,25 +471,27 @@ def fit_linear_gcp(cfg: ChannelSceneConfig, ckm: CkmDataset) -> LinearGcp:
                        np.sin(np.angle(gains))]
             for k, tgt in enumerate(targets, start=1):
                 w[k] = np.linalg.lstsq(sub, tgt, rcond=None)[0]
-        weights[slot] = w
     return LinearGcp(num_antennas=cfg.num_antennas,
                      slots=tuple(s for s, _ in columns), weights=weights)
 
 
 def linear_gcp_predict(model: LinearGcp, query: Sequence[float]) -> np.ndarray:
-    x = np.array([float(query[0]), float(query[1]), 1.0])
-    h = np.zeros(model.num_antennas, dtype=complex)
-    n = np.arange(model.num_antennas)
-    for slot in model.slots:
-        w = model.weights[slot]
-        presence = float(w[0] @ x)
-        if presence < 0.5:
-            continue
-        sin_aod = float(np.clip(w[1] @ x, -1.0, 1.0))
-        amp = math.exp(float(w[2] @ x))
-        phase = math.atan2(float(w[4] @ x), float(w[3] @ x))
-        h += amp * np.exp(1j * phase) * np.exp(-1j * math.pi * n * sin_aod)
-    return h
+    """Sum of the slots predicted present at each query's (x, y).
+
+    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].
+    """
+    x = np.array(query, dtype=float).reshape(-1, 3)
+    x[:, 2] = 1.0                   # each fit is w . [x, y, 1]
+    # As in _norm, a stacked row-by-column matmul makes each w . x the same
+    # BLAS dot that one query alone gets: fits is [U, slots, 5 targets].
+    fits = (model.weights[:, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
+    user_idx, slot = np.nonzero(~(fits[..., 0] < 0.5))
+    fits = fits[user_idx, slot]
+    amp = np.array([math.exp(v) for v in fits[:, 2].tolist()])
+    phase = np.array([math.atan2(s, c) for c, s in fits[:, 3:].tolist()])
+    h = _synthesize(model.num_antennas, len(x), user_idx,
+                    amp * np.exp(1j * phase), np.clip(fits[:, 1], -1.0, 1.0))
+    return h.reshape(np.shape(query)[:-1] + (model.num_antennas,))
 
 
 # ---------------------------------------------------------------------------

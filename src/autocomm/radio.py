@@ -18,22 +18,20 @@ from .configs import SchedulingConfig
 from .rng import RngStream
 
 
+# Link budget: SNRs span roughly 0-40 dB over a 100 m cell.
+_TX_POWER_DBM = 23.0
+_NOISE_DBM_PER_RB = -101.0
+_PATHLOSS_REF_DB = 40.0
+_PATHLOSS_EXPONENT = 3.0
+
+
 @dataclass(frozen=True)
 class RadioParams:
-    """Link budget defaults sized so SNRs span roughly 0-40 dB over a 100 m
-    cell, keeping scheduling instances non-degenerate."""
+    """Small-scale fading on top of the fixed link budget."""
 
-    tx_power_dbm: float = 23.0
-    noise_dbm_per_rb: float = -101.0
-    pathloss_ref_db: float = 40.0
-    pathloss_exponent: float = 3.0
     fading: str = "none"  # "none" | "rayleigh"
 
     def __post_init__(self):
-        if self.pathloss_exponent < 2:
-            raise ValueError("pathloss_exponent must be >= 2")
-        if not math.isfinite(self.noise_dbm_per_rb):
-            raise ValueError("noise_dbm_per_rb must be finite")
         if self.fading not in ("none", "rayleigh"):
             raise ValueError("fading must be 'none' or 'rayleigh'")
 
@@ -69,12 +67,12 @@ class SnrMap:
         return [i + 1 for i in range(self.num_robots) if self.buffer_nonempty[i]]
 
 
-def path_loss_db(distance_m, params: RadioParams) -> np.ndarray:
+def path_loss_db(distance_m) -> np.ndarray:
     """Log-distance path loss, elementwise: ref loss at 1 m plus 10*n*log10(d)."""
     distance_m = np.asarray(distance_m, dtype=float)
     if np.any(distance_m <= 0):
         raise ValueError("distance_m must be > 0")
-    return params.pathloss_ref_db + 10.0 * params.pathloss_exponent * np.log10(distance_m)
+    return _PATHLOSS_REF_DB + 10.0 * _PATHLOSS_EXPONENT * np.log10(distance_m)
 
 
 def generate_snr_map(cfg: SchedulingConfig, params: RadioParams, rng: RngStream) -> SnrMap:
@@ -91,7 +89,7 @@ def generate_snr_map(cfg: SchedulingConfig, params: RadioParams, rng: RngStream)
     # Robots at the exact center would have an undefined path loss; the
     # draw is measure-zero but clamp to 1 m anyway.
     distances = np.maximum(np.hypot(positions[:, 0], positions[:, 1]), 1.0)
-    snr_db = params.tx_power_dbm - path_loss_db(distances, params) - params.noise_dbm_per_rb
+    snr_db = _TX_POWER_DBM - path_loss_db(distances) - _NOISE_DBM_PER_RB
     snr = np.power(10.0, snr_db / 10.0)[:, None] * np.ones((1, m))
     if params.fading == "rayleigh":
         snr = snr * rng.exponential(1.0, (n, m))

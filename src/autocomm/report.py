@@ -250,17 +250,13 @@ def _run_channel(scenario: ScenarioConfig, method: str,
     cfg = scenario.channel
     assert cfg is not None
     users = default_user_positions(scenario)
-    ckm_points = 0
+    ckm = _grid_ckm(cfg) if method in ("nn_ckm", "linear_gcp") else None
     if method == "geometry":
         predictions = (geometry_predictor(cfg, u) for u in users)
-    elif method in ("nn_ckm", "linear_gcp"):
-        ckm = _grid_ckm(cfg)
-        ckm_points = len(ckm.positions)
-        if method == "nn_ckm":
-            predictions = nn_ckm_predict(ckm, users)
-        else:
-            model = fit_linear_gcp(cfg, ckm)
-            predictions = (linear_gcp_predict(model, u) for u in users)
+    elif method == "nn_ckm":
+        predictions = nn_ckm_predict(ckm, users)
+    elif method == "linear_gcp":
+        predictions = linear_gcp_predict(fit_linear_gcp(cfg, ckm), users)
     else:
         raise ValueError(f"unknown channel method {method!r}; "
                          f"expected one of {CHANNEL_METHODS}")
@@ -282,7 +278,7 @@ def _run_channel(scenario: ScenarioConfig, method: str,
         "los_users": int(present[:, 0].sum()),
         "reflection_paths": int(present[:, 1:].sum()),
         "shadowed_users": int((~present.any(axis=1)).sum()),
-        "ckm_points": ckm_points,
+        "ckm_points": 0 if ckm is None else len(ckm.positions),
     }
     return metrics, {"counters": counters}
 

@@ -14,7 +14,9 @@ numpy scalars: the image method, the slab test, the facade statuses by
 name and the hand-written ``Path`` constructions that the array stage of
 ``geochannel`` (``_trace``, ``_path_arrays``) replaces, the
 channel-knowledge map and its affine fit kept as per-sample dicts of
-``Path`` objects (``geochannel.build_ckm`` keeps dense arrays), plus two
+``Path`` objects (``geochannel.build_ckm`` keeps dense arrays), the affine
+model's prediction one query and one slot at a time
+(``geochannel.linear_gcp_predict`` predicts a batch), plus two
 checks of a specular point that use no image method at all: the
 law-of-reflection residual and a path-length grid search over the facade
 (ACCEPTANCE 5 runs the image method against both).  The traffic
@@ -490,6 +492,23 @@ def fit_linear_gcp(positions, paths) -> dict:
                 w[k] = np.linalg.lstsq(sub, tgt, rcond=None)[0]
         weights[slot] = w
     return weights
+
+
+def linear_gcp_predict(model, query) -> np.ndarray:
+    """One query's channel from a LinearGcp, slot by slot: each w . x a
+    one-vector dot, each present slot's ULA response added in turn."""
+    x = np.array([float(query[0]), float(query[1]), 1.0])
+    h = np.zeros(model.num_antennas, dtype=complex)
+    n = np.arange(model.num_antennas)
+    for w in model.weights:
+        presence = float(w[0] @ x)
+        if presence < 0.5:
+            continue
+        sin_aod = float(np.clip(w[1] @ x, -1.0, 1.0))
+        amp = math.exp(float(w[2] @ x))
+        phase = math.atan2(float(w[4] @ x), float(w[3] @ x))
+        h += amp * np.exp(1j * phase) * np.exp(-1j * math.pi * n * sin_aod)
+    return h
 
 
 # ---------------------------------------------------------------------------

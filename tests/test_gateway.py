@@ -8,7 +8,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from autocomm.configs import ScenarioConfig, SchedulingConfig, Track
+from autocomm.cli import main
+from autocomm.configs import (
+    ScenarioConfig,
+    SchedulingConfig,
+    Track,
+    scenario_to_json,
+)
 from autocomm.gateway import (
     API_KEY_ENV,
     Cassette,
@@ -422,6 +428,33 @@ def test_engine_exit_raises_on_leftover_replay_entries(stub_server, tmp_path):
         with ChatProposalEngine(ep, Cassette(path, "replay")) as engine:
             engine.propose("p1")
     assert engine.cassette.remaining == 1
+
+
+def test_cli_opro_chat_records_then_replays_offline(stub_server, tmp_path,
+                                                    monkeypatch, capsys):
+    StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
+    config = tmp_path / "cfg.json"
+    config.write_text(scenario_to_json(ScenarioConfig(
+        track=Track.SCHEDULING, seed=3,
+        scheduling=SchedulingConfig(num_robots=2))), encoding="utf-8")
+    cassette = tmp_path / "chat.jsonl"
+    argv = ["opro", "--config", str(config), "--engine", "chat",
+            "--endpoint-url", stub_server, "--model", "m",
+            "--cassette", str(cassette)]
+    assert main(argv + ["--cassette-mode", "record"]) == 0
+    recorded = capsys.readouterr().out
+    assert json.loads(recorded)["status"] == "ok"
+    assert StubHandler.seen and cassette.exists()
+    requests_seen = len(StubHandler.seen)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("network call during replay")
+
+    monkeypatch.setattr("autocomm.gateway.requests.post", forbidden)
+    monkeypatch.setattr("autocomm.gateway.requests.Session", forbidden)
+    assert main(argv + ["--cassette-mode", "replay"]) == 0
+    assert capsys.readouterr().out == recorded
+    assert len(StubHandler.seen) == requests_seen
 
 
 def _scheduling_chat_run(scenario, url, path, mode, iterations):

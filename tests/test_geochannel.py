@@ -1,5 +1,6 @@
 """Mirror geometry, ray tracing, channel synthesis, and CKM baselines."""
 
+import dataclasses
 import math
 import pathlib
 
@@ -13,6 +14,7 @@ from autocomm.geochannel import (
     CkmDataset,
     DegenerateGeometry,
     Facade,
+    LinearGcp,
     Path,
     build_ckm,
     enumerate_facades,
@@ -265,6 +267,16 @@ def test_predictor_stage1_label_sensitivity():
     assert nmse_db(truth, wrong) > -150.0
 
 
+def test_predictor_rejects_unknown_stage1_labels_by_name():
+    cfg = load_fixture_scene(1).channel
+    with pytest.raises(ValueError) as err:
+        geometry_predictor(cfg, (5.0, -3.0, 1.5),
+                           stage1_labels=["los", "b7:xmin"])
+    assert str(err.value) == (
+        "unknown stage1 labels ['b7:xmin']; slots: "
+        "['los', 'b0:xmin', 'b0:xmax', 'b0:ymin', 'b0:ymax']")
+
+
 def test_predictor_stage2_offset_sensitivity():
     cfg = load_fixture_scene(1).channel
     user = (5.0, -3.0, 1.5)
@@ -338,7 +350,8 @@ def test_linear_gcp_sparse_slot_never_invents_a_path():
         sin_aod=np.array([[0.2, 0.0, 0.0]] * 3 + [[0.2, 0.0, -0.1]]))
     model = fit_linear_gcp(cfg, ckm)
     assert model.slots == ("b0:ymax", "los")  # only slots seen somewhere
-    assert not np.any(model.weights["b0:ymax"])  # under 3 samples: zeroed
+    assert model.weights.shape == (2, 5, 3)
+    assert not np.any(model.weights[0])  # b0:ymax, under 3 samples: zeroed
 
 
 def test_nn_beats_linear_on_blockage_rich_lane():
@@ -473,6 +486,41 @@ def test_predictor_overrides_match_scalar_oracle(data, cfg):
     assert np.array_equal(got, want)
 
 
+def _random_linear_model(seed, num_slots, num_antennas):
+    """A LinearGcp with weights in [-1, 1]: slots come and go over a scene
+    and amplitudes stay finite."""
+    rng = np.random.default_rng(seed)
+    return LinearGcp(num_antennas=num_antennas,
+                     slots=tuple(f"s{i}" for i in range(num_slots)),
+                     weights=rng.uniform(-1.0, 1.0, (num_slots, 5, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=scenes())
+def test_linear_gcp_batch_matches_scalar_oracle(data, cfg):
+    positions = data.draw(_users(cfg, 12))
+    fitted = fit_linear_gcp(cfg, build_ckm(cfg, positions))
+    absent = fitted.weights.copy()
+    absent[:, 0] = 0.0          # presence 0 everywhere: every slot absent
+    models = [fitted, dataclasses.replace(fitted, weights=absent),
+              fit_linear_gcp(cfg, build_ckm(cfg, [])),
+              _random_linear_model(data.draw(st.integers(0, 2**32 - 1)),
+                                   data.draw(st.integers(0, 6)),
+                                   data.draw(st.integers(1, 32)))]
+    assert models[2].slots == () and models[2].weights.shape == (0, 5, 3)
+    queries = data.draw(_users(cfg, 8)) + positions
+    for model in models:
+        batch = linear_gcp_predict(model, queries)
+        assert batch.shape == (len(queries), model.num_antennas)
+        for q, row in zip(queries, batch):
+            assert np.array_equal(row, oracle.linear_gcp_predict(model, q))
+            assert np.array_equal(row, linear_gcp_predict(model, q))
+        empty = linear_gcp_predict(model, np.zeros((0, 3)))
+        assert empty.shape == (0, model.num_antennas)
+    assert not np.any(linear_gcp_predict(models[1], queries))
+    assert not np.any(linear_gcp_predict(models[2], queries))
+
+
 def test_on_plane_users_match_the_oracle_without_warnings():
     # Scene 1's building spans x in [0, 20], y in [-11, -5], 10 m tall:
     # users on its faces, its edges, its roof line and the planes' extensions.
@@ -595,8 +643,9 @@ def test_ckm_matches_path_oracle(data, cfg):
     model = fit_linear_gcp(cfg, ckm)
     want = oracle.fit_linear_gcp(positions, paths)
     assert model.slots == tuple(want)
-    for slot, w in want.items():
-        assert np.array_equal(model.weights[slot], w), slot
+    assert model.weights.shape == (len(want), 5, 3)
+    for got, (slot, w) in zip(model.weights, want.items()):
+        assert np.array_equal(got, w), slot
 
     # Map points themselves and midpoints of pairs of them put exact ties
     # in the batch.

@@ -27,19 +27,18 @@ def uniform_map(num_robots: int, num_rbs: int, snr: float = 3.0) -> SnrMap:
 
 def test_path_loss_reference_distance():
     # 40 dB at 1 m with exponent 3: 40 + 30*log10(10) = 70 dB at 10 m.
-    p = RadioParams()
-    assert path_loss_db(1.0, p) == pytest.approx(40.0)
-    assert path_loss_db(10.0, p) == pytest.approx(70.0)
-    assert path_loss_db([1.0, 10.0, 100.0], p) == pytest.approx([40.0, 70.0, 100.0])
+    assert path_loss_db(1.0) == pytest.approx(40.0)
+    assert path_loss_db(10.0) == pytest.approx(70.0)
+    assert path_loss_db([1.0, 10.0, 100.0]) == pytest.approx([40.0, 70.0, 100.0])
 
 
 def test_path_loss_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
-        path_loss_db(0.0, RadioParams())
+        path_loss_db(0.0)
     with pytest.raises(ValueError):
-        path_loss_db(-2.0, RadioParams())
+        path_loss_db(-2.0)
     with pytest.raises(ValueError):
-        path_loss_db([5.0, 0.0], RadioParams())
+        path_loss_db([5.0, 0.0])
 
 
 def test_rb_rate_at_snr_three():

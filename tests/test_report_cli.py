@@ -1,5 +1,6 @@
 """Run records, sweeps, CSV emission, and the command-line interface."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from autocomm import report
-from autocomm.cli import main
+from autocomm.cli import _parse_axis, main
 from autocomm.configs import (
     ConfigError,
     ObjectiveKind,
@@ -692,6 +693,52 @@ def test_cli_sweep_axis_through_a_number_records_every_cell(tmp_path,
                             "is not an object") for row in rows)
 
 
+@pytest.mark.parametrize("text, values", [
+    ("channel.bs_pos=[-10,6,10]", [[-10, 6, 10]]),
+    ('scheduling.objective={"kind":"qos_sum_rate","min_rate_bps":1e6}',
+     [{"kind": "qos_sum_rate", "min_rate_bps": 1e6}]),
+    ("scheduling.num_robots=2,10,3", [2, 10, 3]),
+    ("observation=vue,rsu", ["vue", "rsu"]),
+    ("channel.bs_pos=[-10,6,10], [0,8,10]", [[-10, 6, 10], [0, 8, 10]]),
+    ('tag="a,b]",c', ["a,b]", "c"]),
+    (r'tag=["x\\",{"y":"]"}],2', [["x\\", {"y": "]"}], 2]),
+    ("tag=[1,2", ["[1,2"]),
+])
+def test_axis_values_split_at_top_level_commas(text, values):
+    assert _parse_axis(text) == (text.partition("=")[0], values)
+
+
+def test_cli_sweep_over_two_list_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, load_fixture_scene(1))
+    out = tmp_path / "runs"
+    code = main(["sweep", "--config", cfg, "--methods", "geometry",
+                 "--seeds", "1", "--axis",
+                 "channel.bs_pos=[-10,6,10],[0,8,10]", "--out", str(out)])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert {row[1] for row in rows} == {"[-10, 6, 10]", "[0, 8, 10]"}
+    digest = config_digest(load_fixture_scene(1))[:12]
+    cells = (out / f"sweep-cells-{digest}.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
+    assert len(cells) == 2 and all(",ok," in row for row in cells)
+
+
+@pytest.mark.parametrize("scenario, flag, value, opts", [
+    (traffic_scenario(), "--observation", "rsu", {"observation": "rsu"}),
+    (sched_scenario(), "--switch", '{"at_iteration": 10, "objective": "pf"}',
+     {"switch": {"at_iteration": 10, "objective": "pf"}}),
+])
+def test_cli_sweep_passes_run_options(tmp_path, capsys, scenario, flag,
+                                      value, opts):
+    method = "greedy" if flag == "--observation" else "opro_mock"
+    cfg = write_config(tmp_path, scenario)
+    assert main(["sweep", "--config", cfg, "--methods", method,
+                 "--seeds", "1", flag, value]) == 0
+    got = capsys.readouterr().out
+    assert got == summary_csv(sweep(scenario, [method], [1], opts=opts))
+    assert got != summary_csv(sweep(scenario, [method], [1]))
+
+
 @pytest.mark.parametrize("flag,value,named", [
     ("--seeds", "1,a", "got 'a'"),
     ("--seeds", "1,2.5", "got '2.5'"),
@@ -724,6 +771,23 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     assert "score: mean=" in text
     assert "n=2" in text
     assert (rep / "report.txt").read_text(encoding="utf-8") == text
+
+
+def test_cli_report_lists_failed_runs(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    traffic = write_config(tmp_path, traffic_scenario(), "traffic.json")
+    assert main(["schedule", "--config", traffic, "--method", "ga",
+                 "--out", str(runs)]) == 1
+    sched = write_config(tmp_path, sched_scenario())
+    assert main(["schedule", "--config", sched, "--method", "round_robin",
+                 "--out", str(runs)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--runs", str(runs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "scheduling/round_robin"
+    at = lines.index("errors: 1")
+    assert lines[at + 1].startswith("  traffic/ga seed=3: ValueError: ")
+    assert lines[at + 2:] == []
 
 
 def test_cli_version_exits_zero():
