@@ -410,6 +410,13 @@ def build_ckm(cfg: ChannelSceneConfig,
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
     _, gain, aod, _ = _path_arrays(cfg, pos[user_idx], via, slot == 0)
+    # A path whose gain is exactly zero (a zero reflection coefficient, or
+    # one so small that the gain underflows) carries nothing: it is absent,
+    # so no map reader sees it and the fit never takes log(0).  Dropping
+    # its zero terms leaves every channel sum bit for bit the same.
+    dead = gain == 0
+    present[user_idx[dead], slot[dead]] = False
+    user_idx, slot, gain, aod = (a[~dead] for a in (user_idx, slot, gain, aod))
     # math.sin, as synthesize_channel takes it from each Path.
     sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
     gains = np.zeros(present.shape, dtype=complex)
@@ -442,7 +449,12 @@ class LinearGcp:
 
     For each slot the presence indicator, sin(aod), log amplitude, and the
     cosine/sine of the gain phase are each fit as w . [x, y, 1] by least
-    squares.  Slots predicted absent contribute nothing.
+    squares.  Slots predicted absent contribute nothing.  A predicted
+    amplitude is capped at 1: an affine fit over nearly coincident samples
+    can extrapolate a log amplitude past the float range.  With
+    |reflection_coeff| <= 1 (a passive surface) no path of a metre or more
+    reaches amplitude 1; a larger coefficient can give a true amplitude
+    above 1, and its prediction is then clipped to 1.
     """
 
     num_antennas: int
@@ -487,7 +499,7 @@ def linear_gcp_predict(model: LinearGcp, query: Sequence[float]) -> np.ndarray:
     fits = (model.weights[:, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
     user_idx, slot = np.nonzero(~(fits[..., 0] < 0.5))
     fits = fits[user_idx, slot]
-    amp = np.array([math.exp(v) for v in fits[:, 2].tolist()])
+    amp = np.array([math.exp(min(v, 0.0)) for v in fits[:, 2].tolist()])
     phase = np.array([math.atan2(s, c) for c, s in fits[:, 3:].tolist()])
     h = _synthesize(model.num_antennas, len(x), user_idx,
                     amp * np.exp(1j * phase), np.clip(fits[:, 1], -1.0, 1.0))

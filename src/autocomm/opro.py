@@ -14,11 +14,14 @@ whatever its raw score.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Protocol, Sequence
 
 from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
 from .radio import SnrMap
@@ -137,17 +140,16 @@ def _objective_text(objective: ObjectiveSpec, cfg: SchedulingConfig) -> str:
                 mr=objective.min_rate_bps, eps=objective.epsilon))
 
 
-def build_task_prompt(cfg: SchedulingConfig, snr: SnrMap,
-                      objective: ObjectiveSpec,
-                      history: Sequence[tuple[Allocation, float]],
-                      hint: float,
-                      last_feedback: Optional[str] = None) -> str:
-    """Deterministic task prompt.
+_HISTORY_LINE = ("Previously evaluated allocations, worst to best "
+                 "(higher score is better):")
+_NO_HISTORY_LINE = "No allocations have been evaluated yet."
 
-    history is presented worst-to-best so the strongest exemplar sits
-    closest to the answer slot; entries are (allocation, score) and are
-    assumed already ranked by the caller.
-    """
+
+def task_prompt_head(cfg: SchedulingConfig, snr: SnrMap,
+                     objective: ObjectiveSpec) -> str:
+    """The part of the task prompt an objective segment does not change:
+    the task, the rate rule, the eligible robots, the RB cap, the SNR table
+    and the objective.  The loop formats it once per segment."""
     eligible = snr.eligible_ids()
     lines = [
         "Task: assign radio resource blocks to robots in a factory cell.",
@@ -167,14 +169,29 @@ def build_task_prompt(cfg: SchedulingConfig, snr: SnrMap,
         row = ", ".join(f"{v:.6g}" for v in snr.values[rid - 1])
         lines.append(f"  robot {rid}: {row}")
     lines.append(_objective_text(objective, cfg))
+    return "\n".join(lines)
+
+
+def build_task_prompt(head: str, cfg: SchedulingConfig,
+                      history: Sequence[tuple[Allocation, float]],
+                      hint: float,
+                      last_feedback: Optional[str] = None) -> str:
+    """Deterministic task prompt: the segment's head (task_prompt_head),
+    then the scored history, the latest feedback, the hint and the reply
+    line.
+
+    history is presented worst-to-best so the strongest exemplar sits
+    closest to the answer slot; entries are (allocation, score) and are
+    assumed already ranked by the caller.
+    """
+    lines = [head]
     if history:
-        lines.append("Previously evaluated allocations, worst to best "
-                     "(higher score is better):")
+        lines.append(_HISTORY_LINE)
         for alloc, score in history:
             vec = ", ".join(str(v) for v in alloc)
             lines.append(f"score={score:.10g} allocation=[{vec}]")
     else:
-        lines.append("No allocations have been evaluated yet.")
+        lines.append(_NO_HISTORY_LINE)
     if last_feedback:
         lines.append(f"Feedback on the most recent proposal: {last_feedback}")
     lines.append(f"Exploration hint: {hint:.4f} (1 = explore broadly, "
@@ -284,6 +301,10 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
     else restarts (scores across objectives are not comparable).  A segment
     stops early when the incumbent has not improved for stop_patience
     iterations.
+
+    A segment formats its prompt head once.  validate is a pure function of
+    the allocation within a segment, so a repeated proposal reuses the
+    report of its first validation.
     """
     transcript: list[TranscriptEntry] = []
     seg_results: list[SegmentResult] = []
@@ -300,6 +321,9 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             if lvl > LEVEL_INVALID:
                 exemplars[carry_alloc] = (lvl, sc)
                 best_alloc, best_key = carry_alloc, (lvl, sc)
+        head = task_prompt_head(cfg, snr, objective)
+        # At most one entry per iteration; dropped at a switch.
+        reports: dict[Allocation, ValidationReport] = {}
         last_feedback: Optional[str] = None
         stale = 0
         it_in_seg = 0
@@ -309,8 +333,7 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             hint = explore_hint(it_in_seg - 1, budget)
             ranked = sorted(exemplars.items(), key=lambda kv: kv[1])
             history = [(a, s) for a, (_, s) in ranked][-params.history_window:]
-            prompt = build_task_prompt(cfg, snr, objective, history, hint,
-                                       last_feedback)
+            prompt = build_task_prompt(head, cfg, history, hint, last_feedback)
             raw = engine.propose(prompt)
             parsed, failure = parse_allocation(raw)
 
@@ -319,7 +342,10 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             improved = False
             if failure is None:
                 assert parsed is not None
-                report = validate(parsed, snr, cfg, objective)
+                report = reports.get(parsed)
+                if report is None:
+                    report = reports[parsed] = validate(parsed, snr, cfg,
+                                                        objective)
                 key = (report.level, report.score)
                 if report.level > LEVEL_INVALID:
                     score = report.score
@@ -366,6 +392,7 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
 
 _NUM_RBS_RE = re.compile(r"Number of resource blocks: (\d+)")
 _ELIGIBLE_RE = re.compile(r"Eligible robots \(nonempty buffers\): ([0-9, ]+)")
+_CAP_RE = re.compile(r"No robot may own more than (\d+) resource blocks\.")
 _EXEMPLAR_RE = re.compile(r"score=(\S+) allocation=\[([^\]]*)\]")
 _HINT_RE = re.compile(r"Exploration hint: ([0-9.]+)")
 _QOS_FEEDBACK_RE = re.compile(
@@ -373,22 +400,104 @@ _QOS_FEEDBACK_RE = re.compile(
 _BANDWIDTH_RE = re.compile(r"Total bandwidth: ([0-9.e+]+) Hz")
 _SNR_ROW_RE = re.compile(r"  robot (\d+): (.+)")
 _MIN_RATE_RE = re.compile(r"minimum rate of ([0-9.e+]+) bits per second")
+# The line break before the history section ends a prompt's head.
+_TAIL_RE = re.compile("\n(?=" + re.escape(_HISTORY_LINE) + "|"
+                      + re.escape(_NO_HISTORY_LINE) + ")")
+
+
+def _split_prompt(prompt: str) -> tuple[str, str]:
+    """(head, tail) of a task prompt; a prompt with no history section is
+    both, so it is read whole."""
+    end = _TAIL_RE.search(prompt)
+    if end is None:
+        return prompt, prompt
+    return prompt[:end.start()], prompt[end.end():]
+
+
+@dataclass(frozen=True)
+class _TaskHead:
+    """What the mock reads from a prompt head.  Shared through the head
+    cache by every engine and thread, so nothing in it can change."""
+
+    m: int
+    eligible: tuple[int, ...]
+    rates: Optional[Mapping[int, tuple[float, ...]]]   # read-only, by robot id
+    log: bool
+    min_rate: float
+    cap: Optional[int]                                 # None: no cap line
+
+
+@functools.lru_cache(maxsize=16)
+def _read_head(head: str) -> Optional[_TaskHead]:
+    """Parse a prompt head once; None when it has no task lines.  A head is
+    constant over a segment, so each proposal after the first is a hit."""
+    m_match = _NUM_RBS_RE.search(head)
+    e_match = _ELIGIBLE_RE.search(head)
+    if m_match is None or e_match is None:
+        return None
+    m = int(m_match.group(1))
+    rates: Optional[dict[int, tuple[float, ...]]] = None
+    bw_match = _BANDWIDTH_RE.search(head)
+    if bw_match is not None:
+        bw = float(bw_match.group(1))
+        rates = {}
+        for line in head.splitlines():
+            row = _SNR_ROW_RE.match(line)
+            if row:
+                vals = [float(t) for t in row.group(2).split(",")]
+                if len(vals) == m:
+                    rates[int(row.group(1))] = tuple(
+                        (bw / m) * math.log2(1.0 + s) for s in vals)
+    mr = _MIN_RATE_RE.search(head)
+    cap = _CAP_RE.search(head)
+    return _TaskHead(
+        m=m,
+        eligible=tuple(int(t) for t in e_match.group(1).split(",")),
+        rates=MappingProxyType(rates) if rates else None,
+        log="log2(max(rate" in head,
+        min_rate=float(mr.group(1)) if mr else 0.0,
+        cap=int(cap.group(1)) if cap else None)
+
+
+def _fit_cap(alloc: list[int], task: _TaskHead) -> None:
+    """Move blocks off robots above the RB cap, if the prompt has one, in
+    place: each move is the one that loses the least rate, to a robot with
+    room."""
+    rates, cap = task.rates, task.cap
+    if cap is None:
+        return
+    owned = Counter(alloc)
+    for r in task.eligible:
+        while owned[r] > cap:
+            room = [o for o in task.eligible if owned[o] < cap]
+            if not room:
+                return
+            _, b, o = min((rates[r][b] - rates[o][b], b, o)
+                          for b in range(task.m) if alloc[b] == r
+                          for o in room)
+            alloc[b] = o
+            owned[r] -= 1
+            owned[o] += 1
 
 
 class MockLocalSearchEngine:
     """Prompt-driven local search standing in for a chat model.
 
     Everything it knows comes from the prompt text: block count, eligible
-    ids, the SNR table and bandwidth (from which it rebuilds approximate
-    per-block rates, as any numerate reader of the prompt could), scored
-    exemplars, the exploration hint, and the latest feedback sentence.
+    ids, the RB cap, the SNR table and bandwidth (from which it rebuilds
+    approximate per-block rates, as any numerate reader of the prompt
+    could), scored exemplars, the exploration hint, and the latest feedback
+    sentence.  It reads a prompt's head once (see _read_head) and each
+    proposal's tail anew.
     Before any exemplar exists it proposes an objective-aware greedy
     construction with randomized repair order; afterwards it screens a
     small batch of perturbations of the best exemplar (single reassign,
     swap, double reassign, hint-scaled shotgun, a fresh greedy, and a
     repair of any robots called out in QoS feedback) against its own
-    table-derived score and returns the winner.  Deterministic given its
-    rng; the loop's exact scoring remains the arbiter of progress.
+    table-derived score and returns the winner.  Under an RB cap the greedy
+    stays within it and any candidate over it ranks below every candidate
+    within it.  Deterministic given its rng; the loop's exact scoring
+    remains the arbiter of progress.
     """
 
     CANDIDATES = 12
@@ -397,27 +506,21 @@ class MockLocalSearchEngine:
         self._rng = rng
 
     def propose(self, prompt: str) -> str:
-        m_match = _NUM_RBS_RE.search(prompt)
-        e_match = _ELIGIBLE_RE.search(prompt)
-        if m_match is None or e_match is None:
+        head, tail = _split_prompt(prompt)
+        task = _read_head(head)
+        if task is None:
             return "No task description found."
-        m = int(m_match.group(1))
-        eligible = [int(t) for t in e_match.group(1).split(",")]
-        hint_match = _HINT_RE.search(prompt)
+        m, eligible = task.m, task.eligible
+        hint_match = _HINT_RE.search(tail)
         hint = float(hint_match.group(1)) if hint_match else 0.5
 
-        rates = self._parse_rates(prompt, m)
-        log = "log2(max(rate" in prompt
-        mr = _MIN_RATE_RE.search(prompt)
-        min_rate = float(mr.group(1)) if mr else 0.0
-
-        exemplars = _EXEMPLAR_RE.findall(prompt)
-        if not exemplars or rates is None:
-            if rates is None:
+        exemplars = _EXEMPLAR_RE.findall(tail)
+        if not exemplars or task.rates is None:
+            if task.rates is None:
                 vec = [eligible[self._rng.integers(0, len(eligible))]
                        for _ in range(m)]
             else:
-                vec = self._greedy(m, eligible, rates, log, min_rate)
+                vec = self._greedy(task)
         else:
             _, body = exemplars[-1]
             base = [int(t) for t in body.split(",")]
@@ -425,8 +528,8 @@ class MockLocalSearchEngine:
                 base = (base + [eligible[0]] * m)[:m]
             cands = [self._mutate(base, m, eligible, hint)
                      for _ in range(self.CANDIDATES)]
-            cands.append(self._greedy(m, eligible, rates, log, min_rate))
-            qos = _QOS_FEEDBACK_RE.search(prompt)
+            cands.append(self._greedy(task))
+            qos = _QOS_FEEDBACK_RE.search(tail)
             if qos is not None:
                 hungry = [int(t) for t in
                           re.split(r",| and ", qos.group(1)) if t.strip()]
@@ -435,49 +538,36 @@ class MockLocalSearchEngine:
                     if rid in eligible:
                         rep[self._rng.integers(0, m)] = rid
                 cands.append(rep)
-            vec = max(cands,
-                      key=lambda v: self._score(v, eligible, rates, log, min_rate))
+            vec = max(cands, key=lambda v: self._score(v, task))
 
         body = ", ".join(str(v) for v in vec)
         return f"Proposed allocation: [{body}]"
 
-    def _parse_rates(self, prompt: str, m: int) -> Optional[dict[int, list[float]]]:
-        bw_match = _BANDWIDTH_RE.search(prompt)
-        if bw_match is None:
-            return None
-        bw = float(bw_match.group(1))
-        rates: dict[int, list[float]] = {}
-        for line in prompt.splitlines():
-            row = _SNR_ROW_RE.match(line)
-            if row:
-                vals = [float(t) for t in row.group(2).split(",")]
-                if len(vals) == m:
-                    rates[int(row.group(1))] = [
-                        (bw / m) * math.log2(1.0 + s) for s in vals]
-        return rates or None
-
-    def _score(self, vec: Sequence[int], eligible: Sequence[int],
-               rates: dict[int, list[float]], log: bool,
-               min_rate: float) -> tuple[int, float]:
+    def _score(self, vec: Sequence[int], task: _TaskHead) -> tuple[int, float]:
         """Feasibility first, then the sum of log2 of the rates clamped at 1
-        (log objectives) or of the rates meeting the minimum (sum-rate)."""
-        totals = {r: 0.0 for r in eligible}
+        (log objectives) or of the rates meeting the minimum (sum-rate).  A
+        vector over the RB cap ranks below every vector within it."""
+        rates, min_rate = task.rates, task.min_rate
+        totals = {r: 0.0 for r in task.eligible}
         for b, r in enumerate(vec):
             if r in totals:
                 totals[r] += rates[r][b]
-        feasible = 1 if all(t >= min_rate for t in totals.values()) else 0
-        if log:
-            return (feasible,
+        rank = 1 if all(t >= min_rate for t in totals.values()) else 0
+        if task.cap is not None and max(Counter(vec).values()) > task.cap:
+            rank -= 2
+        if task.log:
+            return (rank,
                     sum(math.log2(max(t, 1.0)) for t in totals.values()))
-        return (feasible, sum(t for t in totals.values() if t >= min_rate))
+        return (rank, sum(t for t in totals.values() if t >= min_rate))
 
-    def _greedy(self, m: int, eligible: Sequence[int],
-                rates: dict[int, list[float]], log: bool,
-                min_rate: float) -> list[int]:
+    def _greedy(self, task: _TaskHead) -> list[int]:
         """Log-gain greedy without a minimum rate; otherwise best-rate
-        blocks with a repair pass for the robots below the minimum."""
+        blocks with a repair pass for the robots below the minimum.  Under
+        an RB cap the construction is moved within it, and the repair gives
+        a block to a robot at the cap only in exchange for its weakest."""
         rng = self._rng
-        if log and not min_rate:
+        m, eligible, rates, cap = task.m, task.eligible, task.rates, task.cap
+        if task.log and not task.min_rate:
             order = list(range(m))
             rng.shuffle(order)
             totals = {r: 0.0 for r in eligible}
@@ -488,22 +578,32 @@ class MockLocalSearchEngine:
                                         - math.log2(max(totals[rr], 1.0))))
                 alloc[b] = r
                 totals[r] += rates[r][b]
+            _fit_cap(alloc, task)
             return alloc
         alloc = [max(eligible, key=lambda r: rates[r][b]) for b in range(m)]
+        _fit_cap(alloc, task)
         for _ in range(2 * len(eligible) + 2):
             totals = {r: 0.0 for r in eligible}
             for b, r in enumerate(alloc):
                 totals[r] += rates[r][b]
-            short = [r for r in eligible if totals[r] < min_rate]
+            short = [r for r in eligible if totals[r] < task.min_rate]
             if not short:
                 break
             r = short[rng.integers(0, len(short))]
+            full = cap is not None and alloc.count(r) >= cap
+            if full:
+                weakest = min((b for b in range(m) if alloc[b] == r),
+                              key=lambda b: rates[r][b])
             costs = sorted((rates[alloc[b]][b] - rates[r][b], b)
-                           for b in range(m) if alloc[b] != r)
+                           for b in range(m) if alloc[b] != r
+                           and (not full or rates[r][b] > rates[r][weakest]))
             if not costs:
                 break
             pick = 1 if len(costs) > 1 and rng.random() < 0.3 else 0
-            alloc[costs[pick][1]] = r
+            b = costs[pick][1]
+            if full:
+                alloc[weakest] = alloc[b]
+            alloc[b] = r
         return alloc
 
     def _mutate(self, base: Sequence[int], m: int, eligible: Sequence[int],

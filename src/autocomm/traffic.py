@@ -36,12 +36,15 @@ APPROACHES = ("N", "S", "E", "W")
 INTENTS = ("left", "straight", "right")
 LANE_KEYS = tuple(f"{a}:{i}" for a in APPROACHES for i in INTENTS)
 
-# Protected phases: no two simultaneously allowed movements conflict.
-PHASE_MOVEMENTS: dict[int, frozenset[str]] = {
-    1: frozenset({"N:straight", "N:right", "S:straight", "S:right"}),
-    2: frozenset({"N:left", "S:left"}),
-    3: frozenset({"E:straight", "E:right", "W:straight", "W:right"}),
-    4: frozenset({"E:left", "W:left"}),
+# Protected phases: no two simultaneously allowed movements conflict.  Each
+# phase lists its lanes in LANE_KEYS order, so a sum over a phase adds its
+# terms in the same order in every process, which a set's string-hash order
+# would not.
+PHASE_MOVEMENTS: dict[int, tuple[str, ...]] = {
+    1: ("N:straight", "N:right", "S:straight", "S:right"),
+    2: ("N:left", "S:left"),
+    3: ("E:straight", "E:right", "W:straight", "W:right"),
+    4: ("E:left", "W:left"),
 }
 PHASE_ORDER = (1, 2, 3, 4)
 
@@ -166,7 +169,7 @@ def _apply_phase_request(state: TrafficState, request: int,
         return
     state.phase = request
     state.phase_onset_s = t
-    for key in sorted(PHASE_MOVEMENTS[request]):
+    for key in PHASE_MOVEMENTS[request]:
         q = state.lanes[key]
         if q and q[0].pos <= _AT_LINE_POS and q[0].speed < _STOPPED_SPEED:
             state.next_release[key] = max(

@@ -505,7 +505,7 @@ def linear_gcp_predict(model, query) -> np.ndarray:
         if presence < 0.5:
             continue
         sin_aod = float(np.clip(w[1] @ x, -1.0, 1.0))
-        amp = math.exp(float(w[2] @ x))
+        amp = math.exp(min(float(w[2] @ x), 0.0))    # capped at 1
         phase = math.atan2(float(w[4] @ x), float(w[3] @ x))
         h += amp * np.exp(1j * phase) * np.exp(-1j * math.pi * n * sin_aod)
     return h

@@ -354,6 +354,21 @@ def test_linear_gcp_sparse_slot_never_invents_a_path():
     assert not np.any(model.weights[0])  # b0:ymax, under 3 samples: zeroed
 
 
+def test_linear_gcp_caps_an_extrapolated_amplitude():
+    # Samples 0.1 um apart in x make the affine log-amplitude fit's slope
+    # about 1.6e6 per metre, so a query 1 m away extrapolates past the
+    # float range; the prediction stays finite, at amplitude 1 at most.
+    cfg = ChannelSceneConfig(bs_pos=(0.0, 1.0, 0.0))
+    ckm = build_ckm(cfg, [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.5),
+                          (-1.192092896e-07, 0.0, 0.0)])
+    model = fit_linear_gcp(cfg, ckm)
+    query = (-1.0, 0.0, 0.0)
+    assert model.weights[0, 2] @ (query[0], query[1], 1.0) > 1e6
+    got = linear_gcp_predict(model, query)
+    assert np.array_equal(got, oracle.linear_gcp_predict(model, query))
+    assert np.all(np.abs(got) <= 1.0 + 1e-12)
+
+
 def test_nn_beats_linear_on_blockage_rich_lane():
     cfg = load_fixture_scene(3).channel
     train = [(x, -3.0, 1.5) for x in np.arange(0.0, 30.01, 0.5)]

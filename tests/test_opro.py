@@ -1,13 +1,21 @@
 """Prompt construction, response parsing, feedback wording, and the loop."""
 
+import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autocomm.configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
+from autocomm import opro, report
+from autocomm.configs import (
+    ObjectiveKind,
+    ObjectiveSpec,
+    SchedulingConfig,
+    scenario_from_dict,
+)
 from autocomm.opro import (
     PARSE_FEEDBACK,
     MockLocalSearchEngine,
@@ -19,6 +27,7 @@ from autocomm.opro import (
     opro_optimize_segments,
     parse_allocation,
     prompt_digest,
+    task_prompt_head,
 )
 from autocomm.radio import RadioParams, SnrMap, generate_snr_map
 from autocomm.rng import stream
@@ -55,8 +64,11 @@ class Scripted:
 def test_prompt_is_deterministic_and_complete():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
-    prompt = build_task_prompt(cfg, snr, QOS, [], 1.0)
-    assert prompt == build_task_prompt(cfg, snr, QOS, [], 1.0)
+    head = task_prompt_head(cfg, snr, QOS)
+    prompt = build_task_prompt(head, cfg, [], 1.0)
+    assert head == task_prompt_head(cfg, snr, QOS)
+    assert prompt == build_task_prompt(head, cfg, [], 1.0)
+    assert prompt.startswith(head + "\n")
     assert "Task: assign radio resource blocks to robots in a factory cell." in prompt
     assert "Number of resource blocks: 9" in prompt
     assert ("Total bandwidth: 20000000 Hz, split evenly across the resource "
@@ -72,7 +84,8 @@ def test_prompt_is_deterministic_and_complete():
 
 def test_prompt_pf_objective_text():
     cfg = SchedulingConfig(num_robots=2, objective=PF)
-    prompt = build_task_prompt(cfg, flat_map(2), PF, [], 0.5)
+    prompt = build_task_prompt(task_prompt_head(cfg, flat_map(2), PF), cfg,
+                               [], 0.5)
     assert "maximize proportional fairness" in prompt
     assert "log2(max(rate, 1))" in prompt
 
@@ -80,7 +93,8 @@ def test_prompt_pf_objective_text():
 def test_prompt_history_worst_to_best():
     cfg = SchedulingConfig(num_robots=2, objective=PF)
     history = [((1,) * 9, 10.0), ((2,) * 9, 20.0)]
-    prompt = build_task_prompt(cfg, flat_map(2), PF, history, 0.0)
+    prompt = build_task_prompt(task_prompt_head(cfg, flat_map(2), PF), cfg,
+                               history, 0.0)
     assert "worst to best" in prompt
     lo = prompt.index("score=10 allocation=[1, 1, 1, 1, 1, 1, 1, 1, 1]")
     hi = prompt.index("score=20 allocation=[2, 2, 2, 2, 2, 2, 2, 2, 2]")
@@ -89,15 +103,19 @@ def test_prompt_history_worst_to_best():
 
 def test_prompt_cap_line_only_when_capped():
     cfg = SchedulingConfig(num_robots=2, objective=PF)
-    assert "more than" not in build_task_prompt(cfg, flat_map(2), PF, [], 0.0)
+    head = task_prompt_head(cfg, flat_map(2), PF)
+    assert "more than" not in head
+    assert "more than" not in build_task_prompt(head, cfg, [], 0.0)
     capped = SchedulingConfig(num_robots=2, max_rbs_per_robot=5, objective=PF)
-    prompt = build_task_prompt(capped, flat_map(2), PF, [], 0.0)
+    prompt = build_task_prompt(task_prompt_head(capped, flat_map(2), PF),
+                               capped, [], 0.0)
     assert "No robot may own more than 5 resource blocks." in prompt
 
 
 def test_prompt_feedback_line():
     cfg = SchedulingConfig(num_robots=2, objective=PF)
-    prompt = build_task_prompt(cfg, flat_map(2), PF, [], 0.0,
+    prompt = build_task_prompt(task_prompt_head(cfg, flat_map(2), PF), cfg,
+                               [], 0.0,
                                last_feedback="Allocation achieved score 5.")
     assert ("Feedback on the most recent proposal: Allocation achieved "
             "score 5.") in prompt
@@ -270,6 +288,40 @@ def test_loop_stop_patience():
     assert len(result.transcript) == 6
 
 
+def test_loop_formats_a_head_per_segment_and_validates_repeats_once(
+        monkeypatch):
+    cfg = SchedulingConfig(num_robots=3, objective=QOS)
+    snr = flat_map(3)
+    calls = {"head": 0, "validate": 0}
+
+    def counting_head(*args):
+        calls["head"] += 1
+        return task_prompt_head(*args)
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    monkeypatch.setattr(opro, "task_prompt_head", counting_head)
+    monkeypatch.setattr(opro, "validate", counting_validate)
+    even, one = "[1, 2, 3, 1, 2, 3, 1, 2, 3]", "[1, 1, 1, 1, 1, 1, 1, 1, 1]"
+    engine = Scripted([even, one, even, "nothing", one, even])
+    result = opro_optimize_segments(cfg, snr, [(QOS, 4), (PF, 4)], engine,
+                                    OproParams(stop_patience=50))
+    assert len(result.transcript) == 8
+    assert calls["head"] == 2
+    # Two distinct allocations in each segment; the switch drops the reports.
+    assert calls["validate"] == 4
+    for entry in result.transcript:
+        obj = QOS if entry.segment == 0 else PF
+        if entry.parsed is not None:
+            assert entry.report == validate(entry.parsed, snr, cfg, obj)
+    # Every prompt is its segment's head followed by the iteration's tail.
+    for prompt, entry in zip(engine.prompts, result.transcript):
+        obj = QOS if entry.segment == 0 else PF
+        assert prompt.startswith(task_prompt_head(cfg, snr, obj) + "\n")
+
+
 def test_task_switch_reuses_incumbent():
     cfg = SchedulingConfig(num_robots=3, objective=PF)
     snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
@@ -294,7 +346,7 @@ def test_task_switch_reuses_incumbent():
 def test_mock_cold_start_is_valid():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
-    prompt = build_task_prompt(cfg, snr, QOS, [], 1.0)
+    prompt = build_task_prompt(task_prompt_head(cfg, snr, QOS), cfg, [], 1.0)
     engine = MockLocalSearchEngine(stream(5, "engine"))
     alloc, failure = parse_allocation(engine.propose(prompt))
     assert failure is None
@@ -305,11 +357,112 @@ def test_mock_cold_start_is_valid():
 def test_mock_is_deterministic():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
-    prompt = build_task_prompt(cfg, snr, QOS,
+    prompt = build_task_prompt(task_prompt_head(cfg, snr, QOS), cfg,
                                [((1, 2, 3, 1, 2, 3, 1, 2, 3), 5.0)], 0.5)
     a = MockLocalSearchEngine(stream(6, "engine")).propose(prompt)
     b = MockLocalSearchEngine(stream(6, "engine")).propose(prompt)
     assert a == b
+
+
+def test_mock_reads_a_prompt_without_history_whole():
+    cfg = SchedulingConfig(num_robots=3, objective=QOS)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(9, "scheduling/snr"))
+    head = task_prompt_head(cfg, snr, QOS)
+    full = build_task_prompt(head, cfg, [], 1.0)
+    # A cold start answers from the head alone, so both prompts get the
+    # same greedy construction.
+    a = MockLocalSearchEngine(stream(9, "engine")).propose(head)
+    b = MockLocalSearchEngine(stream(9, "engine")).propose(full)
+    assert a == b and parse_allocation(a)[1] is None
+
+
+def _scene(seed, num_robots, objective):
+    cfg = SchedulingConfig(num_robots=num_robots, objective=objective)
+    return cfg, generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                                 stream(seed, "scheduling/snr"))
+
+
+class Recording:
+    """Wraps an engine; keeps every (prompt, response) pair."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.calls = []
+
+    def propose(self, prompt):
+        raw = self.engine.propose(prompt)
+        self.calls.append((prompt, raw))
+        return raw
+
+
+def test_mock_engines_sharing_the_head_cache_do_not_cross_talk():
+    scenes = [(_scene(70, 4, QOS), QOS, 70), (_scene(71, 6, PF), PF, 71)]
+    alone = []
+    for (cfg, snr), obj, seed in scenes:
+        engine = Recording(MockLocalSearchEngine(stream(seed, "engine")))
+        opro_optimize_segments(cfg, snr, [(obj, 30)], engine,
+                               OproParams(stop_patience=50))
+        alone.append(engine.calls)
+    assert alone[0][0][0] != alone[1][0][0]
+    # Fresh engines take turns, proposal by proposal, on the same prompts;
+    # each must answer as it did alone, from a cold and from a warm cache.
+    for clear in (True, False):
+        if clear:
+            opro._read_head.cache_clear()
+        engines = [MockLocalSearchEngine(stream(seed, "engine"))
+                   for _, _, seed in scenes]
+        for turn in zip(*alone):
+            for engine, (prompt, raw) in zip(engines, turn):
+                assert engine.propose(prompt) == raw
+
+
+def test_a_proposal_cannot_change_a_cached_head():
+    cfg, snr = _scene(72, 5, QOS)
+    head = task_prompt_head(cfg, snr, QOS)
+    opro._read_head.cache_clear()
+    parsed = opro._read_head(head)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.m = 1
+    with pytest.raises(TypeError):
+        parsed.rates[1] = (0.0,) * 9
+    with pytest.raises(TypeError):
+        parsed.rates[1][0] = 0.0
+    assert isinstance(parsed.eligible, tuple)
+    engine = MockLocalSearchEngine(stream(72, "engine"))
+    opro_optimize_segments(cfg, snr, [(QOS, 40)], engine,
+                           OproParams(stop_patience=50))
+    assert opro._read_head(head) is parsed
+    assert opro._read_head.cache_info().hits >= 39
+    opro._read_head.cache_clear()
+    assert opro._read_head(head) == parsed
+
+
+def test_mock_obeys_the_rb_cap(monkeypatch):
+    # Three robots, nine RBs, at most three each: only an even split is
+    # valid.  A mock that ignores the cap line proposes nothing valid.
+    doc = {"track": "scheduling",
+           "scheduling": {"num_robots": 3, "num_rbs": 9,
+                          "max_rbs_per_robot": 3,
+                          "objective": {"kind": "qos_sum_rate"}}}
+    owned = Counter()
+
+    class Counting(MockLocalSearchEngine):
+        def propose(self, prompt):
+            assert "No robot may own more than 3 resource blocks." in prompt
+            raw = super().propose(prompt)
+            alloc, failure = parse_allocation(raw)
+            assert failure is None
+            owned[max(Counter(alloc).values())] += 1
+            return raw
+
+    monkeypatch.setattr(report, "MockLocalSearchEngine", Counting)
+    for seed in range(12):
+        rec = report.run(scenario_from_dict(dict(doc, seed=seed)),
+                         "opro_mock")
+        assert rec.metrics["level"] > LEVEL_INVALID, seed
+        assert math.isfinite(rec.metrics["score"])
+    assert set(owned) == {3}
 
 
 def test_mock_without_task_lines_degrades_gracefully():

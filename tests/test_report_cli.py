@@ -188,6 +188,22 @@ def test_grid_map_cache_stays_at_its_bound():
         assert report._grid_ckm_cached.cache_info().currsize == min(n, bound)
 
 
+@pytest.mark.parametrize("coeff", [[0.0, 0.0], [5e-324, 0.0]])
+@pytest.mark.parametrize("method", CHANNEL_METHODS)
+def test_a_zero_gain_reflection_is_absent(coeff, method):
+    # A zero coefficient, and one whose gains underflow to zero, leave the
+    # reflections geometry allows with nothing to carry: they are absent
+    # from the map, so linear_gcp never fits the log of a zero amplitude.
+    doc = json.loads((REPO / "docs" / "config-schema" / "channel.json")
+                     .read_text(encoding="utf-8"))
+    doc["channel"]["reflection_coeff"] = coeff
+    rec = run_safe(scenario_from_dict(doc), method)
+    assert rec.status == "ok", rec.error
+    assert all(np.isfinite(v) for v in rec.metrics.values())
+    assert rec.details["counters"]["reflection_paths"] == 0
+    assert rec.details["counters"]["los_users"] == 25
+
+
 def test_sweep_builds_the_grid_map_once(monkeypatch):
     calls = {"grid": 0, "truth": 0, "fit": 0}
 
@@ -296,6 +312,41 @@ def test_scheduling_records_are_pinned():
                       {"switch": switch})
             digest.update(record_to_json(rec).encode("utf-8"))
     assert digest.hexdigest() == SCHEDULING_RECORDS_SHA256
+
+
+# sha256 over every prompt and raw response the mock engine sees and gives in
+# the runs below, in call order.  Computed before the loop formatted the
+# segment-constant prompt head once per segment and the mock parsed it once;
+# change it only with a deliberate change to the prompt text or the mock's
+# draws, and say so.
+OPRO_TRANSCRIPT_SHA256 = (
+    "0d62e858c53228ccd9561f011de881c22924c7e32229ff174e9c341ea3d3d218")
+
+
+def test_opro_transcripts_are_pinned(monkeypatch):
+    # opro_mock on the 10-robot reference document for pf, qos_sum_rate and
+    # the README's pf -> qos_sum_rate switch.
+    digest = hashlib.sha256()
+
+    class Recording(report.MockLocalSearchEngine):
+        def propose(self, prompt):
+            raw = super().propose(prompt)
+            digest.update(prompt.encode("utf-8"))
+            digest.update(raw.encode("utf-8"))
+            return raw
+
+    monkeypatch.setattr(report, "MockLocalSearchEngine", Recording)
+    doc = json.loads(REFERENCE_SCHEDULING.read_text(encoding="utf-8"))
+    switch = {"at_iteration": 60, "objective": "qos_sum_rate"}
+    for seed in (1, 2):
+        for kind, opts in (("pf", {}), ("qos_sum_rate", {}),
+                           ("pf", {"switch": switch})):
+            section = dict(doc["scheduling"], objective={"kind": kind})
+            rec = run(scenario_from_dict(dict(doc, seed=seed,
+                                              scheduling=section)),
+                      "opro_mock", opts)
+            assert rec.status == "ok"
+    assert digest.hexdigest() == OPRO_TRANSCRIPT_SHA256
 
 
 def test_run_safe_captures_failures_as_records():
