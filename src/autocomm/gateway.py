@@ -8,21 +8,35 @@ silent live call would make an offline test nondeterministic and leak
 prompts.  A line left over when a run ends is an error too: the run did
 not replay what was recorded.
 
+Requests go out through the standard library's http.client.  A
+ChatProposalEngine keeps one connection for its life: reused while the
+server keeps it alive, reopened when the server closes it.  The connection
+reads the environment once, when it is made: the proxy for the URL's
+scheme (http_proxy, https_proxy, no_proxy) and, for https, a CA bundle
+named by REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE.  netrc is not read: the API
+key is the only credential sent to the endpoint.
+
 Credentials come from the environment and are kept out of reprs, cassette
 files, and error messages.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import math
 import os
+import select
+import socket
+import ssl
 import time
+import urllib.parse
+import urllib.request
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import requests
 
 API_KEY_ENV = "AUTOCOMM_API_KEY"
 
@@ -88,42 +102,154 @@ def request_digest(messages: Sequence[Message]) -> str:
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True when an idle kept-alive socket has been closed by the server.
+
+    Between requests a live connection has nothing to read, so a readable
+    one holds the server's FIN (or bytes nobody asked for) and must not
+    carry the next request.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _environment_proxy(scheme: str, host: str
+                       ) -> Optional[tuple[str, int, dict[str, str]]]:
+    """(host, port, auth headers) of the proxy the environment names for
+    `scheme`, or None when it names none or exempts `host`."""
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        return None
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    auth = {}
+    if parts.username is not None:
+        credentials = (f"{urllib.parse.unquote(parts.username)}:"
+                       f"{urllib.parse.unquote(parts.password or '')}")
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            credentials.encode("latin-1")).decode("ascii")
+    return parts.hostname, parts.port or 80, auth
+
+
+class EndpointConnection:
+    """One HTTP(S) connection to the endpoint at `url`.
+
+    The environment is read here, once: the proxy urllib.request.getproxies()
+    names for the URL's scheme, unless proxy_bypass() exempts the host, and
+    for https a CA bundle named by REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE (the
+    system's CAs otherwise).  An https request reaches its proxy through a
+    CONNECT tunnel; a plain one names the absolute URL to the proxy.
+    Credentials in the proxy URL go to the proxy as Basic
+    Proxy-Authorization.  The socket opens at the first post, stays open
+    while the server keeps it alive and reopens after the server closed it.
+    close() closes the socket; closing twice is harmless.
+    """
+
+    def __init__(self, url: str, timeout_s: float):
+        parts = urllib.parse.urlsplit(url)
+        try:
+            host, port = parts.hostname, parts.port
+        except ValueError as exc:
+            raise GatewayError(f"bad endpoint URL {url!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not host:
+            raise GatewayError(f"endpoint URL {url!r} is not an http:// or "
+                               "https:// URL with a host")
+        self._target = urllib.parse.urlunsplit(
+            ("", "", parts.path or "/", parts.query, ""))
+        self._proxy_headers: dict[str, str] = {}
+        proxy = _environment_proxy(parts.scheme, host)
+        self._conn: http.client.HTTPConnection
+        if parts.scheme == "https":
+            bundle = (os.environ.get("REQUESTS_CA_BUNDLE")
+                      or os.environ.get("CURL_CA_BUNDLE"))
+            context = ssl.create_default_context(cafile=bundle)
+            if proxy is None:
+                self._conn = http.client.HTTPSConnection(
+                    host, port, timeout=timeout_s, context=context)
+            else:
+                proxy_host, proxy_port, auth = proxy
+                self._conn = http.client.HTTPSConnection(
+                    proxy_host, proxy_port, timeout=timeout_s, context=context)
+                self._conn.set_tunnel(host, port, headers=auth)
+        elif proxy is None:
+            self._conn = http.client.HTTPConnection(host, port,
+                                                    timeout=timeout_s)
+        else:
+            proxy_host, proxy_port, self._proxy_headers = proxy
+            self._conn = http.client.HTTPConnection(proxy_host, proxy_port,
+                                                    timeout=timeout_s)
+            self._target = (f"http://{parts.netloc.rpartition('@')[2]}"
+                            f"{self._target}")
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST `body`; the response's status and its whole body."""
+        conn = self._conn
+        if conn.sock is not None and _closed_by_peer(conn.sock):
+            conn.close()
+        try:
+            conn.request("POST", self._target, body,
+                         headers | self._proxy_headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            # A request cut off midway leaves the connection unusable.
+            conn.close()
+            raise
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+def _excerpt(body: bytes) -> str:
+    return body.decode("utf-8", errors="replace")[:200]
+
+
 def chat_complete(endpoint: EndpointConfig, messages: Sequence[Message],
-                  session: Optional[requests.Session] = None) -> ChatResponse:
+                  connection: Optional[EndpointConnection] = None
+                  ) -> ChatResponse:
     """One chat completion over HTTP.
 
     Retries connection failures and transient statuses with exponential
-    backoff up to max_retries; any other HTTP error raises with a short
-    body excerpt (never the request, which contains the prompt and would
-    sit next to the redacted key in logs).  POSTs through `session` when
-    one is given, keeping its connection alive between calls, and through
-    a one-request session otherwise.
+    backoff up to max_retries; any other status outside 2xx, a redirect
+    included, raises with a short body excerpt (never the request, which
+    contains the prompt and would sit next to the redacted key in logs).
+    POSTs through `connection` when one is given, and through a connection
+    opened and closed for this call otherwise.
     """
-    payload = {
+    body = json.dumps({
         "model": endpoint.model,
         "messages": list(messages),
         "temperature": endpoint.temperature,
-    }
+    }, allow_nan=False).encode("utf-8")
+    if connection is None:
+        with closing(EndpointConnection(endpoint.base_url,
+                                        endpoint.timeout_s)) as once:
+            return _post_with_retries(endpoint, body, once)
+    return _post_with_retries(endpoint, body, connection)
+
+
+def _post_with_retries(endpoint: EndpointConfig, body: bytes,
+                       connection: EndpointConnection) -> ChatResponse:
     last_exc: Optional[Exception] = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff_base_s * (2 ** (attempt - 1)))
         t0 = time.perf_counter()
         try:
-            resp = (session or requests).post(
-                endpoint.base_url, json=payload, headers=endpoint.headers(),
-                timeout=endpoint.timeout_s)
-        except requests.RequestException as exc:
+            status, raw = connection.post(body, endpoint.headers())
+        except (OSError, http.client.HTTPException) as exc:
             last_exc = exc
             continue
         latency_ms = (time.perf_counter() - t0) * 1000.0
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_exc = HttpError(resp.status_code, resp.text[:200])
+        if status in _RETRYABLE_STATUS:
+            last_exc = HttpError(status, _excerpt(raw))
             continue
-        if resp.status_code >= 400:
-            raise HttpError(resp.status_code, resp.text[:200])
+        if not 200 <= status < 300:
+            raise HttpError(status, _excerpt(raw))
         try:
-            text = resp.json()["choices"][0]["message"]["content"]
+            text = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed chat response body: {exc}") from exc
         if not isinstance(text, str):
@@ -234,19 +360,20 @@ class ChatProposalEngine:
 
     With a replay cassette no endpoint is contacted at all; with a record
     cassette every live response is appended before being returned.  Live
-    calls share one HTTP session, opened at the first of them; it reads the
-    environment's proxies, CA bundle and netrc credentials for the endpoint
-    once, when it opens, instead of on every request.  close() releases
-    the session and closes the cassette; closing twice is harmless.  Used
-    as a context manager, it also checks on a clean exit that a replay
-    cassette was consumed to its end.
+    calls share one EndpointConnection, made at the first of them: it reads
+    the environment's proxy and CA bundle once, keeps its socket open
+    between calls while the server allows, and reopens it, with no retry
+    and no backoff, when the server has closed it.  close() closes the
+    connection and the cassette; closing twice is harmless.  Used as a
+    context manager, it also checks on a clean exit that a replay cassette
+    was consumed to its end.
     """
 
     def __init__(self, endpoint: EndpointConfig,
                  cassette: Optional[Cassette] = None):
         self.endpoint = endpoint
         self.cassette = cassette
-        self._session: Optional[requests.Session] = None
+        self._conn: Optional[EndpointConnection] = None
 
     def __enter__(self) -> "ChatProposalEngine":
         return self
@@ -261,29 +388,21 @@ class ChatProposalEngine:
                                 f"entries left over after the run")
 
     def close(self) -> None:
-        if self._session is not None:
-            self._session.close()
-            self._session = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
         if self.cassette is not None:
             self.cassette.close()
-
-    def _live_session(self) -> requests.Session:
-        if self._session is None:
-            session = requests.Session()
-            url = self.endpoint.base_url
-            env = session.merge_environment_settings(url, {}, None, None, None)
-            session.proxies, session.verify = env["proxies"], env["verify"]
-            session.auth = requests.utils.get_netrc_auth(url)
-            session.trust_env = False
-            self._session = session
-        return self._session
 
     def propose(self, prompt: str) -> str:
         messages = [{"role": "user", "content": prompt}]
         digest = request_digest(messages)
         if self.cassette is not None and self.cassette.mode == "replay":
             return self.cassette.replay(digest).text
-        response = chat_complete(self.endpoint, messages, self._live_session())
+        if self._conn is None:
+            self._conn = EndpointConnection(self.endpoint.base_url,
+                                            self.endpoint.timeout_s)
+        response = chat_complete(self.endpoint, messages, self._conn)
         if self.cassette is not None:
             self.cassette.record(digest, response)
         return response.text

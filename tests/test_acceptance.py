@@ -6,6 +6,7 @@ the contract; do not loosen them to make a failing criterion pass.
 """
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -425,9 +426,10 @@ def test_criterion_8_reruns_are_byte_identical_offline(tmp_path, monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("live network call during replay")
 
-    monkeypatch.setattr("autocomm.gateway.requests.post", forbidden)
-    monkeypatch.setattr("autocomm.gateway.requests.Session", forbidden,
-                        raising=False)
+    # No socket may connect anywhere, whatever transport would try.
+    monkeypatch.setattr(socket.socket, "connect", forbidden)
+    monkeypatch.setattr(socket.socket, "connect_ex", forbidden)
+    monkeypatch.setattr(socket, "create_connection", forbidden)
     replay_opts = dict(opts, cassette_mode="replay")
     replayed = run(scenarios["sched"], "opro_chat", replay_opts)
     from autocomm.report import record_to_json
@@ -435,4 +437,4 @@ def test_criterion_8_reruns_are_byte_identical_offline(tmp_path, monkeypatch,
     record_criterion(8, True,
                      "scheduling, traffic, and channel reruns byte-identical "
                      "from persisted configs; chat transcript replays "
-                     "byte-identically with requests disabled")
+                     "byte-identically with every socket connect disabled")

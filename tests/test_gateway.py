@@ -1,12 +1,14 @@
 """HTTP chat gateway, retry policy, and record/replay cassettes."""
 
+import base64
 import hashlib
 import json
+import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from autocomm.cli import main
 from autocomm.configs import (
@@ -22,6 +24,7 @@ from autocomm.gateway import (
     ChatProposalEngine,
     ChatResponse,
     EndpointConfig,
+    EndpointConnection,
     GatewayError,
     HttpError,
     chat_complete,
@@ -35,40 +38,107 @@ def chat_body(text):
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Plays back (status, body) pairs and logs each incoming request."""
+    """Plays back (status, body) pairs and logs each incoming request and
+    each accepted connection.  Speaks HTTP/1.0: the server closes the
+    connection after every response."""
 
     script = []
     seen = []
+    connections = []
+    # A threading.Event here makes the server close the connection after
+    # its next response without saying so in the headers, as a server that
+    # times out an idle keep-alive connection does; the handler sets the
+    # event once the socket is shut.
+    drop = None
+
+    def setup(self):
+        super().setup()
+        type(self).connections.append(self.client_address)
 
     def do_POST(self):
         n = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(n)
         type(self).seen.append({
+            "path": self.path,
             "headers": dict(self.headers),
             "json": json.loads(body) if body else None,
         })
         status, payload = self.script.pop(0) if len(self.script) > 1 \
             else self.script[0]
+        if isinstance(payload, str):
+            payload = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        if 300 <= status < 400:
+            self.send_header("Location", "/v1/elsewhere")
         self.end_headers()
-        self.wfile.write(payload.encode("utf-8"))
+        self.wfile.write(payload)
+        drop = type(self).drop
+        if drop is not None and not drop.is_set():
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_RDWR)
+            self.close_connection = True
+            drop.set()
+
+    def do_CONNECT(self):
+        type(self).seen.append({"connect": self.path,
+                                "headers": dict(self.headers)})
+        self.send_error(502, "no tunnels here")
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture()
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+class KeepAliveHandler(StubHandler):
+    """The same stub over HTTP/1.1: connections stay open between requests.
+    The stdlib handler writes headers and body apart, so Nagle's algorithm
+    must be off or every response waits for a delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     StubHandler.script = []
     StubHandler.seen = []
-    url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
-    yield url
+    StubHandler.connections = []
+    StubHandler.drop = None
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def stub_server():
+    yield from _serve(StubHandler)
+
+
+@pytest.fixture()
+def keepalive_server():
+    yield from _serve(KeepAliveHandler)
+
+
+@pytest.fixture()
+def clean_proxy_env(monkeypatch):
+    """No proxy settings from the host environment; tests set their own."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def forbid_network(monkeypatch):
+    """From here on the test fails if any socket tries to connect."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("network call during replay")
+
+    monkeypatch.setattr(socket.socket, "connect", forbidden)
+    monkeypatch.setattr(socket.socket, "connect_ex", forbidden)
+    monkeypatch.setattr(socket, "create_connection", forbidden)
 
 
 @pytest.fixture()
@@ -193,6 +263,120 @@ def test_chat_complete_connection_refused(no_sleep):
                         max_retries=1, timeout_s=1)
     with pytest.raises(GatewayError, match="after 2 attempts"):
         chat_complete(ep, MESSAGES)
+
+
+def test_chat_complete_does_not_follow_a_redirect(stub_server, no_sleep):
+    StubHandler.script = [(302, "moved")]
+    ep = EndpointConfig(base_url=stub_server, model="m")
+    with pytest.raises(HttpError, match="HTTP 302: moved") as err:
+        chat_complete(ep, MESSAGES)
+    assert err.value.status == 302
+    assert [seen["path"] for seen in StubHandler.seen] == ["/v1/chat"]
+    assert no_sleep == []
+
+
+def test_error_body_that_is_not_utf8_is_excerpted(stub_server, no_sleep):
+    StubHandler.script = [(500, b"\xff\xfe boom")]
+    ep = EndpointConfig(base_url=stub_server, model="m", max_retries=0)
+    with pytest.raises(GatewayError,
+                       match="after 1 attempts: chat endpoint returned "
+                             "HTTP 500: \ufffd\ufffd boom"):
+        chat_complete(ep, MESSAGES)
+
+
+def test_netrc_does_not_replace_the_api_key(stub_server, tmp_path,
+                                            monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password pw\n",
+                     encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(netrc))
+    StubHandler.script = [(200, chat_body("A"))]
+    ep = EndpointConfig(base_url=stub_server, model="m", api_key="sk-test")
+    assert chat_complete(ep, MESSAGES).text == "A"
+    with ChatProposalEngine(ep) as engine:
+        assert engine.propose("p") == "A"
+    assert [seen["headers"]["Authorization"] for seen in StubHandler.seen] \
+        == ["Bearer sk-test"] * 2
+
+
+# ---------------------------------------------------------------------------
+# Transport: one connection per engine, reused while the server allows
+
+
+def _five_proposals(url):
+    StubHandler.script = [(200, chat_body(f"r{i}")) for i in range(5)]
+    with ChatProposalEngine(EndpointConfig(base_url=url, model="m")) as engine:
+        assert [engine.propose(f"p{i}") for i in range(5)] == \
+            [f"r{i}" for i in range(5)]
+    assert len(StubHandler.seen) == 5
+
+
+def test_keepalive_server_sees_one_connection(keepalive_server,
+                                              clean_proxy_env, no_sleep):
+    _five_proposals(keepalive_server)
+    assert len(StubHandler.connections) == 1
+    assert no_sleep == []
+
+
+def test_http10_server_sees_a_connection_per_request(stub_server,
+                                                     clean_proxy_env,
+                                                     no_sleep):
+    _five_proposals(stub_server)
+    assert len(StubHandler.connections) == 5
+    assert no_sleep == []
+
+
+def test_dropped_keepalive_connection_is_reopened(keepalive_server,
+                                                  clean_proxy_env, no_sleep):
+    StubHandler.script = [(200, chat_body("A")), (200, chat_body("B"))]
+    StubHandler.drop = threading.Event()
+    with ChatProposalEngine(EndpointConfig(base_url=keepalive_server,
+                                           model="m")) as engine:
+        assert engine.propose("p1") == "A"
+        assert StubHandler.drop.wait(5)
+        assert engine.propose("p2") == "B"
+    assert len(StubHandler.seen) == 2
+    assert len(StubHandler.connections) == 2
+    assert no_sleep == []
+
+
+def test_no_proxy_keeps_loopback_calls_direct(stub_server, clean_proxy_env,
+                                              monkeypatch, no_sleep):
+    # Both proxies point at a port nobody listens on.
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+    monkeypatch.setenv("https_proxy", "http://127.0.0.1:9")
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    StubHandler.script = [(200, chat_body("direct"))]
+    ep = EndpointConfig(base_url=stub_server, model="m")
+    assert chat_complete(ep, MESSAGES).text == "direct"
+    assert StubHandler.seen[0]["path"] == "/v1/chat"
+    assert no_sleep == []
+
+
+def test_plain_http_names_the_absolute_url_to_its_proxy(
+        stub_server, clean_proxy_env, monkeypatch):
+    # The stub stands in for the proxy; the endpoint's host never resolves.
+    proxy = stub_server.rsplit("/v1/", 1)[0].replace("://", "://u:pw@")
+    monkeypatch.setenv("http_proxy", proxy)
+    StubHandler.script = [(200, chat_body("via proxy"))]
+    ep = EndpointConfig(base_url="http://chat.example.invalid:8000/v1/chat?x=1",
+                        model="m", api_key="sk-test")
+    assert chat_complete(ep, MESSAGES).text == "via proxy"
+    seen = StubHandler.seen[0]
+    assert seen["path"] == "http://chat.example.invalid:8000/v1/chat?x=1"
+    assert seen["headers"]["Host"] == "chat.example.invalid:8000"
+    assert seen["headers"]["Authorization"] == "Bearer sk-test"
+    assert seen["headers"]["Proxy-Authorization"] == \
+        "Basic " + base64.b64encode(b"u:pw").decode("ascii")
+
+
+@pytest.mark.parametrize("url", ["", "ftp://host/x", "http:///path",
+                                 "http://host:port/x"])
+def test_endpoint_url_that_is_not_http_raises_at_once(url, no_sleep):
+    ep = EndpointConfig(base_url=url, model="m")
+    with pytest.raises(GatewayError, match="endpoint URL"):
+        chat_complete(ep, MESSAGES)
+    assert no_sleep == []
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +510,7 @@ def test_engine_record_then_replay_offline(stub_server, tmp_path, monkeypatch):
     assert len(StubHandler.seen) == 2
 
     # Replay must not touch the network at all.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("network call during replay")
-
-    monkeypatch.setattr("autocomm.gateway.requests.post", forbidden)
+    forbid_network(monkeypatch)
     dead = EndpointConfig(base_url="http://127.0.0.1:9/", model="m")
     with Cassette(path, "replay") as rep:
         offline = ChatProposalEngine(dead, cassette=rep)
@@ -360,30 +541,61 @@ def test_cassette_never_contains_api_key(stub_server, tmp_path):
 
 
 def test_engine_keeps_one_session_and_reads_the_environment_once(
-        stub_server, tmp_path, monkeypatch):
+        keepalive_server, clean_proxy_env, monkeypatch):
     StubHandler.script = [(200, chat_body("A")), (200, chat_body("B"))]
-    bundle = str(tmp_path / "ca.pem")
-    monkeypatch.setenv("REQUESTS_CA_BUNDLE", bundle)
     opened = []
-    real_session = requests.Session
 
-    def session():
-        opened.append(real_session())
-        return opened[-1]
+    class Counted(EndpointConnection):
+        def __init__(self, *args):
+            opened.append(self)
+            super().__init__(*args)
 
-    monkeypatch.setattr("autocomm.gateway.requests.Session", session)
-    engine = ChatProposalEngine(EndpointConfig(base_url=stub_server,
+    monkeypatch.setattr("autocomm.gateway.EndpointConnection", Counted)
+    engine = ChatProposalEngine(EndpointConfig(base_url=keepalive_server,
                                                model="m"))
     assert opened == []                 # nothing opens before a live call
     assert engine.propose("p1") == "A"
-    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "other.pem"))
+    # A proxy appearing now is not read: the connection was made already.
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
     assert engine.propose("p2") == "B"
     assert len(opened) == 1 and len(StubHandler.seen) == 2
-    live = opened[0]
-    assert live.trust_env is False and live.verify == bundle
+    assert len(StubHandler.connections) == 1
     engine.close()
-    assert engine._session is None
+    assert engine._conn is None and opened[0]._conn.sock is None
     engine.close()                      # closing twice is harmless
+
+
+def test_engine_reads_the_ca_bundle_once_and_tunnels_https(
+        stub_server, clean_proxy_env, monkeypatch, no_sleep):
+    # The stub stands in for an https proxy: it logs the CONNECT and
+    # refuses it, so both proposals fail after their retries.
+    proxy = stub_server.rsplit("/v1/", 1)[0].replace("://", "://u%40x:pw@")
+    monkeypatch.setenv("https_proxy", proxy)
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/etc/first-bundle.pem")
+    cafiles = []
+    real_context = ssl.create_default_context
+
+    def context(cafile=None):
+        cafiles.append(cafile)
+        return real_context()
+
+    monkeypatch.setattr("autocomm.gateway.ssl.create_default_context",
+                        context)
+    engine = ChatProposalEngine(EndpointConfig(
+        base_url="https://chat.example.invalid/v1/chat", model="m",
+        max_retries=1))
+    with pytest.raises(GatewayError, match="after 2 attempts"):
+        engine.propose("p1")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/etc/second-bundle.pem")
+    with pytest.raises(GatewayError, match="after 2 attempts"):
+        engine.propose("p2")
+    engine.close()
+    assert cafiles == ["/etc/first-bundle.pem"]
+    assert [seen["connect"] for seen in StubHandler.seen] == \
+        ["chat.example.invalid:443"] * 4
+    assert StubHandler.seen[0]["headers"]["Proxy-Authorization"] == \
+        "Basic " + base64.b64encode(b"u@x:pw").decode("ascii")
+    assert no_sleep == [0.5, 0.5]
 
 
 def test_engine_close_closes_its_cassette(tmp_path):
@@ -404,13 +616,11 @@ def test_engine_replay_never_opens_a_session(stub_server, tmp_path,
     with Cassette(path, "record") as rec:
         ChatProposalEngine(ep, cassette=rec).propose("p")
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("session opened during replay")
-
-    monkeypatch.setattr("autocomm.gateway.requests.Session", forbidden)
+    forbid_network(monkeypatch)
     with Cassette(path, "replay") as rep:
         engine = ChatProposalEngine(ep, cassette=rep)
         assert engine.propose("p") == "A"
+        assert engine._conn is None
         engine.close()
 
 
@@ -447,11 +657,7 @@ def test_cli_opro_chat_records_then_replays_offline(stub_server, tmp_path,
     assert StubHandler.seen and cassette.exists()
     requests_seen = len(StubHandler.seen)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("network call during replay")
-
-    monkeypatch.setattr("autocomm.gateway.requests.post", forbidden)
-    monkeypatch.setattr("autocomm.gateway.requests.Session", forbidden)
+    forbid_network(monkeypatch)
     assert main(argv + ["--cassette-mode", "replay"]) == 0
     assert capsys.readouterr().out == recorded
     assert len(StubHandler.seen) == requests_seen
@@ -533,13 +739,13 @@ def test_scheduling_run_closes_its_chat_session(stub_server, tmp_path,
                                                 monkeypatch):
     StubHandler.script = [(200, chat_body("[1, 2, 1, 2, 1, 2, 1, 2, 1]"))]
     closed = []
-    real_close = requests.Session.close
+    real_close = EndpointConnection.close
 
     def close(self):
         closed.append(self)
         real_close(self)
 
-    monkeypatch.setattr(requests.Session, "close", close)
+    monkeypatch.setattr(EndpointConnection, "close", close)
     scenario = ScenarioConfig(track=Track.SCHEDULING, seed=3,
                               scheduling=SchedulingConfig(num_robots=2))
     opts = {"endpoint_url": stub_server, "model": "m",
