@@ -12,9 +12,10 @@ Signal controllers consume encoded observations (not raw state), which is
 where the sensing gap lives: the connected-vehicle view reports exact
 queues, the roadside top view saturates at a visible depth.  An observation
 that exceeds its byte budget loses its farthest vehicle rows.  The encoder
-serializes the foreground once and formats each vehicle row once, as the
-text ``json.dumps`` gives; how many rows fit comes from a prefix sum of the
-row sizes, and the kept rows are spliced into the foreground text.
+writes the text ``json.dumps`` gives directly: the foreground once, then
+the vehicle rows nearest first, each formatted only while the running
+total still fits the budget, and the kept rows spliced into the
+foreground text.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from typing import Optional, Protocol
 
@@ -35,6 +34,10 @@ from .rng import RngStream
 APPROACHES = ("N", "S", "E", "W")
 INTENTS = ("left", "straight", "right")
 LANE_KEYS = tuple(f"{a}:{i}" for a in APPROACHES for i in INTENTS)
+# The lanes in the order of their names, which is the order of a
+# sort_keys=True JSON object, and each name's JSON text.
+_SORTED_LANE_KEYS = tuple(sorted(LANE_KEYS))
+_LANE_JSON = {key: json.dumps(key) for key in LANE_KEYS}
 
 # Protected phases: no two simultaneously allowed movements conflict.  Each
 # phase lists its lanes in LANE_KEYS order, so a sum over a phase adds its
@@ -48,7 +51,6 @@ PHASE_MOVEMENTS: dict[int, tuple[str, ...]] = {
 }
 PHASE_ORDER = (1, 2, 3, 4)
 
-_SEPARATORS = (",", ":")
 _STOPPED_SPEED = 0.1      # m/s, below this a step counts as waiting
 _AT_LINE_POS = 0.5        # m, head closer than this is "at the line"
 
@@ -88,6 +90,12 @@ class Vehicle:
 
 @dataclass
 class TrafficState:
+    """The intersection at one instant.
+
+    ``lanes`` holds exactly the keys of LANE_KEYS, as ``spawn_vehicles``
+    makes it, so a pass over the lanes walks a fixed tuple of them.
+    """
+
     time_s: float
     phase: int
     phase_onset_s: float
@@ -104,7 +112,7 @@ class TrafficState:
         """
         min_gap = cfg.headway_m - 1e-9
         active = 0
-        for key in sorted(self.lanes):
+        for key in _SORTED_LANE_KEYS:
             q = self.lanes[key]
             active += len(q)
             lead = None
@@ -196,7 +204,7 @@ def step(state: TrafficState, cfg: TrafficConfig,
     crossed = state.crossed
     green = PHASE_MOVEMENTS[state.phase]
 
-    for key in sorted(state.lanes):
+    for key in _SORTED_LANE_KEYS:
         q = state.lanes[key]
         if not q:
             continue
@@ -258,23 +266,6 @@ class EncodedObservation:
     dropped_vehicles: int
 
 
-def _lane_summaries(state: TrafficState, kind: str,
-                    cfg: TrafficConfig) -> dict[str, dict]:
-    lanes: dict[str, dict] = {}
-    for key in LANE_KEYS:
-        q = state.lanes[key]
-        if kind == "vue":
-            entry: dict = {"q": len(q)}
-            if q:
-                entry["w"] = round(q[0].wait_s, 1)
-        else:
-            # Roadside top view: counts saturate at the visible depth and
-            # per-vehicle history (waits) is not observable.
-            entry = {"q": min(len(q), cfg.visible_depth)}
-        lanes[key] = entry
-    return lanes
-
-
 def encode_observation(state: TrafficState, kind: str,
                        cfg: TrafficConfig) -> EncodedObservation:
     """Serialize what a sensor of the given kind can see, within the budget.
@@ -286,44 +277,54 @@ def encode_observation(state: TrafficState, kind: str,
     """
     if kind not in ("vue", "rsu"):
         raise ValueError(f"unknown observation kind {kind!r}")
-    foreground = json.dumps({
-        "t": round(state.time_s, 1),
-        "phase": state.phase,
-        "lanes": _lane_summaries(state, kind, cfg),
-    }, sort_keys=True, separators=_SEPARATORS)
+    # The text json.dumps(..., sort_keys=True, separators=(",", ":")) gives:
+    # keys in sorted order, and numbers as their repr, which is how json
+    # formats an int or a finite float (every number a state holds).
+    depth = None if kind == "vue" else cfg.visible_depth
+    summaries = []
+    rows = []
+    for key in _SORTED_LANE_KEYS:
+        q = state.lanes[key]
+        # The roadside top view sees at most visible_depth vehicles per
+        # lane and no waits.
+        visible = q if depth is None else q[:depth]
+        if depth is None and q:
+            summaries.append(f'{_LANE_JSON[key]}:{{"q":{len(q)},'
+                             f'"w":{round(q[0].wait_s, 1)!r}}}')
+        else:
+            summaries.append(f'{_LANE_JSON[key]}:{{"q":{len(visible)}}}')
+        rows += [(round(veh.pos, 1), key, veh) for veh in visible]
+    foreground = (f'{{"lanes":{{{",".join(summaries)}}},'
+                  f'"phase":{state.phase!r},"t":{round(state.time_s, 1)!r}}}')
     # The output is ASCII (json escapes the rest), so characters are bytes.
     fg_bytes = len(foreground)
     if fg_bytes > cfg.byte_budget:
         raise InsufficientBudgetError(
             f"foreground needs {fg_bytes} bytes, budget is {cfg.byte_budget}")
 
-    lane_text: dict[str, str] = {}
-    rows: list[tuple[float, str, float]] = []
-    for key, q in state.lanes.items():
-        lane_text[key] = json.dumps(key)
-        visible = q if kind == "vue" else q[: cfg.visible_depth]
-        rows += [(round(veh.pos, 1), key, round(veh.speed, 1))
-                 for veh in visible]
-    # By (pos, lane) only, and stable: rows that tie keep their lane order.
+    # By (pos, lane) only, and stable: rows that tie on both keep their
+    # order in the lane.
     rows.sort(key=itemgetter(0, 1))
-    # Each row as json.dumps(..., sort_keys=True) writes it: repr is the
-    # float (and int) formatting json uses.
-    texts = [f'{{"lane":{lane_text[lane]},"pos":{pos!r},"v":{v!r}}}'
-             for pos, lane, v in rows]
-
     # "vehicles" sorts last, so k >= 1 rows cost the foreground without its
     # closing brace, ',"vehicles":[', the rows, k - 1 commas and ']}': that
-    # is fg_bytes + 13 plus the running sum of (row bytes + 1).
-    row_cost = accumulate(len(text) + 1 for text in texts)
-    kept = bisect_right(list(row_cost), cfg.byte_budget - fg_bytes - 13)
+    # is fg_bytes + 13 plus the sum of (row bytes + 1).  Every row costs at
+    # least one byte, so the first row that does not fit ends the list.
+    room = cfg.byte_budget - fg_bytes - 13
+    texts = []
+    for pos, key, veh in rows:
+        text = (f'{{"lane":{_LANE_JSON[key]},"pos":{pos!r},'
+                f'"v":{round(veh.speed, 1)!r}}}')
+        room -= len(text) + 1
+        if room < 0:
+            break
+        texts.append(text)
     payload = foreground
-    if kept:
-        payload = (f'{foreground[:-1]},"vehicles":['
-                   f'{",".join(texts[:kept])}]}}')
+    if texts:
+        payload = f'{foreground[:-1]},"vehicles":[{",".join(texts)}]}}'
     return EncodedObservation(
         kind=kind, payload=payload,
         foreground_fraction=fg_bytes / len(payload),
-        dropped_vehicles=len(rows) - kept)
+        dropped_vehicles=len(rows) - len(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def run_episode(cfg: TrafficConfig, controller: SignalController,
         step(state, cfg, request)
         state.check_invariants(cfg)
 
-    everyone = state.crossed + [v for key in sorted(state.lanes)
+    everyone = state.crossed + [v for key in _SORTED_LANE_KEYS
                                 for v in state.lanes[key]]
     total_dist = sum(v.distance_m for v in everyone)
     total_time = sum(v.travel_time_s for v in everyone)

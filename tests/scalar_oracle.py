@@ -20,11 +20,11 @@ model's prediction one query and one slot at a time
 checks of a specular point that use no image method at all: the
 law-of-reflection residual and a path-length grid search over the facade
 (ACCEPTANCE 5 runs the image method against both).  The traffic
-section is the encoder that re-serialized the observation once per dropped
-row, and the step and invariant check that ``traffic.step`` and
-``TrafficState.check_invariants`` replace: attributes re-read and every lane
-list rebuilt per vehicle-step, spacing and vehicle count checked in separate
-passes.
+section is the encoder that builds the observation as dicts and
+re-serializes it once per dropped row, and the step and invariant check
+that ``traffic.step`` and ``TrafficState.check_invariants`` replace:
+attributes re-read and every lane list rebuilt per vehicle-step, spacing
+and vehicle count checked in separate passes.
 """
 
 import itertools
@@ -51,13 +51,13 @@ from autocomm.scheduling import (
 )
 from autocomm.traffic import (
     _STOPPED_SPEED,
+    LANE_KEYS,
     PHASE_MOVEMENTS,
     ConservationError,
     CrashInvariantError,
     EncodedObservation,
     InsufficientBudgetError,
     _apply_phase_request,
-    _lane_summaries,
 )
 
 
@@ -634,6 +634,22 @@ def check_invariants(state, cfg) -> None:
         raise ConservationError(
             f"{state.spawned} spawned but {active_count(state)} active + "
             f"{len(state.crossed)} crossed at t={state.time_s:.1f}")
+
+
+def _lane_summaries(state, kind, cfg) -> dict[str, dict]:
+    lanes: dict[str, dict] = {}
+    for key in LANE_KEYS:
+        q = state.lanes[key]
+        if kind == "vue":
+            entry: dict = {"q": len(q)}
+            if q:
+                entry["w"] = round(q[0].wait_s, 1)
+        else:
+            # Roadside top view: counts saturate at the visible depth and
+            # per-vehicle history (waits) is not observable.
+            entry = {"q": min(len(q), cfg.visible_depth)}
+        lanes[key] = entry
+    return lanes
 
 
 def encode_observation(state, kind, cfg) -> EncodedObservation:

@@ -490,8 +490,9 @@ def test_cassette_mode_errors(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(CassetteError, match="not in record mode"):
         Cassette(path, "replay").record("d", ChatResponse("x", 0.0))
-    with pytest.raises(CassetteError, match="not in replay mode"):
-        Cassette(path, "record").replay("d")
+    with Cassette(path, "record") as cassette, \
+            pytest.raises(CassetteError, match="not in replay mode"):
+        cassette.replay("d")
 
 
 # ---------------------------------------------------------------------------

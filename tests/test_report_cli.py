@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autocomm import report
+from autocomm import report, traffic
 from autocomm.cli import _parse_axis, main
 from autocomm.configs import (
     ConfigError,
@@ -259,10 +259,13 @@ TRAFFIC_RECORDS_SHA256 = (
     "7371064d1a62906fd54d83b00f5a565191f16ed4c50bfaab109a249cf90bb39b")
 
 
-def test_traffic_records_are_pinned():
-    # The reference document under both controllers and both sensors at 80
-    # vehicles, and under the greedy controller with both sensors at 160,
-    # where the connected-vehicle view drops rows to fit its byte budget.
+def pinned_traffic_runs():
+    """(scenario, method, opts) of every run the traffic pins cover.
+
+    The reference document under both controllers and both sensors at 80
+    vehicles, and under the greedy controller with both sensors at 160,
+    where the connected-vehicle view drops rows to fit its byte budget.
+    """
     text = (REPO / "docs" / "config-schema" / "traffic.json").read_text(
         encoding="utf-8")
     doc = scenario_to_dict(build_scenario(text))
@@ -270,13 +273,44 @@ def test_traffic_records_are_pinned():
     kinds = [(doc, m, obs) for m in ("greedy", "round_robin")
              for obs in ("vue", "rsu")]
     kinds += [(big, "greedy", obs) for obs in ("vue", "rsu")]
-    digest = hashlib.sha256()
     for seed in (1, 2):
         for base, method, obs in kinds:
-            rec = run(scenario_from_dict(dict(base, seed=seed)), method,
-                      {"observation": obs})
-            digest.update(record_to_json(rec).encode("utf-8"))
+            yield (scenario_from_dict(dict(base, seed=seed)), method,
+                   {"observation": obs})
+
+
+def test_traffic_records_are_pinned():
+    digest = hashlib.sha256()
+    for scenario, method, opts in pinned_traffic_runs():
+        rec = run(scenario, method, opts)
+        digest.update(record_to_json(rec).encode("utf-8"))
     assert digest.hexdigest() == TRAFFIC_RECORDS_SHA256
+
+
+# sha256 over repr((payload, dropped_vehicles, repr(foreground_fraction)))
+# of every observation the pinned traffic runs encode, in call order.  The
+# greedy controller reads only the lane summaries and the phase, and round
+# robin reads nothing, so the records alone cannot see a vehicle row.
+# Computed before the encoder stopped formatting the rows it drops; change
+# it only with a deliberate change to the observation format, and say so.
+OBSERVATION_PAYLOADS_SHA256 = (
+    "55225dca80e1bee676eafd616e6627820bebc8a548f04920ea1df19a8ee82fbf")
+
+
+def test_observation_payloads_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    encode = traffic.encode_observation
+
+    def recording(state, kind, cfg):
+        obs = encode(state, kind, cfg)
+        digest.update(repr((obs.payload, obs.dropped_vehicles,
+                            repr(obs.foreground_fraction))).encode("utf-8"))
+        return obs
+
+    monkeypatch.setattr(traffic, "encode_observation", recording)
+    for scenario, method, opts in pinned_traffic_runs():
+        assert run(scenario, method, opts).status == "ok"
+    assert digest.hexdigest() == OBSERVATION_PAYLOADS_SHA256
 
 
 # sha256 over record_to_json of every (seed, robots, objective, method) run

@@ -287,6 +287,52 @@ def test_encoder_matches_reserializing_oracle(state, kind, depth, data):
         _encode_or_error(oracle.encode_observation, state, kind, cfg)
 
 
+def tied_state():
+    """Rows whose rounded positions tie across lanes and within a lane
+    (4.96, 5.0 and 5.04 all read 5.0), -0.04 and -0.0 positions that read
+    -0.0 beside 0.0 and 0.04, and lanes listed out of position order."""
+    state = empty_state(phase=3, time_s=12.34)
+    for lane, rows in (("N:left", [(5.04, 3.3), (4.96, 0.0), (5.0, 13.96),
+                                   (-0.04, -0.04)]),
+                       ("E:left", [(5.0, 1.25), (-0.0, 0.0), (0.04, 7.0)]),
+                       ("S:right", [(30.0, 14.0), (4.96, 2.5),
+                                    (-0.04, 0.05)]),
+                       ("W:straight", [(0.0, 9.99), (5.0, 0.15)])):
+        for pos, speed in rows:
+            put(state, state.spawned + 1, lane, pos, speed=speed,
+                wait_s=0.1 * state.spawned)
+    return state
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8])
+@pytest.mark.parametrize("kind", ["vue", "rsu"])
+def test_encoder_cut_matches_the_oracle_at_every_budget(kind, depth):
+    state = tied_state()
+    roomy = TrafficConfig(visible_depth=depth, byte_budget=10**7)
+    full = oracle.encode_observation(state, kind, roomy).payload
+    doc = json.loads(full)
+    rows = doc.pop("vehicles")
+    foreground = len(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    if kind == "vue":
+        # Both rounded zeros and a three-way tie survive into the rows.
+        assert ',"pos":-0.0,' in full and ',"pos":0.0,' in full
+        assert [r["pos"] for r in rows].count(5.0) >= 3
+    budgets = range(foreground - 1, len(full) + 2)
+    seen = [_encode_or_error(encode_observation, state, kind,
+                             TrafficConfig(visible_depth=depth,
+                                           byte_budget=budget))
+            for budget in budgets]
+    assert seen == [_encode_or_error(oracle.encode_observation, state, kind,
+                                     TrafficConfig(visible_depth=depth,
+                                                   byte_budget=budget))
+                    for budget in budgets]
+    # Below the foreground, then every cut from no row to all of them.
+    assert isinstance(seen[0], tuple)
+    assert {obs.dropped_vehicles for obs in seen[1:]} == \
+        set(range(len(rows) + 1))
+    assert seen[-1].payload == full
+
+
 # ---------------------------------------------------------------------------
 # Differential: step, invariant check and encoder against the scalar oracle
 
