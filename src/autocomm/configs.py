@@ -104,7 +104,7 @@ class SchedulingConfig:
 @dataclass(frozen=True)
 class TrafficConfig:
     """Intersection scenario: a 100 m x 100 m area, two crossing roads,
-    vehicles spawned on four approaches."""
+    at least one vehicle spawned on four approaches."""
 
     num_vehicles: int = 80
     area_m: float = 100.0
@@ -120,8 +120,8 @@ class TrafficConfig:
     byte_budget: int = 512
 
     def __post_init__(self):
-        if self.num_vehicles < 0:
-            raise ConfigError("traffic.num_vehicles", "must be >= 0")
+        if self.num_vehicles < 1:
+            raise ConfigError("traffic.num_vehicles", "must be >= 1")
         if self.area_m <= 0:
             raise ConfigError("traffic.area_m", "must be > 0")
         if self.free_flow_speed_mps <= 0:

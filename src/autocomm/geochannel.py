@@ -11,7 +11,7 @@ can confirm.
 One array kernel traces a whole batch of users (_trace_rows): the image
 method over [users x facades], then a slab test of every LoS and
 reflection leg against every box (only in-rectangle pairs get legs), then
-lengths, delays, gains and angles as arrays (_path_arrays).  build_ckm
+lengths, gains and departure angles as arrays (_path_arrays).  build_ckm
 reads those arrays into dense per-slot tables and synthesizes every
 channel in one call; it is also where a run's true channels come from.
 trace_paths and mirror_reflection_point read one row of the same kernel,
@@ -214,10 +214,8 @@ class Path:
     kind: str                      # "los" or "reflection"
     facade_id: Optional[str]
     length_m: float
-    delay_s: float
     gain: complex
     aod_rad: float                 # departure azimuth, arcsin of x-component
-    aoa_rad: float                 # arrival azimuth at the user, same convention
     points: tuple[tuple[float, float, float], ...]
 
     @property
@@ -228,12 +226,11 @@ class Path:
 def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
                  via: np.ndarray, los: np.ndarray
                  ) -> tuple[np.ndarray, ...]:
-    """Length, complex gain, AoD and AoA of each row BS -> via -> user, or
-    of the line of sight where los is set (via is then the user itself)."""
+    """Length, complex gain and AoD of each row BS -> via -> user, or of
+    the line of sight where los is set (via is then the user itself)."""
     bs = np.asarray(cfg.bs_pos, dtype=float)
     lam = SPEED_OF_LIGHT / cfg.carrier_hz
     out_leg = via - bs
-    back = np.where(los[:, None], bs, via) - users    # user -> last point
     length = _norm(out_leg) + _norm(users - via)
     if not np.all(length > 0.0):
         raise DegenerateGeometry("user at the BS: zero-length path")
@@ -248,8 +245,7 @@ def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
     gain = (amp_re * rot.real - amp_im * rot.imag).astype(complex)
     gain.imag = amp_re * rot.imag + amp_im * rot.real
     aod = np.arcsin(np.clip(out_leg[:, 0] / _norm(out_leg), -1.0, 1.0))
-    aoa = np.arcsin(np.clip(back[:, 0] / _norm(back), -1.0, 1.0))
-    return length, gain, aod, aoa
+    return length, gain, aod
 
 
 def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
@@ -270,18 +266,17 @@ def _read_paths(cfg: ChannelSceneConfig, user: np.ndarray,
                 via: np.ndarray) -> list[Path]:
     """Path k runs BS -> via[k] -> user; slot[k] is 0 for the line of sight
     (via the user itself) and f + 1 for a reflection off facade f."""
-    length, gain, aod, aoa = _path_arrays(
+    length, gain, aod = _path_arrays(
         cfg, np.broadcast_to(user, via.shape), via, slot == 0)
     ids = [None] + [f.facade_id for f in facades]
     start = tuple(float(v) for v in cfg.bs_pos)
     end = tuple(user.tolist())
     return [Path(kind="los" if s == 0 else "reflection", facade_id=ids[s],
-                 length_m=l_m, delay_s=l_m / SPEED_OF_LIGHT,
-                 gain=g, aod_rad=a_d, aoa_rad=a_a,
+                 length_m=l_m, gain=g, aod_rad=a_d,
                  points=(start, end) if s == 0 else (start, tuple(v), end))
-            for s, l_m, g, a_d, a_a, v in zip(
+            for s, l_m, g, a_d, v in zip(
                 slot.tolist(), length.tolist(), gain.tolist(), aod.tolist(),
-                aoa.tolist(), via.tolist())]
+                via.tolist())]
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
@@ -409,7 +404,7 @@ def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
-    _, gain, aod, _ = _path_arrays(cfg, pos[user_idx], via, slot == 0)
+    _, gain, aod = _path_arrays(cfg, pos[user_idx], via, slot == 0)
     # A path whose gain is exactly zero (a zero reflection coefficient, or
     # one so small that the gain underflows) carries nothing: it is absent,
     # so no map reader sees it and the fit never takes log(0).  Dropping

@@ -102,8 +102,7 @@ def record_from_dict(doc: dict) -> RunRecord:
 
 
 def record_to_json(rec: RunRecord) -> str:
-    return json.dumps(record_to_dict(rec), indent=2, sort_keys=True,
-                      default=str) + "\n"
+    return json.dumps(record_to_dict(rec), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,6 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
     if k * 3 ** m > ENUMERATION_CAP:
         raise ValueError(f"instance too large for the subset DP: "
                          f"{k} x 3^{m} > {ENUMERATION_CAP}")
-    if k * cap < m:
-        return (int(ids[0]),) * m, -np.inf
 
     # Rate and size of every RB subset; subset S | 2^b adds RB b last.
     rb = rb_rate_matrix(snr, cfg)[ids - 1]

@@ -55,10 +55,6 @@ _STOPPED_SPEED = 0.1      # m/s, below this a step counts as waiting
 _AT_LINE_POS = 0.5        # m, head closer than this is "at the line"
 
 
-class EmptyEpisodeError(ValueError):
-    pass
-
-
 class CrashInvariantError(AssertionError):
     pass
 
@@ -139,8 +135,6 @@ def spawn_vehicles(cfg: TrafficConfig, rng: RngStream) -> TrafficState:
     needed so consecutive spacing is at least the safety headway (so the
     initial state already satisfies the crash invariant).
     """
-    if cfg.num_vehicles <= 0:
-        raise EmptyEpisodeError("cannot spawn an episode with no vehicles")
     lanes: dict[str, list[Vehicle]] = {k: [] for k in LANE_KEYS}
     for vid in range(1, cfg.num_vehicles + 1):
         approach = APPROACHES[rng.integers(0, len(APPROACHES))]
@@ -452,8 +446,8 @@ def run_episode(cfg: TrafficConfig, controller: SignalController,
     total_dist = sum(v.distance_m for v in everyone)
     total_time = sum(v.travel_time_s for v in everyone)
     avg_speed = total_dist / total_time if total_time > 0 else 0.0
-    mean_wait = (sum(v.wait_s for v in everyone) / len(everyone)
-                 if everyone else 0.0)
+    # The config spawns at least one vehicle and conservation keeps them all.
+    mean_wait = sum(v.wait_s for v in everyone) / len(everyone)
     metrics = {
         "avg_speed_mps": avg_speed,
         "throughput_veh": float(len(state.crossed)),

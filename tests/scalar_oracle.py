@@ -376,20 +376,16 @@ def _path_gain(cfg, length: float, bounces: int) -> complex:
 def _los_path(cfg, bs, user) -> Path:
     length = float(np.linalg.norm(user - bs))
     return Path(kind="los", facade_id=None, length_m=length,
-                delay_s=length / SPEED_OF_LIGHT,
                 gain=_path_gain(cfg, length, 0),
                 aod_rad=_direction_angles(bs, user),
-                aoa_rad=_direction_angles(user, bs),
                 points=(tuple(bs), tuple(user)))
 
 
 def _reflection_path(cfg, bs, q, user, facade_id) -> Path:
     length = float(np.linalg.norm(q - bs) + np.linalg.norm(user - q))
     return Path(kind="reflection", facade_id=facade_id, length_m=length,
-                delay_s=length / SPEED_OF_LIGHT,
                 gain=_path_gain(cfg, length, 1),
                 aod_rad=_direction_angles(bs, q),
-                aoa_rad=_direction_angles(user, q),
                 points=(tuple(bs), tuple(float(v) for v in q), tuple(user)))
 
 

@@ -112,6 +112,8 @@ def test_scheduling_validation_names_field(kwargs, field):
     (dict(startup_delay_s=-2.0), "traffic.startup_delay_s"),
     (dict(discharge_headway_s=-2.0), "traffic.discharge_headway_s"),
     (dict(byte_budget=0), "traffic.byte_budget"),
+    # Last, so the ids of the rows above stay as they were.
+    (dict(num_vehicles=0), "traffic.num_vehicles"),
 ])
 def test_traffic_validation_names_field(kwargs, field):
     with pytest.raises(ConfigError) as err:

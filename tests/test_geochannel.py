@@ -204,7 +204,6 @@ def test_reflection_path_geometry_is_consistent():
     bs, q, user = (np.array(p) for p in refl.points)
     assert refl.length_m == pytest.approx(
         np.linalg.norm(q - bs) + np.linalg.norm(user - q))
-    assert refl.delay_s == pytest.approx(refl.length_m / 299792458.0)
     assert q[1] == pytest.approx(-5.0)  # on the north face of the building
 
 
@@ -214,9 +213,8 @@ def test_reflection_path_geometry_is_consistent():
 
 def test_single_path_steering_vector():
     cfg = ChannelSceneConfig(num_antennas=4)
-    p = Path(kind="los", facade_id=None, length_m=10.0, delay_s=0.0,
-             gain=0.5 + 0.25j, aod_rad=math.asin(0.3), aoa_rad=0.0,
-             points=())
+    p = Path(kind="los", facade_id=None, length_m=10.0,
+             gain=0.5 + 0.25j, aod_rad=math.asin(0.3), points=())
     h = synthesize_channel(cfg, [p])
     n = np.arange(4)
     expected = (0.5 + 0.25j) * np.exp(-1j * math.pi * n * 0.3)
@@ -558,7 +556,7 @@ def test_on_plane_users_match_the_oracle_without_warnings():
 def test_synthesis_matches_scalar_oracle(rows, antennas):
     cfg = ChannelSceneConfig(num_antennas=antennas)
     paths = [[Path(kind="reflection", facade_id=f"f{i}", length_m=1.0,
-                   delay_s=0.0, gain=g, aod_rad=a, aoa_rad=0.0, points=())
+                   gain=g, aod_rad=a, points=())
               for i, (g, a) in enumerate(row)] for row in rows]
     owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     gains = np.array([g for row in rows for g, _ in row], dtype=complex)

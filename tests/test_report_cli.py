@@ -611,6 +611,10 @@ SCHED_JSON = scenario_to_json(sched_scenario())
                   '"scheduling": {"num_robots": "x"}}'},
      ["schedule", "--config", "cfg.json"],
      "argument --config: cfg.json: scheduling.num_robots: "),
+    ({"cfg.json": '{"track": "traffic", "seed": 1, '
+                  '"traffic": {"num_vehicles": 0}}'},
+     ["traffic", "--config", "cfg.json"],
+     "argument --config: cfg.json: traffic.num_vehicles: must be >= 1"),
     ({"cfg.json": SCHED_JSON},
      ["opro", "--config", "cfg.json", "--switch", "notjson"],
      "argument --switch: --switch expects a JSON document, got 'notjson'"),
@@ -643,7 +647,7 @@ SCHED_JSON = scenario_to_json(sched_scenario())
      "argument --runs: runs/run-a.json is not JSON"),
     ({}, ["report", "--runs", "runs"], "argument --runs: cannot read runs"),
 ], ids=["config-missing", "config-not-json", "config-ill-typed",
-        "opro-switch-not-json", "sweep-switch-not-json", "sweep-no-methods",
+        "config-no-vehicles", "opro-switch-not-json", "sweep-switch-not-json", "sweep-no-methods",
         "sweep-no-seeds", "sweep-no-axis-values", "runs-not-object",
         "runs-fields-missing", "runs-metrics-not-numbers", "runs-not-json",
         "runs-missing"])

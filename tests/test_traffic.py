@@ -9,7 +9,7 @@ import pytest
 import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
-from autocomm.configs import TrafficConfig
+from autocomm.configs import ConfigError, TrafficConfig
 from autocomm.rng import stream
 from autocomm.traffic import (
     LANE_KEYS,
@@ -17,7 +17,6 @@ from autocomm.traffic import (
     PHASE_ORDER,
     ConservationError,
     CrashInvariantError,
-    EmptyEpisodeError,
     EngineController,
     InsufficientBudgetError,
     QueueGreedyController,
@@ -75,9 +74,11 @@ def test_spawn_is_deterministic():
 
 
 def test_spawn_zero_vehicles_raises():
-    cfg = TrafficConfig(num_vehicles=0)  # the config itself is legal
-    with pytest.raises(EmptyEpisodeError):
-        spawn_vehicles(cfg, stream(1, "traffic/spawn"))
+    # An episode with no vehicle is refused where the config is read, so
+    # no spawn or run ever sees one.
+    with pytest.raises(ConfigError) as err:
+        TrafficConfig(num_vehicles=0)
+    assert err.value.field == "traffic.num_vehicles"
 
 
 # ---------------------------------------------------------------------------
