@@ -555,10 +555,14 @@ class MockLocalSearchEngine:
         rank = 1 if all(t >= min_rate for t in totals.values()) else 0
         if task.cap is not None and max(Counter(vec).values()) > task.cap:
             rank -= 2
-        if task.log:
-            return (rank,
-                    sum(math.log2(max(t, 1.0)) for t in totals.values()))
-        return (rank, sum(t for t in totals.values() if t >= min_rate))
+        # A left fold: builtin sum() compensates from Python 3.12 on.
+        total = 0.0
+        for t in totals.values():
+            if task.log:
+                total += math.log2(max(t, 1.0))
+            elif t >= min_rate:
+                total += t
+        return (rank, total)
 
     def _greedy(self, task: _TaskHead) -> list[int]:
         """Log-gain greedy without a minimum rate; otherwise best-rate

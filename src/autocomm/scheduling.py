@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,9 +95,8 @@ class GaParams:
 # The assessment kernel and its readers
 
 
-@dataclass(frozen=True)
-class Assessment:
-    """evaluate_batch's row-by-row verdict on P allocations over n robots."""
+class Assessment(NamedTuple):
+    """assess's row-by-row verdict on P allocations over n robots."""
 
     levels: np.ndarray    # [P] int8: LEVEL_INVALID, LEVEL_QOS_VIOLATED or LEVEL_OK
     scores: np.ndarray    # [P] objective value; -inf on structurally invalid rows
@@ -110,34 +109,77 @@ class Assessment:
         return int(self.levels[row]), float(self.scores[row])
 
 
-def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
-                   objective: ObjectiveSpec) -> Assessment:
+class ScoringTable(NamedTuple):
+    """What one (snr, cfg, objective) fixes for assess; see scoring_table."""
+
+    objective: ObjectiveSpec
+    num_rbs: int
+    eligible: np.ndarray  # [n] bool: buffer non-empty
+    rows: list[int]       # the eligible robots' indices, ascending
+    rb: np.ndarray        # [n, snr.num_rbs] per-(robot, RB) rate
+    table: np.ndarray     # flat [num_rbs, n + 1] slot rates, see _rate_table
+    limits: np.ndarray    # [n, 1] RBs each robot may hold
+    lookup: np.ndarray    # [n + 2] owner of each id clipped to [0, n + 1]
+
+
+def _rate_table(rb: np.ndarray, eligible: np.ndarray,
+                width: int) -> np.ndarray:
+    """Rate of each (RB, owner) slot, flat over a [width, n + 1] table:
+    zero for empty buffers, for owner n (unknown ids) and for positions
+    past the last RB."""
+    n, m = rb.shape[0], min(width, rb.shape[1])
+    table = np.zeros((width, n + 1))
+    np.copyto(table[:m, :n], rb[:, :m].T, where=eligible)
+    return table.ravel()
+
+
+def scoring_table(snr: SnrMap, cfg: SchedulingConfig,
+                  objective: ObjectiveSpec) -> ScoringTable:
+    """Build what assess needs that a batch does not change, so that a
+    search scoring many batches on one instance builds it once."""
+    n, m = snr.num_robots, cfg.num_rbs
+    eligible = snr.buffer_nonempty
+    rb = rb_rate_matrix(snr, cfg)
+    rows = [j for j, ok in enumerate(eligible.tolist()) if ok]
+    # RBs each robot may hold: the cap, or none at all with an empty buffer.
+    limits = np.where(eligible, cfg.rb_cap, 0)[:, None]
+    # Owner of each id clipped to [0, n + 1]: robot id - 1, or n for an id
+    # no robot has.
+    lookup = np.arange(-1, n + 1, dtype=np.intp)
+    lookup[0] = n
+    return ScoringTable(
+        objective=objective, num_rbs=m, eligible=eligible, rows=rows, rb=rb,
+        table=_rate_table(rb, eligible, m), limits=limits, lookup=lookup)
+
+
+def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     """Assess a batch of allocation candidates in one pass.
 
     allocs: [P, width] robot ids, one candidate per row; a width other than
-    cfg.num_rbs makes every row structurally invalid.  One bincount over
-    (owner, row) slots, with owner n standing for every id that names no
-    robot, yields the per-robot RB counts and the per-robot rates summed in
-    RB order.  Structural validity (unknown ids, empty-buffer robots, the
-    RB cap, the width) comes from the counts; the QoS mask, levels and
-    scores come from the rates.  A score adds its per-robot terms left to
-    right in robot order, the order brute_force_optimal's DP adds them in.
+    the config's num_rbs makes every row structurally invalid.  One
+    bincount over (owner, row) slots, with owner n standing for every id
+    that names no robot, yields the per-robot RB counts and the per-robot
+    rates summed in RB order.  Structural validity (unknown ids,
+    empty-buffer robots, the RB cap, the width) comes from the counts; the
+    QoS mask, levels and scores come from the rates.  A score adds its
+    per-robot terms left to right in robot order, the order
+    brute_force_optimal's DP adds them in.
     """
     allocs = np.asarray(allocs)
     P, width = allocs.shape
-    n = snr.num_robots
-    eligible = snr.buffer_nonempty
+    objective, eligible = prepared.objective, prepared.eligible
+    n = len(eligible)
 
-    # Owner of each slot: robot id - 1, or n for an id no robot has.
-    owner = np.where((allocs >= 1) & (allocs <= n), allocs - 1, n)
-    owner = owner.astype(np.intp, copy=False)
-    # Rate of each slot, from a [width, n + 1] table: zero for empty
-    # buffers, unknown owners and positions past the last RB.
-    rb = rb_rate_matrix(snr, cfg)
-    m = min(width, rb.shape[1])
-    table = np.zeros((width, n + 1))
-    table[:m, :n] = np.where(eligible, rb[:, :m].T, 0.0)
-    weights = table.take(owner + (n + 1) * np.arange(width)).ravel()
+    # Clipping to [0, n + 1] keeps every unknown id unknown, whatever its
+    # size or dtype; fmax and fmin send a NaN to 0, another unknown id.
+    clipped = np.fmin(np.fmax(allocs, 0), n + 1)
+    owner = prepared.lookup[clipped.astype(np.intp, copy=False)]
+    if allocs.dtype.kind not in "iu":
+        # The cast truncates: a fractional id in (n, n + 1) names no robot.
+        owner[clipped > n] = n
+    table = (prepared.table if width == prepared.num_rbs
+             else _rate_table(prepared.rb, eligible, width))
+    weights = table.take(owner + np.arange(0, (n + 1) * width, n + 1)).ravel()
     # Robot-major bins, so each robot's rates and terms are one contiguous
     # row of P values.
     bins = (owner * P + np.arange(P)[:, None]).ravel()
@@ -146,13 +188,11 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
     rates = np.bincount(bins, weights=weights,
                         minlength=size).reshape(n + 1, P)[:n]
 
-    # RBs each robot may hold: the cap, or none at all with an empty buffer.
-    allowed = np.where(eligible, cfg.rb_cap, 0)
     invalid = counts[n] > 0
-    if width != cfg.num_rbs:
+    if width != prepared.num_rbs:
         invalid[:] = True
-    elif (allowed < width).any():      # no count can exceed the width
-        invalid |= (counts[:n] > allowed[:, None]).any(axis=0)
+    elif (prepared.limits < width).any():  # no count can exceed the width
+        invalid |= (counts[:n] > prepared.limits).any(axis=0)
 
     levels = np.full(P, LEVEL_OK, dtype=np.int8)
     if objective.is_qos:
@@ -165,14 +205,24 @@ def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
     if objective.kind is ObjectiveKind.QOS_SUM_RATE:
         terms = scored
     else:  # PF and QOS_PF
-        terms = np.log2(np.maximum(scored[eligible], objective.epsilon))
-    # A strict left fold in robot order, whatever the batch: np.sum would
-    # add eight or more terms pairwise, in blocks set by their positions.
-    scores = (np.add.accumulate(terms, axis=0)[-1] if len(terms)
-              else np.zeros(P))
+        terms = np.log2(np.maximum(scored, objective.epsilon))
+    # A strict left fold over the eligible robots in robot order, whatever
+    # the batch: np.sum would add eight or more terms pairwise, in blocks
+    # set by their positions.  An empty-buffer robot's sum-rate term is 0,
+    # so leaving it out changes no bit.
+    rows = prepared.rows
+    scores = terms[rows[0]].copy() if rows else np.zeros(P)
+    for j in rows[1:]:
+        scores += terms[j]
     levels[invalid] = LEVEL_INVALID
     scores[invalid] = -np.inf
     return Assessment(levels, scores, rates.T, counts.T, starved.T)
+
+
+def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
+                   objective: ObjectiveSpec) -> Assessment:
+    """assess on a table prepared for this one batch."""
+    return assess(allocs, scoring_table(snr, cfg, objective))
 
 
 def allocation_rank(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
@@ -194,24 +244,25 @@ def validate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
     row = np.asarray([alloc])
     assessed = evaluate_batch(row, snr, cfg, objective)
     n = snr.num_robots
-    counts = assessed.counts[0]
+    held = assessed.counts[0].tolist()
     violations: list[Violation] = []
 
     if row.shape[1] != cfg.num_rbs:
         violations.append(Violation(ViolationKind.WRONG_LENGTH))
 
-    if counts[n]:
+    if held[n]:
         unknown = np.unique(row[(row < 1) | (row > n)]).tolist()
         violations.append(Violation(ViolationKind.UNKNOWN_ROBOT,
                                     tuple(unknown)))
 
-    empty = (np.flatnonzero((counts[:n] > 0) & ~snr.buffer_nonempty) + 1).tolist()
+    empty = tuple(j + 1 for j, (c, ok) in enumerate(
+        zip(held, snr.buffer_nonempty.tolist())) if c and not ok)
     if empty:
-        violations.append(Violation(ViolationKind.EMPTY_BUFFER_ROBOT,
-                                    tuple(empty)))
+        violations.append(Violation(ViolationKind.EMPTY_BUFFER_ROBOT, empty))
 
-    for rid in (np.flatnonzero(counts[:n] > cfg.rb_cap) + 1).tolist():
-        violations.append(Violation(ViolationKind.EXCESSIVE_RBS, (rid,)))
+    for j, c in enumerate(held[:n]):
+        if c > cfg.rb_cap:
+            violations.append(Violation(ViolationKind.EXCESSIVE_RBS, (j + 1,)))
 
     level, score = assessed.key(0)
     if level == LEVEL_QOS_VIOLATED:
@@ -381,17 +432,17 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     and keeps the best-ranked result; the first restart wins ties.
 
     The restarts evolve in lockstep: each generation scores all of them in
-    one evaluate_batch call over [restarts x population] rows, which gives
-    every row the bits it would get alone.  Restart r draws from its own
-    `restart{r}` substream, in the order a run of that restart by itself
-    would, and selection, crossover, mutation and elitism never mix
-    restarts.  Per generation a restart makes three draws: its tournament
-    contenders, one block of doubles read as the crossover, swap and
-    mutation uniforms, then the mutation redraws.  PCG64 makes each double
-    from a whole 64-bit word, so the block holds the doubles that three
-    calls would.  Contenders and redraws are bounded integers, made from
-    32-bit halves of such words; with the block between them they can join
-    neither it nor each other.
+    one assess call over [restarts x population] rows, on a scoring table
+    built once per search, which gives every row the bits it would get
+    alone.  Restart r draws from its own `restart{r}` substream, in the
+    order a run of that restart by itself would, and selection, crossover,
+    mutation and elitism never mix restarts.  Per generation a restart
+    makes three draws: its tournament contenders, one block of doubles read
+    as the crossover, swap and mutation uniforms, then the mutation
+    redraws.  PCG64 makes each double from a whole 64-bit word, so the
+    block holds the doubles that three calls would.  Contenders and redraws
+    are bounded integers, made from 32-bit halves of such words; with the
+    block between them they can join neither it nor each other.
 
     Returns (best allocation, its score, total generations run).
     """
@@ -402,6 +453,7 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     k, m = len(ids), cfg.num_rbs
     R, P, e, T = ga.restarts, ga.population, ga.elitism, ga.tournament_size
     half = P // 2
+    table = scoring_table(snr, cfg, objective)
     streams = [rng.substream(f"restart{r}") for r in range(R)]
 
     # The populations as [R * P, m] eligible-robot indices, restart by
@@ -429,7 +481,7 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         """Score every population; promote each restart's improved top row.
         Returns levels and scores by flat row, and each restart's flat rows
         in ranked order."""
-        assessed = evaluate_batch(ids[genes], snr, cfg, objective)
+        assessed = assess(ids[genes], table)
         levels, scores = assessed.levels, assessed.scores
         # lexsort is stable: equal keys stay in row order.
         order = np.lexsort((-scores.reshape(R, P), -levels.reshape(R, P)),

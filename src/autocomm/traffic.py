@@ -443,11 +443,16 @@ def run_episode(cfg: TrafficConfig, controller: SignalController,
 
     everyone = state.crossed + [v for key in _SORTED_LANE_KEYS
                                 for v in state.lanes[key]]
-    total_dist = sum(v.distance_m for v in everyone)
-    total_time = sum(v.travel_time_s for v in everyone)
+    # Left folds in this order: builtin sum() compensates from Python 3.12
+    # on, which would change the KPIs' last bits with the interpreter.
+    total_dist = total_time = total_wait = 0.0
+    for v in everyone:
+        total_dist += v.distance_m
+        total_time += v.travel_time_s
+        total_wait += v.wait_s
     avg_speed = total_dist / total_time if total_time > 0 else 0.0
     # The config spawns at least one vehicle and conservation keeps them all.
-    mean_wait = sum(v.wait_s for v in everyone) / len(everyone)
+    mean_wait = total_wait / len(everyone)
     metrics = {
         "avg_speed_mps": avg_speed,
         "throughput_veh": float(len(state.crossed)),

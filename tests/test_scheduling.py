@@ -22,10 +22,12 @@ from autocomm.scheduling import (
     GaParams,
     ViolationKind,
     allocation_rank,
+    assess,
     brute_force_optimal,
     evaluate_batch,
     ga_schedule,
     round_robin_alloc,
+    scoring_table,
     validate,
 )
 
@@ -137,6 +139,18 @@ def test_allocation_rank_never_raises():
     assert allocation_rank(huge, snr, cfg, QOS) == (LEVEL_INVALID, -math.inf)
     assert validate(huge, snr, cfg, QOS).violations[0].robots == (10 ** 20,)
     assert allocation_rank([], snr, cfg, QOS) == (LEVEL_INVALID, -math.inf)
+    # So is a NaN id, which no integer cast may turn into an index.
+    assert allocation_rank([math.nan] + [1] * 8, snr, cfg,
+                           QOS) == (LEVEL_INVALID, -math.inf)
+    # A fractional id above the last robot names no robot, though an
+    # integer cast would truncate it to that robot.
+    for past_last in (3.2, 3.5):
+        row = [1.5, 2.7, past_last, 1, 2, 3, 1, 2, 3]
+        assert allocation_rank(row, snr, cfg, QOS) == (LEVEL_INVALID,
+                                                       -math.inf)
+        unknown = validate(row, snr, cfg, QOS).violations
+        assert [(v.kind, v.robots) for v in unknown] == [
+            (ViolationKind.UNKNOWN_ROBOT, (past_last,))]
 
 
 SNR_KINDS = ("uniform", "none", "rayleigh")
@@ -218,6 +232,43 @@ def test_row_scores_do_not_depend_on_the_batch(kind):
     for row, score in zip(allocs, assessed.scores):
         assert score == oracle.score(row, snr, cfg, objective)
         assert score == allocation_rank(row, snr, cfg, objective)[1]
+
+
+def _assessment_bytes(assessed):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in assessed]
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("cap", [None, 2])
+def test_one_prepared_table_serves_every_batch(kind, cap):
+    """A table built once gives, batch after batch, the bytes a fresh
+    evaluate_batch gives: empty batches, other widths, ids at int64's
+    ends and ids past int64 (an object array)."""
+    objective = ObjectiveSpec(kind=kind, min_rate_bps=2e6)
+    cfg = SchedulingConfig(num_robots=6, objective=objective,
+                           max_rbs_per_robot=cap, buffer_occupancy_prob=0.6)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(31, "scheduling/snr"))
+    draws = stream(32, "allocs")
+    batches = [np.zeros((0, 9), dtype=np.int64),
+               draws.integers(1, 7, (40, 9)),
+               draws.integers(-1, 9, (7, 8)),
+               np.zeros((2, 0), dtype=np.int64),
+               draws.integers(1, 7, (3, 11)),
+               np.asarray([[1] * 8 + [edge] for edge in INT64_EDGE_IDS]),
+               np.asarray([[2 ** 64, 1, 2, 3, 4, 5, 6, 1, 2],
+                           [-2 ** 70] + [3] * 8]),
+               draws.integers(1, 7, (1, 9)),
+               np.zeros((0, 4), dtype=np.int64)]
+    assert batches[6].dtype == object
+    table = scoring_table(snr, cfg, objective)
+    past = assess(batches[6], table)
+    assert past.levels.tolist() == [LEVEL_INVALID] * 2
+    assert past.counts[:, -1].tolist() == [1, 1]
+    for batch in batches:
+        assert (_assessment_bytes(assess(batch, table))
+                == _assessment_bytes(evaluate_batch(batch, snr, cfg,
+                                                    objective)))
 
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
@@ -573,6 +624,49 @@ def test_lockstep_ga_matches_restart_by_restart(fading, kind, cap, params,
                            stream(num_robots, "scheduling/snr"))
     got = ga_schedule(cfg, snr, objective, params, stream(81, "ga"))
     want = oracle.ga_schedule(cfg, snr, objective, params, stream(81, "ga"))
+    assert got == want
+    assert repr(got[1]) == repr(want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lockstep_ga_matches_restart_by_restart_on_drawn_params(data):
+    """The lockstep GA against the scalar oracle's one restart at a time,
+    over drawn GA settings, instances, caps, empty buffers and
+    objectives."""
+    population = data.draw(st.integers(2, 12), label="population")
+    probs = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+    params = GaParams(
+        population=population,
+        generations=data.draw(st.integers(1, 6), label="generations"),
+        tournament_size=data.draw(st.integers(1, 5), label="tournament"),
+        crossover_prob=data.draw(probs, label="crossover"),
+        mutation_prob=data.draw(probs, label="mutation"),
+        elitism=data.draw(st.integers(0, population), label="elitism"),
+        restarts=data.draw(st.integers(1, 4), label="restarts"))
+    m = data.draw(st.integers(1, 7), label="num_rbs")
+    objective = ObjectiveSpec(
+        kind=data.draw(st.sampled_from(list(ObjectiveKind)), label="kind"),
+        min_rate_bps=data.draw(st.sampled_from([0.0, 1e6, 4e6]),
+                               label="min_rate"))
+    cfg = SchedulingConfig(
+        num_robots=data.draw(st.integers(1, 6), label="num_robots"),
+        num_rbs=m, objective=objective,
+        max_rbs_per_robot=data.draw(st.none() | st.integers(1, m),
+                                    label="cap"),
+        buffer_occupancy_prob=data.draw(st.sampled_from([0.3, 0.7, 0.95]),
+                                        label="occupancy"))
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    fading = data.draw(st.sampled_from(["none", "rayleigh"]), label="fading")
+    snr = generate_snr_map(cfg, RadioParams(fading=fading),
+                           stream(seed, "scheduling/snr"))
+    if not snr.eligible_ids():
+        for search in (ga_schedule, oracle.ga_schedule):
+            with pytest.raises(ValueError):
+                search(cfg, snr, objective, params, stream(seed, "ga"))
+        return
+    got = ga_schedule(cfg, snr, objective, params, stream(seed, "ga"))
+    want = oracle.ga_schedule(cfg, snr, objective, params, stream(seed, "ga"))
     assert got == want
     assert repr(got[1]) == repr(want[1])
 
