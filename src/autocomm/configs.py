@@ -407,8 +407,14 @@ def _to_jsonable(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()
-                if v is not None}
+        # Field by field: asdict would deep-copy the tree only to have it
+        # walked again here.
+        doc = {}
+        for f in dataclasses.fields(obj):
+            v = getattr(obj, f.name)
+            if v is not None:
+                doc[f.name] = _to_jsonable(v)
+        return doc
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items() if v is not None}
     if isinstance(obj, (list, tuple)):

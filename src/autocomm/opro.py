@@ -172,24 +172,28 @@ def task_prompt_head(cfg: SchedulingConfig, snr: SnrMap,
     return "\n".join(lines)
 
 
+def _exemplar_line(alloc: Allocation, score: float) -> str:
+    """The history line of one scored allocation."""
+    vec = ", ".join(str(v) for v in alloc)
+    return f"score={score:.10g} allocation=[{vec}]"
+
+
 def build_task_prompt(head: str, cfg: SchedulingConfig,
-                      history: Sequence[tuple[Allocation, float]],
+                      history: Sequence[str],
                       hint: float,
                       last_feedback: Optional[str] = None) -> str:
     """Deterministic task prompt: the segment's head (task_prompt_head),
     then the scored history, the latest feedback, the hint and the reply
     line.
 
-    history is presented worst-to-best so the strongest exemplar sits
-    closest to the answer slot; entries are (allocation, score) and are
+    history holds the exemplars' lines (_exemplar_line), worst to best so
+    the strongest exemplar sits closest to the answer slot; they are
     assumed already ranked by the caller.
     """
     lines = [head]
     if history:
         lines.append(_HISTORY_LINE)
-        for alloc, score in history:
-            vec = ", ".join(str(v) for v in alloc)
-            lines.append(f"score={score:.10g} allocation=[{vec}]")
+        lines.extend(history)
     else:
         lines.append(_NO_HISTORY_LINE)
     if last_feedback:
@@ -302,9 +306,10 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
     stops early when the incumbent has not improved for stop_patience
     iterations.
 
-    A segment formats its prompt head once.  validate is a pure function of
-    the allocation within a segment, so a repeated proposal reuses the
-    report of its first validation.
+    A segment formats its prompt head once, and each exemplar's history
+    line once.  validate is a pure function of the allocation within a
+    segment, so a repeated proposal reuses the report of its first
+    validation.
     """
     transcript: list[TranscriptEntry] = []
     seg_results: list[SegmentResult] = []
@@ -324,6 +329,10 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
         head = task_prompt_head(cfg, snr, objective)
         # At most one entry per iteration; dropped at a switch.
         reports: dict[Allocation, ValidationReport] = {}
+        # Each exemplar's history line.  Keyed by allocation: a segment
+        # fixes each allocation's score, and a key holding the score would
+        # take -0.0 for 0.0.
+        lines: dict[Allocation, str] = {}
         last_feedback: Optional[str] = None
         stale = 0
         it_in_seg = 0
@@ -332,7 +341,12 @@ def opro_optimize_segments(cfg: SchedulingConfig, snr: SnrMap,
             global_it += 1
             hint = explore_hint(it_in_seg - 1, budget)
             ranked = sorted(exemplars.items(), key=lambda kv: kv[1])
-            history = [(a, s) for a, (_, s) in ranked][-params.history_window:]
+            history = []
+            for a, (_, s) in ranked[-params.history_window:]:
+                line = lines.get(a)
+                if line is None:
+                    line = lines[a] = _exemplar_line(a, s)
+                history.append(line)
             prompt = build_task_prompt(head, cfg, history, hint, last_feedback)
             raw = engine.propose(prompt)
             parsed, failure = parse_allocation(raw)
@@ -416,8 +430,9 @@ def _split_prompt(prompt: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class _TaskHead:
-    """What the mock reads from a prompt head.  Shared through the head
-    cache by every engine and thread, so nothing in it can change."""
+    """What the mock reads from a prompt head, and what it prepares from
+    that once.  Shared through the head cache by every engine and thread,
+    so nothing in it can change."""
 
     m: int
     eligible: tuple[int, ...]
@@ -425,17 +440,25 @@ class _TaskHead:
     log: bool
     min_rate: float
     cap: Optional[int]                                 # None: no cap line
+    # Each eligible robot's alternatives, the eligible robots but itself.
+    alts: Mapping[int, tuple[int, ...]]
+    # The min-rate greedy's start: each RB's best-rate owner, fitted to the
+    # cap; None without a table or when the greedy takes the log-gain branch.
+    start: Optional[tuple[int, ...]] = None
 
 
 @functools.lru_cache(maxsize=16)
 def _read_head(head: str) -> Optional[_TaskHead]:
     """Parse a prompt head once; None when it has no task lines.  A head is
-    constant over a segment, so each proposal after the first is a hit."""
+    constant over a segment, so each proposal after the first is a hit.
+    A head whose SNR table lacks a full row for some eligible robot reads
+    as one with no table."""
     m_match = _NUM_RBS_RE.search(head)
     e_match = _ELIGIBLE_RE.search(head)
     if m_match is None or e_match is None:
         return None
     m = int(m_match.group(1))
+    eligible = tuple(int(t) for t in e_match.group(1).split(","))
     rates: Optional[dict[int, tuple[float, ...]]] = None
     bw_match = _BANDWIDTH_RE.search(head)
     if bw_match is not None:
@@ -448,32 +471,41 @@ def _read_head(head: str) -> Optional[_TaskHead]:
                 if len(vals) == m:
                     rates[int(row.group(1))] = tuple(
                         (bw / m) * math.log2(1.0 + s) for s in vals)
+        if not all(r in rates for r in eligible):
+            rates = None
+    log = "log2(max(rate" in head
     mr = _MIN_RATE_RE.search(head)
-    cap = _CAP_RE.search(head)
-    return _TaskHead(
-        m=m,
-        eligible=tuple(int(t) for t in e_match.group(1).split(",")),
-        rates=MappingProxyType(rates) if rates else None,
-        log="log2(max(rate" in head,
-        min_rate=float(mr.group(1)) if mr else 0.0,
-        cap=int(cap.group(1)) if cap else None)
+    min_rate = float(mr.group(1)) if mr else 0.0
+    cap_match = _CAP_RE.search(head)
+    cap = int(cap_match.group(1)) if cap_match else None
+    alts = MappingProxyType({r: tuple(o for o in eligible if o != r)
+                             for r in eligible})
+    if not rates:
+        return _TaskHead(m, eligible, None, log, min_rate, cap, alts)
+    start = None
+    if not log or min_rate:
+        owners = [max(eligible, key=lambda r: rates[r][b]) for b in range(m)]
+        _fit_cap(owners, eligible, rates, cap)
+        start = tuple(owners)
+    return _TaskHead(m, eligible, MappingProxyType(rates), log, min_rate, cap,
+                     alts, start)
 
 
-def _fit_cap(alloc: list[int], task: _TaskHead) -> None:
+def _fit_cap(alloc: list[int], eligible: Sequence[int],
+             rates: Mapping[int, Sequence[float]], cap: Optional[int]) -> None:
     """Move blocks off robots above the RB cap, if the prompt has one, in
     place: each move is the one that loses the least rate, to a robot with
     room."""
-    rates, cap = task.rates, task.cap
     if cap is None:
         return
     owned = Counter(alloc)
-    for r in task.eligible:
+    for r in eligible:
         while owned[r] > cap:
-            room = [o for o in task.eligible if owned[o] < cap]
+            room = [o for o in eligible if owned[o] < cap]
             if not room:
                 return
             _, b, o = min((rates[r][b] - rates[o][b], b, o)
-                          for b in range(task.m) if alloc[b] == r
+                          for b in range(len(alloc)) if alloc[b] == r
                           for o in room)
             alloc[b] = o
             owned[r] -= 1
@@ -488,7 +520,9 @@ class MockLocalSearchEngine:
     approximate per-block rates, as any numerate reader of the prompt
     could), scored exemplars, the exploration hint, and the latest feedback
     sentence.  It reads a prompt's head once (see _read_head) and each
-    proposal's tail anew.
+    proposal's tail anew.  One head parse also prepares what every proposal
+    on that head reuses: each robot's alternative robots for a reassignment
+    and the min-rate greedy's starting allocation.
     Before any exemplar exists it proposes an objective-aware greedy
     construction with randomized repair order; afterwards it screens a
     small batch of perturbations of the best exemplar (single reassign,
@@ -526,7 +560,7 @@ class MockLocalSearchEngine:
             base = [int(t) for t in body.split(",")]
             if len(base) != m:
                 base = (base + [eligible[0]] * m)[:m]
-            cands = [self._mutate(base, m, eligible, hint)
+            cands = [self._mutate(base, task, hint)
                      for _ in range(self.CANDIDATES)]
             cands.append(self._greedy(task))
             qos = _QOS_FEEDBACK_RE.search(tail)
@@ -547,21 +581,24 @@ class MockLocalSearchEngine:
         """Feasibility first, then the sum of log2 of the rates clamped at 1
         (log objectives) or of the rates meeting the minimum (sum-rate).  A
         vector over the RB cap ranks below every vector within it."""
-        rates, min_rate = task.rates, task.min_rate
-        totals = {r: 0.0 for r in task.eligible}
+        rates, min_rate, log = task.rates, task.min_rate, task.log
+        totals = dict.fromkeys(task.eligible, 0.0)
         for b, r in enumerate(vec):
             if r in totals:
                 totals[r] += rates[r][b]
-        rank = 1 if all(t >= min_rate for t in totals.values()) else 0
-        if task.cap is not None and max(Counter(vec).values()) > task.cap:
-            rank -= 2
+        rank = 1
         # A left fold: builtin sum() compensates from Python 3.12 on.
         total = 0.0
         for t in totals.values():
-            if task.log:
-                total += math.log2(max(t, 1.0))
-            elif t >= min_rate:
+            meets = t >= min_rate
+            if not meets:
+                rank = 0
+            if log:
+                total += math.log2(1.0 if 1.0 > t else t)
+            elif meets:
                 total += t
+        if task.cap is not None and max(Counter(vec).values()) > task.cap:
+            rank -= 2
         return (rank, total)
 
     def _greedy(self, task: _TaskHead) -> list[int]:
@@ -574,33 +611,42 @@ class MockLocalSearchEngine:
         if task.log and not task.min_rate:
             order = list(range(m))
             rng.shuffle(order)
-            totals = {r: 0.0 for r in eligible}
+            totals = dict.fromkeys(eligible, 0.0)
+            # log2(max(total, 1)) of each robot's current total.
+            logs = dict.fromkeys(eligible, 0.0)
             alloc = [eligible[0]] * m
             for b in order:
-                r = max(eligible,
-                        key=lambda rr: (math.log2(max(totals[rr] + rates[rr][b], 1.0))
-                                        - math.log2(max(totals[rr], 1.0))))
-                alloc[b] = r
-                totals[r] += rates[r][b]
-            _fit_cap(alloc, task)
+                best = None
+                for rr in eligible:
+                    t = totals[rr] + rates[rr][b]
+                    gain = math.log2(1.0 if 1.0 > t else t) - logs[rr]
+                    # First maximum wins, as with max().
+                    if best is None or gain > best_gain:
+                        best, best_gain, best_total = rr, gain, t
+                alloc[b] = best
+                totals[best] = best_total
+                logs[best] = math.log2(1.0 if 1.0 > best_total else best_total)
+            _fit_cap(alloc, eligible, rates, cap)
             return alloc
-        alloc = [max(eligible, key=lambda r: rates[r][b]) for b in range(m)]
-        _fit_cap(alloc, task)
+        alloc = list(task.start)
+        min_rate = task.min_rate
         for _ in range(2 * len(eligible) + 2):
-            totals = {r: 0.0 for r in eligible}
+            totals = dict.fromkeys(eligible, 0.0)
             for b, r in enumerate(alloc):
                 totals[r] += rates[r][b]
-            short = [r for r in eligible if totals[r] < task.min_rate]
+            short = [r for r in eligible if totals[r] < min_rate]
             if not short:
                 break
             r = short[rng.integers(0, len(short))]
+            row = rates[r]
             full = cap is not None and alloc.count(r) >= cap
             if full:
                 weakest = min((b for b in range(m) if alloc[b] == r),
-                              key=lambda b: rates[r][b])
-            costs = sorted((rates[alloc[b]][b] - rates[r][b], b)
-                           for b in range(m) if alloc[b] != r
-                           and (not full or rates[r][b] > rates[r][weakest]))
+                              key=row.__getitem__)
+                floor = row[weakest]
+            costs = sorted((rates[o][b] - row[b], b)
+                           for b, o in enumerate(alloc)
+                           if o != r and (not full or row[b] > floor))
             if not costs:
                 break
             pick = 1 if len(costs) > 1 and rng.random() < 0.3 else 0
@@ -610,27 +656,28 @@ class MockLocalSearchEngine:
             alloc[b] = r
         return alloc
 
-    def _mutate(self, base: Sequence[int], m: int, eligible: Sequence[int],
+    def _mutate(self, base: Sequence[int], task: _TaskHead,
                 hint: float) -> list[int]:
         rng = self._rng
+        m, eligible, alts = task.m, task.eligible, task.alts
         vec = list(base)
         u = rng.random()
         if u < 0.4 and len(eligible) > 1:
             b = rng.integers(0, m)
-            alts = [r for r in eligible if r != vec[b]]
-            vec[b] = alts[rng.integers(0, len(alts))]
+            others = alts.get(vec[b], eligible)
+            vec[b] = others[rng.integers(0, len(others))]
         elif u < 0.6 and m > 1:
             b1, b2 = rng.integers(0, m), rng.integers(0, m)
             vec[b1], vec[b2] = vec[b2], vec[b1]
         elif u < 0.85 and len(eligible) > 1:
             for _ in range(2):
                 b = rng.integers(0, m)
-                alts = [r for r in eligible if r != vec[b]]
-                vec[b] = alts[rng.integers(0, len(alts))]
+                others = alts.get(vec[b], eligible)
+                vec[b] = others[rng.integers(0, len(others))]
         else:
             p = max(0.5 * hint, 2.0 / m)
             for b in range(m):
                 if rng.random() < p and len(eligible) > 1:
-                    alts = [r for r in eligible if r != vec[b]]
-                    vec[b] = alts[rng.integers(0, len(alts))]
+                    others = alts.get(vec[b], eligible)
+                    vec[b] = others[rng.integers(0, len(others))]
         return vec

@@ -47,9 +47,6 @@ class RngStream:
     # Draw helpers delegate to the underlying Generator.  Only the methods
     # the simulator actually uses are exposed, keeping the surface auditable.
 
-    def u64(self) -> int:
-        return int(self._gen.integers(0, _U64_MASK, dtype=np.uint64, endpoint=True))
-
     def random(self, size=None):
         return self._gen.random(size)
 

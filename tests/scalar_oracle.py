@@ -24,16 +24,28 @@ section is the encoder that builds the observation as dicts and
 re-serializes it once per dropped row, and the step and invariant check
 that ``traffic.step`` and ``TrafficState.check_invariants`` replace:
 attributes re-read and every lane list rebuilt per vehicle-step, spacing
-and vehicle count checked in separate passes.
+and vehicle count checked in separate passes.  The OPRO section is the mock
+engine as it was before one head parse prepared what its proposals reuse:
+``opro.MockLocalSearchEngine`` must give the same replies and make the
+same draws.
 """
 
 import itertools
 import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
 from autocomm.configs import ObjectiveKind
+from autocomm.opro import (
+    _EXEMPLAR_RE,
+    _HINT_RE,
+    _QOS_FEEDBACK_RE,
+    _read_head,
+    _split_prompt,
+)
 from autocomm.radio import rb_rate_matrix
 from autocomm.geochannel import (
     SPEED_OF_LIGHT,
@@ -685,3 +697,163 @@ def encode_observation(state, kind, cfg) -> EncodedObservation:
         kind=kind, payload=payload,
         foreground_fraction=fg_bytes / len(payload.encode("utf-8")),
         dropped_vehicles=len(vehicles) - kept)
+
+
+# ---------------------------------------------------------------------------
+# OPRO: the mock engine before its per-head preparation
+
+
+def _fit_cap(alloc, task) -> None:
+    """Move blocks off robots above the RB cap, if the prompt has one, in
+    place: each move is the one that loses the least rate, to a robot with
+    room."""
+    rates, cap = task.rates, task.cap
+    if cap is None:
+        return
+    owned = Counter(alloc)
+    for r in task.eligible:
+        while owned[r] > cap:
+            room = [o for o in task.eligible if owned[o] < cap]
+            if not room:
+                return
+            _, b, o = min((rates[r][b] - rates[o][b], b, o)
+                          for b in range(task.m) if alloc[b] == r
+                          for o in room)
+            alloc[b] = o
+            owned[r] -= 1
+            owned[o] += 1
+
+
+class MockLocalSearchEngine:
+    """``opro.MockLocalSearchEngine`` as it was before the head parse
+    prepared the greedy start and the alternative robots: every proposal
+    rebuilds them, the min-rate repair sorts every cost, the pf greedy
+    takes two log2 per candidate and the score counts feasibility in a
+    second pass.  It shares only the prompt split and the head parse with
+    the package."""
+
+    CANDIDATES = 12
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def propose(self, prompt: str) -> str:
+        head, tail = _split_prompt(prompt)
+        task = _read_head(head)
+        if task is None:
+            return "No task description found."
+        m, eligible = task.m, task.eligible
+        hint_match = _HINT_RE.search(tail)
+        hint = float(hint_match.group(1)) if hint_match else 0.5
+
+        exemplars = _EXEMPLAR_RE.findall(tail)
+        if not exemplars or task.rates is None:
+            if task.rates is None:
+                vec = [eligible[self._rng.integers(0, len(eligible))]
+                       for _ in range(m)]
+            else:
+                vec = self._greedy(task)
+        else:
+            _, body = exemplars[-1]
+            base = [int(t) for t in body.split(",")]
+            if len(base) != m:
+                base = (base + [eligible[0]] * m)[:m]
+            cands = [self._mutate(base, m, eligible, hint)
+                     for _ in range(self.CANDIDATES)]
+            cands.append(self._greedy(task))
+            qos = _QOS_FEEDBACK_RE.search(tail)
+            if qos is not None:
+                hungry = [int(t) for t in
+                          re.split(r",| and ", qos.group(1)) if t.strip()]
+                rep = list(base)
+                for rid in hungry:
+                    if rid in eligible:
+                        rep[self._rng.integers(0, m)] = rid
+                cands.append(rep)
+            vec = max(cands, key=lambda v: self._score(v, task))
+
+        body = ", ".join(str(v) for v in vec)
+        return f"Proposed allocation: [{body}]"
+
+    def _score(self, vec, task) -> tuple[int, float]:
+        rates, min_rate = task.rates, task.min_rate
+        totals = {r: 0.0 for r in task.eligible}
+        for b, r in enumerate(vec):
+            if r in totals:
+                totals[r] += rates[r][b]
+        rank = 1 if all(t >= min_rate for t in totals.values()) else 0
+        if task.cap is not None and max(Counter(vec).values()) > task.cap:
+            rank -= 2
+        total = 0.0
+        for t in totals.values():
+            if task.log:
+                total += math.log2(max(t, 1.0))
+            elif t >= min_rate:
+                total += t
+        return (rank, total)
+
+    def _greedy(self, task) -> list[int]:
+        rng = self._rng
+        m, eligible, rates, cap = task.m, task.eligible, task.rates, task.cap
+        if task.log and not task.min_rate:
+            order = list(range(m))
+            rng.shuffle(order)
+            totals = {r: 0.0 for r in eligible}
+            alloc = [eligible[0]] * m
+            for b in order:
+                r = max(eligible,
+                        key=lambda rr: (math.log2(max(totals[rr] + rates[rr][b], 1.0))
+                                        - math.log2(max(totals[rr], 1.0))))
+                alloc[b] = r
+                totals[r] += rates[r][b]
+            _fit_cap(alloc, task)
+            return alloc
+        alloc = [max(eligible, key=lambda r: rates[r][b]) for b in range(m)]
+        _fit_cap(alloc, task)
+        for _ in range(2 * len(eligible) + 2):
+            totals = {r: 0.0 for r in eligible}
+            for b, r in enumerate(alloc):
+                totals[r] += rates[r][b]
+            short = [r for r in eligible if totals[r] < task.min_rate]
+            if not short:
+                break
+            r = short[rng.integers(0, len(short))]
+            full = cap is not None and alloc.count(r) >= cap
+            if full:
+                weakest = min((b for b in range(m) if alloc[b] == r),
+                              key=lambda b: rates[r][b])
+            costs = sorted((rates[alloc[b]][b] - rates[r][b], b)
+                           for b in range(m) if alloc[b] != r
+                           and (not full or rates[r][b] > rates[r][weakest]))
+            if not costs:
+                break
+            pick = 1 if len(costs) > 1 and rng.random() < 0.3 else 0
+            b = costs[pick][1]
+            if full:
+                alloc[weakest] = alloc[b]
+            alloc[b] = r
+        return alloc
+
+    def _mutate(self, base, m, eligible, hint) -> list[int]:
+        rng = self._rng
+        vec = list(base)
+        u = rng.random()
+        if u < 0.4 and len(eligible) > 1:
+            b = rng.integers(0, m)
+            alts = [r for r in eligible if r != vec[b]]
+            vec[b] = alts[rng.integers(0, len(alts))]
+        elif u < 0.6 and m > 1:
+            b1, b2 = rng.integers(0, m), rng.integers(0, m)
+            vec[b1], vec[b2] = vec[b2], vec[b1]
+        elif u < 0.85 and len(eligible) > 1:
+            for _ in range(2):
+                b = rng.integers(0, m)
+                alts = [r for r in eligible if r != vec[b]]
+                vec[b] = alts[rng.integers(0, len(alts))]
+        else:
+            p = max(0.5 * hint, 2.0 / m)
+            for b in range(m):
+                if rng.random() < p and len(eligible) > 1:
+                    alts = [r for r in eligible if r != vec[b]]
+                    vec[b] = alts[rng.integers(0, len(alts))]
+        return vec

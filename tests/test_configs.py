@@ -1,6 +1,7 @@
 """Config validation, defaults, and the JSON scenario round-trip."""
 
 import dataclasses
+import enum
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from autocomm.configs import (
     scenario_to_json,
     switch_from_dict,
 )
-from autocomm.geochannel import build_ckm
+from autocomm.geochannel import build_ckm, load_fixture_scene
 from autocomm.report import ckm_grid_positions, default_user_positions
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "config-schema"
@@ -312,6 +313,35 @@ def test_json_form_is_stable():
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
     assert scenario_from_dict(doc) == scn
+
+
+def _asdict_json(cfg) -> str:
+    """scenario_to_json as it was written on dataclasses.asdict."""
+
+    def jsonable(obj):
+        if isinstance(obj, enum.Enum):
+            return obj.value
+        if isinstance(obj, complex):
+            return [obj.real, obj.imag]
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()
+                    if v is not None}
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items() if v is not None}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(v) for v in obj]
+        return obj
+
+    return json.dumps(jsonable(cfg), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_form_matches_the_asdict_form():
+    scenarios = [scenario_from_dict(json.loads(path.read_text("utf-8")))
+                 for path in sorted(SCHEMA_DIR.glob("*.json"))]
+    scenarios += [load_fixture_scene(i) for i in (1, 2, 3, 4)]
+    assert len(scenarios) == 7
+    for scn in scenarios:
+        assert scenario_to_json(scn) == _asdict_json(scn)
 
 
 def test_build_scenario_parses_json_text():

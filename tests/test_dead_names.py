@@ -24,8 +24,6 @@ ALLOWED = {
     "EngineController":
         "bench/spans.py METHODS patches its decide; wiring it into the run "
         "layer is ROADMAP item 4",
-    "RngStream.u64":
-        "the golden-draw test reads the stream's raw 64-bit words through it",
 }
 
 

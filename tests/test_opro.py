@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_oracle as oracle
+
 from autocomm import opro, report
 from autocomm.configs import (
     ObjectiveKind,
@@ -92,7 +94,8 @@ def test_prompt_pf_objective_text():
 
 def test_prompt_history_worst_to_best():
     cfg = SchedulingConfig(num_robots=2, objective=PF)
-    history = [((1,) * 9, 10.0), ((2,) * 9, 20.0)]
+    history = [opro._exemplar_line((1,) * 9, 10.0),
+               opro._exemplar_line((2,) * 9, 20.0)]
     prompt = build_task_prompt(task_prompt_head(cfg, flat_map(2), PF), cfg,
                                history, 0.0)
     assert "worst to best" in prompt
@@ -357,8 +360,9 @@ def test_mock_cold_start_is_valid():
 def test_mock_is_deterministic():
     cfg = SchedulingConfig(num_robots=3, objective=QOS)
     snr = flat_map(3)
-    prompt = build_task_prompt(task_prompt_head(cfg, snr, QOS), cfg,
-                               [((1, 2, 3, 1, 2, 3, 1, 2, 3), 5.0)], 0.5)
+    prompt = build_task_prompt(
+        task_prompt_head(cfg, snr, QOS), cfg,
+        [opro._exemplar_line((1, 2, 3, 1, 2, 3, 1, 2, 3), 5.0)], 0.5)
     a = MockLocalSearchEngine(stream(6, "engine")).propose(prompt)
     b = MockLocalSearchEngine(stream(6, "engine")).propose(prompt)
     assert a == b
@@ -428,7 +432,11 @@ def test_a_proposal_cannot_change_a_cached_head():
         parsed.rates[1] = (0.0,) * 9
     with pytest.raises(TypeError):
         parsed.rates[1][0] = 0.0
+    with pytest.raises(TypeError):
+        parsed.alts[1] = ()
     assert isinstance(parsed.eligible, tuple)
+    assert isinstance(parsed.alts[1], tuple)
+    assert isinstance(parsed.start, tuple)
     engine = MockLocalSearchEngine(stream(72, "engine"))
     opro_optimize_segments(cfg, snr, [(QOS, 40)], engine,
                            OproParams(stop_patience=50))
@@ -469,6 +477,80 @@ def test_mock_without_task_lines_degrades_gracefully():
     engine = MockLocalSearchEngine(stream(8, "engine"))
     out = engine.propose("not a task prompt at all")
     assert parse_allocation(out)[0] is None
+
+
+def test_mock_reads_an_incomplete_snr_table_as_no_table():
+    cfg = SchedulingConfig(num_robots=3, objective=QOS)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(10, "scheduling/snr"))
+    head = task_prompt_head(cfg, snr, QOS)
+    row = next(line for line in head.splitlines()
+               if line.startswith("  robot 3: "))
+    no_row = head.replace(row + "\n", "")
+    no_bandwidth = "\n".join(line for line in head.splitlines()
+                             if not line.startswith("Total bandwidth:"))
+    history = [opro._exemplar_line((1, 2, 3, 1, 2, 3, 1, 2, 3), 5.0)]
+    for lines in ([], history):
+        prompts = [build_task_prompt(h, cfg, lines, 0.5)
+                   for h in (no_row, no_bandwidth)]
+        # Without robot 3's row the mock answers as it does without the
+        # bandwidth line: a random vector over the eligible robots.
+        answers = [MockLocalSearchEngine(stream(11, "engine")).propose(p)
+                   for p in prompts]
+        assert answers[0] == answers[1]
+        assert parse_allocation(answers[0])[1] is None
+
+
+@st.composite
+def mock_prompts(draw):
+    """A head the loop could write and a few tails: histories of 0-10
+    exemplars whose allocations may have the wrong length or name robots
+    that are not eligible, hints in [0, 1], QoS feedback naming any
+    robots.  Bandwidths up to 1.5e308 make some rates infinite."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(list(ObjectiveKind)))
+    objective = ObjectiveSpec(kind, draw(st.sampled_from(
+        [0.0, 1e5, 1e6, 4e6, 3e7])))
+    cfg = SchedulingConfig(
+        num_robots=n, num_rbs=m, objective=objective,
+        bandwidth_hz=draw(st.sampled_from([2e7, 1e6, 1.5e308])),
+        max_rbs_per_robot=draw(st.none() | st.integers(1, m)))
+    values = generate_snr_map(
+        cfg, RadioParams(fading=draw(st.sampled_from(["none", "rayleigh"]))),
+        stream(draw(st.integers(0, 2**16)), "scheduling/snr")).values
+    buffers = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    snr = SnrMap(values=values, robot_positions=np.zeros((n, 2)),
+                 buffer_nonempty=buffers)
+    head = task_prompt_head(cfg, snr, objective)
+    prompts = []
+    for _ in range(draw(st.integers(1, 4))):
+        history = [opro._exemplar_line(
+            tuple(draw(st.lists(st.integers(-1, n + 1),
+                                min_size=1, max_size=m + 1))),
+            draw(st.floats(allow_nan=False)))
+            for _ in range(draw(st.integers(0, 10)))]
+        feedback = draw(st.none() | st.lists(
+            st.integers(1, n + 1), min_size=1, max_size=4).map(
+            lambda ids: "RB allocation vector violates the QoS requirement "
+                        f"of robots {opro._robot_list(ids)}."))
+        prompts.append(build_task_prompt(
+            head, cfg, history, draw(st.floats(0.0, 1.0)), feedback))
+    return prompts
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompts=mock_prompts(), seed=st.integers(0, 2**16))
+def test_mock_matches_its_scalar_oracle(prompts, seed):
+    # Same replies and the same draws: after every proposal the two
+    # generators are in the same state.
+    fast, slow = stream(seed, "engine"), stream(seed, "engine")
+    engine = MockLocalSearchEngine(fast)
+    reference = oracle.MockLocalSearchEngine(slow)
+    for prompt in prompts:
+        assert engine.propose(prompt) == reference.propose(prompt)
+        assert (fast._gen.bit_generator.state
+                == slow._gen.bit_generator.state)
 
 
 def test_loop_with_mock_reaches_feasibility(small_instance):

@@ -383,6 +383,44 @@ def test_opro_transcripts_are_pinned(monkeypatch):
     assert digest.hexdigest() == OPRO_TRANSCRIPT_SHA256
 
 
+# sha256 over every prompt and raw response the mock engine sees and gives in
+# the runs below, in call order.  Computed before the mock prepared its
+# greedy start and alternative robots once per head and the loop formatted
+# each exemplar line once per segment; change it only with a deliberate
+# change to the prompt text or the mock's draws, and say so.
+OPRO_CAPPED_QOS_PF_TRANSCRIPT_SHA256 = (
+    "99f79bcd1a4f0dad25640f950606f2a584d596b1a81c66b659fbf7661c23f7f9")
+
+
+def test_opro_capped_and_qos_pf_transcripts_are_pinned(monkeypatch):
+    # opro_mock on the 10-robot reference document under qos_pf, and under
+    # RB caps of 1 and 2 (with a qos_pf -> qos_sum_rate switch): the prompt
+    # heads the pin above never shows.
+    digest = hashlib.sha256()
+
+    class Recording(report.MockLocalSearchEngine):
+        def propose(self, prompt):
+            raw = super().propose(prompt)
+            digest.update(prompt.encode("utf-8"))
+            digest.update(raw.encode("utf-8"))
+            return raw
+
+    monkeypatch.setattr(report, "MockLocalSearchEngine", Recording)
+    doc = json.loads(REFERENCE_SCHEDULING.read_text(encoding="utf-8"))
+    switch = {"at_iteration": 60, "objective": "qos_sum_rate"}
+    for seed in (1, 2):
+        for kind, cap, opts in (("qos_pf", None, {}), ("pf", 2, {}),
+                                ("qos_sum_rate", 2, {}), ("qos_pf", 1, {}),
+                                ("qos_pf", 2, {"switch": switch})):
+            section = dict(doc["scheduling"], objective={"kind": kind},
+                           max_rbs_per_robot=cap)
+            rec = run(scenario_from_dict(dict(doc, seed=seed,
+                                              scheduling=section)),
+                      "opro_mock", opts)
+            assert rec.status == "ok"
+    assert digest.hexdigest() == OPRO_CAPPED_QOS_PF_TRANSCRIPT_SHA256
+
+
 def test_run_safe_captures_failures_as_records():
     rec = run_safe(sched_scenario(), "no_such_method")
     assert rec.status == "error"
