@@ -411,9 +411,9 @@ _EXEMPLAR_RE = re.compile(r"score=(\S+) allocation=\[([^\]]*)\]")
 _HINT_RE = re.compile(r"Exploration hint: ([0-9.]+)")
 _QOS_FEEDBACK_RE = re.compile(
     r"violates the QoS requirement of robots ([0-9, and]+)\.")
-_BANDWIDTH_RE = re.compile(r"Total bandwidth: ([0-9.e+]+) Hz")
+_BANDWIDTH_RE = re.compile(r"Total bandwidth: ([0-9.e+-]+) Hz")
 _SNR_ROW_RE = re.compile(r"  robot (\d+): (.+)")
-_MIN_RATE_RE = re.compile(r"minimum rate of ([0-9.e+]+) bits per second")
+_MIN_RATE_RE = re.compile(r"minimum rate of ([0-9.e+-]+) bits per second")
 # The line break before the history section ends a prompt's head.
 _TAIL_RE = re.compile("\n(?=" + re.escape(_HISTORY_LINE) + "|"
                       + re.escape(_NO_HISTORY_LINE) + ")")

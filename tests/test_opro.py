@@ -501,6 +501,21 @@ def test_mock_reads_an_incomplete_snr_table_as_no_table():
         assert parse_allocation(answers[0])[1] is None
 
 
+def test_mock_reads_values_printed_with_negative_exponents():
+    objective = ObjectiveSpec(kind=ObjectiveKind.QOS_SUM_RATE,
+                              min_rate_bps=5e-05)
+    cfg = SchedulingConfig(num_robots=3, objective=objective,
+                           bandwidth_hz=1e-05)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(10, "scheduling/snr"))
+    head = task_prompt_head(cfg, snr, objective)
+    assert "Total bandwidth: 1e-05 Hz" in head
+    assert "minimum rate of 5e-05 bits per second" in head
+    task = opro._read_head(head)
+    assert task.rates is not None
+    assert task.min_rate == 5e-05
+
+
 @st.composite
 def mock_prompts(draw):
     """A head the loop could write and a few tails: histories of 0-10

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from autocomm.rng import RngStream, stream
 
@@ -90,3 +92,41 @@ def test_shuffle_deterministic():
 
 def test_repr_carries_key():
     assert repr(RngStream(4, "a/b")) == "RngStream(seed=4, label='a/b')"
+
+
+# Bounds for `rounds`: 1 reads nothing, 2**32 takes a whole half, and
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their draws.
+HIGHS = [1, 2, 3, 7, 100, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       lead=st.integers(0, 3),
+       count=st.integers(1, 5),
+       layout=st.lists(st.tuples(st.sampled_from([None, *HIGHS]),
+                                 st.integers(0, 9)),
+                       min_size=1, max_size=4))
+def test_rounds_match_the_calls_made_one_by_one(seed, lead, count, layout):
+    """`rounds` against the same numpy calls on a twin stream; an odd
+    `lead` of bounded draws starts both with a cached 32-bit half."""
+    got, twin = stream(seed, "rounds"), stream(seed, "rounds")
+    for s in (got, twin):
+        s.integers(0, 5, lead)
+    arrays = got.rounds(count, layout)
+    for i in range(count):
+        for array, (high, n) in zip(arrays, layout):
+            want = (twin.random(n) if high is None
+                    else twin.integers(0, high, n))
+            assert array.dtype == want.dtype
+            assert np.array_equal(array[i], want)
+    assert got._gen.bit_generator.state == twin._gen.bit_generator.state
+    assert raw(got, 4) == raw(twin, 4)
+
+
+def test_rounds_refuse_bounds_outside_32_bits():
+    s = stream(1, "rounds")
+    for high in (0, 2 ** 32 + 1):
+        with pytest.raises(ValueError):
+            s.rounds(2, [(high, 3)])
+    assert [a.shape for a in s.rounds(0, [(7, 3), (None, 2)])] == [(0, 3),
+                                                                   (0, 2)]
