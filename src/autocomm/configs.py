@@ -66,6 +66,10 @@ class ObjectiveSpec:
         return self.kind in (ObjectiveKind.QOS_SUM_RATE, ObjectiveKind.QOS_PF)
 
 
+# Keeps every per-RB rate, and so every score, far below the float maximum.
+MAX_BANDWIDTH_HZ = 1.0e12
+
+
 @dataclass(frozen=True)
 class SchedulingConfig:
     """Robot-scheduling scenario: an uplink cell with ``num_rbs`` resource
@@ -88,8 +92,9 @@ class SchedulingConfig:
             raise ConfigError("scheduling.num_rbs", "must be >= 1")
         if self.cell_radius_m <= 0:
             raise ConfigError("scheduling.cell_radius_m", "must be > 0")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("scheduling.bandwidth_hz", "must be > 0")
+        if not 0 < self.bandwidth_hz <= MAX_BANDWIDTH_HZ:
+            raise ConfigError("scheduling.bandwidth_hz",
+                              f"must be > 0 and <= {MAX_BANDWIDTH_HZ:g}")
         if not 0.0 <= self.buffer_occupancy_prob <= 1.0:
             raise ConfigError("scheduling.buffer_occupancy_prob", "must be in [0, 1]")
         if self.max_rbs_per_robot is not None and self.max_rbs_per_robot < 1:

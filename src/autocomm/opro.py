@@ -630,10 +630,10 @@ class MockLocalSearchEngine:
             return alloc
         alloc = list(task.start)
         min_rate = task.min_rate
+        totals = dict.fromkeys(eligible, 0.0)
+        for b, r in enumerate(alloc):
+            totals[r] += rates[r][b]
         for _ in range(2 * len(eligible) + 2):
-            totals = dict.fromkeys(eligible, 0.0)
-            for b, r in enumerate(alloc):
-                totals[r] += rates[r][b]
             short = [r for r in eligible if totals[r] < min_rate]
             if not short:
                 break
@@ -651,9 +651,18 @@ class MockLocalSearchEngine:
                 break
             pick = 1 if len(costs) > 1 and rng.random() < 0.3 else 0
             b = costs[pick][1]
+            o = alloc[b]
             if full:
-                alloc[weakest] = alloc[b]
+                alloc[weakest] = o
             alloc[b] = r
+            # Only r and o changed blocks: fold their totals again, in
+            # block order, so every bit matches a full recount.
+            for x in (r, o):
+                t = 0.0
+                for bb, owner in enumerate(alloc):
+                    if owner == x:
+                        t += rates[x][bb]
+                totals[x] = t
         return alloc
 
     def _mutate(self, base: Sequence[int], task: _TaskHead,

@@ -14,17 +14,34 @@ from a 32-bit half by Lemire's multiply-shift with rejection (ACM TOMACS,
 2019), low half first, the high half kept for the next bounded draw.  It
 leaves the generator in the state the calls would.
 
+A scalar ``integers`` whose span fits 32 bits and a scalar ``random`` skip
+numpy's per-call dispatch: they call the bit generator's documented C entry
+points (``next_uint32``, ``next_double``) and run the same Lemire loop numpy
+runs, so they return what numpy's calls would, of the same Python type,
+and the buffered 32-bit half stays inside PCG64's own state.  These calls
+take no lock, so a stream is drawn from by one thread only: each run builds
+its own streams, and the loopback chat stub builds its engine, and so its
+stream, on its server thread.
+
 Golden first draws for a reference stream are frozen in
 ``docs/rng-golden.json`` and asserted by the test suite.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
+_U32_MAX = (1 << 32) - 1
+# The scalar integers() fast path returns int64 values, as numpy does.
+_I64_MIN, _I64_END = -(1 << 63), 1 << 63
+# Signatures of PCG64's next_uint32 and next_double.
+_NEXT_U32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 
 
 def _label_words(label: str) -> list[int]:
@@ -36,7 +53,10 @@ class RngStream:
     """Deterministic random stream keyed by (seed, label).
 
     Thin wrapper over ``numpy.random.Generator`` (PCG64) that remembers its
-    key so child streams can be derived by extending the label path.
+    key so child streams can be derived by extending the label path.  Scalar
+    ``integers`` (Python-int bounds, span 2 to 2**32 - 1) and scalar
+    ``random`` draw through the bit generator's C entry points, bound on
+    first use; they are not locked, so one thread draws from a stream.
     """
 
     def __init__(self, seed: int, label: str):
@@ -56,6 +76,8 @@ class RngStream:
     # the simulator actually uses are exposed, keeping the surface auditable.
 
     def random(self, size=None):
+        if size is None:
+            return self._next_double()
         return self._gen.random(size)
 
     def uniform(self, low: float, high: float, size=None):
@@ -63,6 +85,19 @@ class RngStream:
 
     def integers(self, low: int, high: int, size=None):
         """Integers in [low, high) like numpy's half-open convention."""
+        if (size is None and type(low) is int and type(high) is int
+                and 2 <= high - low <= _U32_MAX
+                and _I64_MIN <= low and high <= _I64_END):
+            # numpy's bounded 32-bit Lemire draw: the high word of a 32-bit
+            # half times the span, redrawn while the low word falls below
+            # (2**32 - span) % span.
+            span = high - low
+            m = self._next32() * span
+            if (m & _U32_MAX) < span:
+                threshold = ((1 << 32) - span) % span
+                while (m & _U32_MAX) < threshold:
+                    m = self._next32() * span
+            return low + (m >> 32)
         out = self._gen.integers(low, high, size=size)
         return int(out) if size is None else out
 
@@ -71,6 +106,23 @@ class RngStream:
 
     def shuffle(self, x) -> None:
         self._gen.shuffle(x)
+
+    # The first scalar draw binds both C entry points as instance
+    # attributes, which shadow these two methods from then on.
+
+    def _next32(self) -> int:
+        self._bind()
+        return self._next32()
+
+    def _next_double(self) -> float:
+        self._bind()
+        return self._next_double()
+
+    def _bind(self) -> None:
+        c = self._gen.bit_generator.ctypes
+        self._next32 = _held(_NEXT_U32, c.next_uint32, c.state_address)
+        self._next_double = _held(_NEXT_DOUBLE, c.next_double,
+                                  c.state_address)
 
     def rounds(self, count: int, layout) -> list[np.ndarray]:
         """The draws of `count` repetitions of a fixed list of calls.
@@ -205,6 +257,14 @@ class _RoundPlan:
                 np.multiply(src, np.uint64(high), out=product)
                 np.right_shift(product, 32, out=product)
         return min(bad, default=None)
+
+
+def _held(proto, entry, state: int):
+    """The bit generator's C function `entry`, bound to the generator's
+    `state` and called with the GIL held: the wrapper ``ctypes`` hands out
+    releases and retakes it on every call, about a fifth of a draw's cost."""
+    return functools.partial(proto(ctypes.cast(entry, ctypes.c_void_p).value),
+                             state)
 
 
 def _set_buffer(bg, flag: int, half: int) -> None:

@@ -27,7 +27,9 @@ attributes re-read and every lane list rebuilt per vehicle-step, spacing
 and vehicle count checked in separate passes.  The OPRO section is the mock
 engine as it was before one head parse prepared what its proposals reuse:
 ``opro.MockLocalSearchEngine`` must give the same replies and make the
-same draws.
+same draws.  It draws from a ``NumpyStream``, which makes every draw
+through numpy's own ``Generator`` methods, so the reference does not share
+``RngStream``'s scalar fast path.
 """
 
 import itertools
@@ -47,6 +49,7 @@ from autocomm.opro import (
     _split_prompt,
 )
 from autocomm.radio import rb_rate_matrix
+from autocomm.rng import stream
 from autocomm.geochannel import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
@@ -701,6 +704,33 @@ def encode_observation(state, kind, cfg) -> EncodedObservation:
 
 # ---------------------------------------------------------------------------
 # OPRO: the mock engine before its per-head preparation
+
+
+class NumpyStream:
+    """The stream ``rng.stream(seed, label)`` starts as, drawn through
+    numpy's ``Generator`` methods only: every scalar draw is numpy's own
+    call, with the Python type ``RngStream`` gives it."""
+
+    def __init__(self, seed: int, label: str):
+        bg = np.random.PCG64()
+        bg.state = stream(seed, label)._gen.bit_generator.state
+        self.gen = np.random.Generator(bg)
+
+    def integers(self, low, high, size=None):
+        out = self.gen.integers(low, high, size=size)
+        return int(out) if size is None else out
+
+    def random(self, size=None):
+        return self.gen.random(size)
+
+    def uniform(self, low, high, size=None):
+        return self.gen.uniform(low, high, size)
+
+    def exponential(self, scale=1.0, size=None):
+        return self.gen.exponential(scale, size)
+
+    def shuffle(self, x) -> None:
+        self.gen.shuffle(x)
 
 
 def _fit_cap(alloc, task) -> None:

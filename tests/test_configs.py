@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from autocomm.configs import (
     Box,
     ChannelSceneConfig,
+    MAX_BANDWIDTH_HZ,
     ConfigError,
     ObjectiveKind,
     ObjectiveSpec,
@@ -88,6 +89,9 @@ def test_channel_defaults():
     (dict(bandwidth_hz=-1), "scheduling.bandwidth_hz"),
     (dict(buffer_occupancy_prob=1.5), "scheduling.buffer_occupancy_prob"),
     (dict(max_rbs_per_robot=0), "scheduling.max_rbs_per_robot"),
+    (dict(bandwidth_hz=math.nextafter(MAX_BANDWIDTH_HZ, math.inf)),
+     "scheduling.bandwidth_hz"),
+    (dict(bandwidth_hz=1.5e308), "scheduling.bandwidth_hz"),
 ])
 def test_scheduling_validation_names_field(kwargs, field):
     with pytest.raises(ConfigError) as err:

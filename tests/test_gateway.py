@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import socket
 import ssl
 import threading
@@ -12,6 +13,9 @@ import pytest
 
 from autocomm.cli import main
 from autocomm.configs import (
+    MAX_BANDWIDTH_HZ,
+    ObjectiveKind,
+    ObjectiveSpec,
     ScenarioConfig,
     SchedulingConfig,
     Track,
@@ -30,7 +34,7 @@ from autocomm.gateway import (
     chat_complete,
     request_digest,
 )
-from autocomm.report import run, sweep
+from autocomm.report import OPRO_METHODS, SCHEDULING_METHODS, run, sweep
 
 
 def chat_body(text):
@@ -429,6 +433,27 @@ def test_scheduling_run_closes_its_cassette(stub_server, tmp_path, monkeypatch):
     assert closed == ["record"]
     run(scenario, "opro_chat", dict(opts, cassette_mode="replay"))
     assert closed == ["record", "replay"]
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.PF,
+                                  ObjectiveKind.QOS_SUM_RATE])
+def test_every_scheduling_method_scores_finitely_at_the_bandwidth_bound(
+        stub_server, kind):
+    StubHandler.script = [(200, chat_body("[1, 2, 3, 4, 1, 2, 3, 4, 1]"))]
+    scenario = ScenarioConfig(
+        track=Track.SCHEDULING, seed=3,
+        scheduling=SchedulingConfig(num_robots=4,
+                                    bandwidth_hz=MAX_BANDWIDTH_HZ,
+                                    objective=ObjectiveSpec(kind, 1e6)))
+    for method in SCHEDULING_METHODS:
+        opts = ({"opro_params": {"max_iterations": 20}}
+                if method in OPRO_METHODS else {})
+        if method == "opro_chat":
+            opts.update(endpoint_url=stub_server, model="m")
+        rec = run(scenario, method, opts)
+        assert rec.status == "ok", (method, rec.error)
+        assert rec.metrics["score"] > 0
+        assert all(map(math.isfinite, rec.metrics.values())), method
 
 
 def test_cassette_digest_mismatch(tmp_path):

@@ -521,15 +521,17 @@ def mock_prompts(draw):
     """A head the loop could write and a few tails: histories of 0-10
     exemplars whose allocations may have the wrong length or name robots
     that are not eligible, hints in [0, 1], QoS feedback naming any
-    robots.  Bandwidths up to 1.5e308 make some rates infinite."""
+    robots.  A head may state a bandwidth of 1.5e308, which makes some
+    rates infinite (a config refuses it, so it is written into the text)."""
     n = draw(st.integers(1, 10))
     m = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(list(ObjectiveKind)))
     objective = ObjectiveSpec(kind, draw(st.sampled_from(
         [0.0, 1e5, 1e6, 4e6, 3e7])))
+    bandwidth = draw(st.sampled_from([2e7, 1e6, 1.5e308]))
     cfg = SchedulingConfig(
         num_robots=n, num_rbs=m, objective=objective,
-        bandwidth_hz=draw(st.sampled_from([2e7, 1e6, 1.5e308])),
+        bandwidth_hz=min(bandwidth, 2e7),
         max_rbs_per_robot=draw(st.none() | st.integers(1, m)))
     values = generate_snr_map(
         cfg, RadioParams(fading=draw(st.sampled_from(["none", "rayleigh"]))),
@@ -537,7 +539,9 @@ def mock_prompts(draw):
     buffers = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     snr = SnrMap(values=values, robot_positions=np.zeros((n, 2)),
                  buffer_nonempty=buffers)
-    head = task_prompt_head(cfg, snr, objective)
+    head = task_prompt_head(cfg, snr, objective).replace(
+        f"Total bandwidth: {cfg.bandwidth_hz:.10g} Hz",
+        f"Total bandwidth: {bandwidth:.10g} Hz")
     prompts = []
     for _ in range(draw(st.integers(1, 4))):
         history = [opro._exemplar_line(
@@ -558,14 +562,40 @@ def mock_prompts(draw):
 @given(prompts=mock_prompts(), seed=st.integers(0, 2**16))
 def test_mock_matches_its_scalar_oracle(prompts, seed):
     # Same replies and the same draws: after every proposal the two
-    # generators are in the same state.
-    fast, slow = stream(seed, "engine"), stream(seed, "engine")
+    # generators are in the same state.  The reference draws through
+    # numpy's own calls, not the package stream's scalar fast path.
+    fast, slow = stream(seed, "engine"), oracle.NumpyStream(seed, "engine")
     engine = MockLocalSearchEngine(fast)
     reference = oracle.MockLocalSearchEngine(slow)
     for prompt in prompts:
         assert engine.propose(prompt) == reference.propose(prompt)
-        assert (fast._gen.bit_generator.state
-                == slow._gen.bit_generator.state)
+        assert fast._gen.bit_generator.state == slow.gen.bit_generator.state
+
+
+def test_mock_repair_ranks_nan_costs_as_its_oracle_does():
+    """Robot 2 is short and shares block 2's infinite rate with robot 1,
+    so that move costs NaN; the cheaper block 3 comes after it.  The
+    oracle's sorted() leaves the costs in block order, so the repair moves
+    block 1 or 2, where a search for the two smallest finite costs would
+    move block 3 or 1."""
+    objective = ObjectiveSpec(ObjectiveKind.QOS_SUM_RATE, 1e6)
+    cfg = SchedulingConfig(num_robots=2, num_rbs=3, objective=objective)
+    snr = SnrMap(values=np.array([[5.0, 1e6, 1.0], [1e-9, 1e6, 1e-9]]),
+                 robot_positions=np.zeros((2, 2)),
+                 buffer_nonempty=np.array([True, True]))
+    prompt = build_task_prompt(
+        task_prompt_head(cfg, snr, objective).replace(
+            "Total bandwidth: 20000000 Hz", "Total bandwidth: 1.5e+308 Hz"),
+        cfg, [], 0.5)
+    replies = set()
+    for seed in range(8):
+        fast, slow = stream(seed, "engine"), oracle.NumpyStream(seed, "engine")
+        reply = MockLocalSearchEngine(fast).propose(prompt)
+        assert reply == oracle.MockLocalSearchEngine(slow).propose(prompt)
+        assert fast._gen.bit_generator.state == slow.gen.bit_generator.state
+        replies.add(reply)
+    assert replies == {"Proposed allocation: [2, 1, 1]",
+                       "Proposed allocation: [1, 2, 1]"}
 
 
 def test_loop_with_mock_reaches_feasibility(small_instance):
