@@ -123,6 +123,9 @@ def _parse_axis(text: str) -> tuple[str, list]:
         raise argparse.ArgumentTypeError(
             "--axis expects path=value1,value2,...")
     name, _, values = text.partition("=")
+    if name.strip() == "seed":
+        raise argparse.ArgumentTypeError(
+            "--axis cannot sweep the seed; list seeds with --seeds")
     parsed = []
     for v in _csv_list(values):
         try:

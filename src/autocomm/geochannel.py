@@ -8,14 +8,14 @@ rectangle; Fermat's principle makes that the unique stationary path, which
 an independent grid search over the facade (no mirror math, in the tests)
 can confirm.
 
-One array kernel traces a whole batch of users (_trace_rows): the image
-method over [users x facades], then a slab test of every LoS and
+One array kernel traces a whole batch of users (_trace): the image method
+over [users x facades] (_image_stage), then a slab test of every LoS and
 reflection leg against every box (only in-rectangle pairs get legs), then
 lengths, gains and departure angles as arrays (_path_arrays).  build_ckm
 reads those arrays into dense per-slot tables and synthesizes every
 channel in one call; it is also where a run's true channels come from.
-trace_paths and mirror_reflection_point read one row of the same kernel,
-and every row is bit-equal to tracing that user alone.
+trace_paths and the geometry predictor's stage overrides read one row of
+the same kernel, and every row is bit-equal to tracing that user alone.
 
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
@@ -43,7 +43,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 
 class DegenerateGeometry(ValueError):
-    """Endpoint on the reflecting plane: the image method is undefined."""
+    """A zero-length path: the user stands at the BS."""
 
 
 @dataclass(frozen=True)
@@ -55,37 +55,24 @@ class Facade:
     """
 
     facade_id: str
-    building: int
     axis: str
     offset: float
     normal: tuple[float, float, float]
     urange: tuple[float, float]
     height: float
 
-    def embed(self, u: float, z: float) -> np.ndarray:
-        """Map facade coordinates (u, z) to a 3D point."""
-        if self.axis == "x":
-            return np.array([self.offset, u, z])
-        return np.array([u, self.offset, z])
-
-    def coords(self, p: Sequence[float]) -> tuple[float, float]:
-        """(u, z) facade coordinates of a 3D point assumed on the plane."""
-        if self.axis == "x":
-            return float(p[1]), float(p[2])
-        return float(p[0]), float(p[2])
-
 
 def enumerate_facades(cfg: ChannelSceneConfig) -> tuple[Facade, ...]:
     """All side facades, building by building, in a fixed face order."""
     out = []
     for i, b in enumerate(cfg.buildings):
-        out.append(Facade(f"b{i}:xmin", i, "x", b.x[0], (-1.0, 0.0, 0.0),
+        out.append(Facade(f"b{i}:xmin", "x", b.x[0], (-1.0, 0.0, 0.0),
                           b.y, b.height))
-        out.append(Facade(f"b{i}:xmax", i, "x", b.x[1], (1.0, 0.0, 0.0),
+        out.append(Facade(f"b{i}:xmax", "x", b.x[1], (1.0, 0.0, 0.0),
                           b.y, b.height))
-        out.append(Facade(f"b{i}:ymin", i, "y", b.y[0], (0.0, -1.0, 0.0),
+        out.append(Facade(f"b{i}:ymin", "y", b.y[0], (0.0, -1.0, 0.0),
                           b.x, b.height))
-        out.append(Facade(f"b{i}:ymax", i, "y", b.y[1], (0.0, 1.0, 0.0),
+        out.append(Facade(f"b{i}:ymax", "y", b.y[1], (0.0, 1.0, 0.0),
                           b.x, b.height))
     return tuple(out)
 
@@ -183,24 +170,6 @@ def _trace(cfg: ChannelSceneConfig, users: np.ndarray,
     legs = blocked[n:n + k] | blocked[n + k:]
     status[ui[legs], fi[legs]] = _BLOCKED
     return ~blocked[:n], status, q
-
-
-def mirror_reflection_point(bs: Sequence[float], user: Sequence[float],
-                            facade: Facade) -> Optional[np.ndarray]:
-    """Specular reflection point on a facade by the image method.
-
-    Returns None when no single-bounce path off this facade exists: either
-    endpoint strictly behind the plane, or the stationary point outside the
-    facade rectangle.  An endpoint lying on the plane itself is degenerate
-    and raises instead of guessing.
-    """
-    status, q = _image_stage(np.asarray(bs, dtype=float),
-                             np.asarray(user, dtype=float).reshape(1, 3),
-                             (facade,))
-    if status[0, 0] == _ON_PLANE:
-        raise DegenerateGeometry(
-            f"endpoint on facade plane {facade.facade_id}")
-    return q[0, 0] if status[0, 0] == _ACTIVE else None
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +321,37 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     horizontal tangent by that many meters (clamped to the facade), leaving
     stage 1 intact.  Defaults reproduce trace_paths exactly.
     """
-    paths = trace_paths(cfg, user) if stage1_labels is None else None
-    if paths is None or stage2_offset != 0.0:
-        facades = enumerate_facades(cfg)
+    if stage1_labels is None and stage2_offset == 0.0:
+        return synthesize_channel(cfg, trace_paths(cfg, user))
+    facades = enumerate_facades(cfg)
+    user = np.asarray(user, dtype=float).reshape(1, 3)
+    los, status, q = _trace(cfg, user, facades)
+    if stage1_labels is None:
+        slot = np.nonzero(np.append(los, status[0] == _ACTIVE))[0]
+    else:
         ids = ["los"] + [f.facade_id for f in facades]
-        labels = (list(stage1_labels) if paths is None
-                  else [p.slot for p in paths])
+        labels = list(stage1_labels)
         unknown = [s for s in labels if s not in ids]
         if unknown:
             raise ValueError(f"unknown stage1 labels {unknown}; slots: {ids}")
-        user = np.asarray(user, dtype=float)
-        status, q = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
-                                 user.reshape(1, 3), facades)
-        # Slot 0 runs via the user, slot f + 1 via facade f's reflection
-        # point; facades with an endpoint on, behind or off them drop out.
+        # Labels keep their order and repeats.  The LoS slot always stays;
+        # a facade stays when its reflection point lies on it, blocked or
+        # not, and drops out with an endpoint on or behind its plane.
         slot = np.array([ids.index(s) for s in labels], dtype=int)
-        slot = slot[np.append(True, status[0] == _ACTIVE)[slot]]
-        via = np.concatenate([user[None, :], q[0]])[slot]
-        if stage2_offset != 0.0:
-            for k in np.nonzero(slot)[0]:
-                facade = facades[slot[k] - 1]
-                u, z = facade.coords(via[k])
-                via[k] = facade.embed(
-                    float(np.clip(u + stage2_offset, *facade.urange)), z)
-        paths = _read_paths(cfg, user, facades, slot, via)
-    return synthesize_channel(cfg, paths)
+        on_facade = np.isin(status[0], (_ACTIVE, _BLOCKED))
+        slot = slot[np.append(True, on_facade)[slot]]
+    # Slot 0 runs via the user, slot f + 1 via facade f's reflection point.
+    # Stage 2 moves a point along its facade (coordinate u) and pins the
+    # other horizontal coordinate to the plane.
+    via = np.concatenate([user, q[0]])[slot]
+    if stage2_offset != 0.0:
+        for k in np.nonzero(slot)[0]:
+            facade = facades[slot[k] - 1]
+            u = 1 if facade.axis == "x" else 0
+            via[k, 1 - u] = facade.offset
+            via[k, u] = np.clip(via[k, u] + stage2_offset, *facade.urange)
+    return synthesize_channel(cfg, _read_paths(cfg, user[0], facades, slot,
+                                               via))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ class OproParams:
     stop_patience: int = 30
     history_window: int = 10
 
+    def __post_init__(self):
+        for name in ("max_iterations", "stop_patience", "history_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 @dataclass(frozen=True)
 class TranscriptEntry:

@@ -364,7 +364,11 @@ def sweep(base: ScenarioConfig, methods: Sequence[str], seeds: Sequence[int],
     A cassette in opts serves at most one opro_chat cell: every cell would
     open the same file, so recording would keep only the last cell's
     exchanges and replay would serve every cell the first cell's.
+    The seed is not an axis: seeds come from the seeds argument alone, so
+    every cell reports the seed it ran with.
     """
+    if axis_name == "seed":
+        raise ValueError("the seed is not a sweep axis; list seeds in seeds")
     result = SweepResult(axis_name=axis_name)
     if axis_name is None:
         axis_values = (None,)

@@ -270,11 +270,23 @@ def ga_run(cfg, snr, objective, ga, rng):
 # Geochannel: one user, one facade, one box at a time
 
 
+def facade_point(facade, u: float, z: float) -> np.ndarray:
+    """The 3D point at facade coordinates (u, z)."""
+    if facade.axis == "x":
+        return np.array([facade.offset, u, z])
+    return np.array([u, facade.offset, z])
+
+
+def facade_coords(facade, p) -> tuple[float, float]:
+    """(u, z) facade coordinates of a 3D point assumed on the plane."""
+    if facade.axis == "x":
+        return float(p[1]), float(p[2])
+    return float(p[0]), float(p[2])
+
+
 def point_on_plane(facade) -> np.ndarray:
     """The facade corner at u = urange[0] on the ground."""
-    if facade.axis == "x":
-        return np.array([facade.offset, facade.urange[0], 0.0])
-    return np.array([facade.urange[0], facade.offset, 0.0])
+    return facade_point(facade, facade.urange[0], 0.0)
 
 
 def _signed_distance(p, facade) -> float:
@@ -297,7 +309,7 @@ def mirror_reflection_point(bs, user, facade):
     mirrored = bs - 2.0 * d_bs * n
     t = d_bs / (d_bs + d_user)
     q = mirrored + t * (user - mirrored)
-    u, z = facade.coords(q)
+    u, z = facade_coords(facade, q)
     if not (facade.urange[0] <= u <= facade.urange[1]):
         return None
     if not (0.0 <= z <= facade.height):
@@ -456,10 +468,10 @@ def predictor_paths(cfg, user, stage1_labels=None,
         if q is None:
             continue
         if stage2_offset != 0.0:
-            u, z = facade.coords(q)
+            u, z = facade_coords(facade, q)
             u = float(np.clip(u + stage2_offset,
                               facade.urange[0], facade.urange[1]))
-            q = facade.embed(u, z)
+            q = facade_point(facade, u, z)
         paths.append(_reflection_path(cfg, bs, q, user, slot))
     return paths
 
@@ -570,7 +582,7 @@ def grid_search_reflection_oracle(bs, user, facade, resolution: float = 0.01):
     if (ub - u0 < resolution / 2 or u1 - ub < resolution / 2
             or zb - z0 < resolution / 2 or z1 - zb < resolution / 2):
         return None
-    return facade.embed(ub, zb)
+    return facade_point(facade, ub, zb)
 
 
 # ---------------------------------------------------------------------------

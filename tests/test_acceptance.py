@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 from scalar_oracle import (
+    facade_coords,
+    facade_point,
     grid_search_reflection_oracle,
     point_on_plane,
     rate_vector,
@@ -38,11 +40,10 @@ from autocomm.geochannel import (
     geometry_predictor,
     linear_gcp_predict,
     load_fixture_scene,
-    mirror_reflection_point,
     nmse_db,
     nn_ckm_predict,
-    synthesize_channel,
-    trace_paths,
+    _ACTIVE,
+    _image_stage,
 )
 from autocomm.opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
 from autocomm.radio import RadioParams, clamp_qos, generate_snr_map
@@ -200,7 +201,7 @@ def test_criterion_4_qos_evaluation_is_clamped_sum(rate_rng):
 
 
 # ---------------------------------------------------------------------------
-# 5. Mirror reflection vs centimeter grid search
+# 5. Image-method reflection points vs centimeter grid search
 
 
 def _random_mirror_case(rng, margin=0.05):
@@ -216,7 +217,7 @@ def _random_mirror_case(rng, margin=0.05):
         extent = rng.uniform(2.0, 25.0)
         height = rng.uniform(3.0, 18.0)
         normal = (sign, 0.0, 0.0) if axis == "x" else (0.0, sign, 0.0)
-        facade = Facade("f", 0, axis, offset, normal,
+        facade = Facade("f", axis, offset, normal,
                         (u0, u0 + extent), height)
         n = np.asarray(normal)
 
@@ -224,7 +225,7 @@ def _random_mirror_case(rng, margin=0.05):
             d = rng.uniform(0.5, 25.0)
             u = rng.uniform(u0 - 10.0, u0 + extent + 10.0)
             z = rng.uniform(0.2, height + 8.0)
-            return facade.embed(u, z) + d * n
+            return facade_point(facade, u, z) + d * n
 
         bs, user = endpoint(), endpoint()
         d_bs = float((bs - point_on_plane(facade)) @ n)
@@ -232,7 +233,7 @@ def _random_mirror_case(rng, margin=0.05):
         mirrored = bs - 2.0 * d_bs * n
         t = d_bs / (d_bs + d_user)
         q = mirrored + t * (user - mirrored)
-        u, z = facade.coords(q)
+        u, z = facade_coords(facade, q)
         if min(abs(u - u0), abs(u - (u0 + extent)),
                abs(z), abs(z - height)) < margin:
             continue
@@ -247,7 +248,9 @@ def test_criterion_5_mirror_agrees_with_grid_oracle():
     max_res = 0.0
     for i in range(1000):
         facade, bs, user = _random_mirror_case(rng)
-        q = mirror_reflection_point(bs, user, facade)
+        # The image stage every trace runs: status and via point.
+        status, via = _image_stage(bs, user[None, :], (facade,))
+        q = via[0, 0] if status[0, 0] == _ACTIVE else None
         g = grid_search_reflection_oracle(bs, user, facade)
         assert (q is None) == (g is None), f"existence mismatch on scene {i}"
         if q is None:
@@ -272,12 +275,14 @@ def test_criterion_5_mirror_agrees_with_grid_oracle():
 
 
 def test_criterion_6_channel_predictor_quality():
+    # Truth is the channel map's rows, the route runs take, not the
+    # one-user tracer the geometry predictor reads.
     # (a) Geometry predictor reproduces the tracer on every fixture scene.
     for i in (1, 2, 3, 4):
         scenario = load_fixture_scene(i)
         cfg = scenario.channel
-        for user in default_user_positions(scenario, num_users=8):
-            truth = synthesize_channel(cfg, trace_paths(cfg, user))
+        users = default_user_positions(scenario, num_users=8)
+        for user, truth in zip(users, build_ckm(cfg, users).channels):
             assert nmse_db(truth, geometry_predictor(cfg, user)) == -150.0
 
     # (b) On blockage-rich scenes a dense stored map beats the affine fit.
@@ -289,9 +294,9 @@ def test_criterion_6_channel_predictor_quality():
             ckm = build_ckm(cfg, train)
             model = fit_linear_gcp(cfg, ckm)
             nn_vals, lin_vals = [], []
-            for x in np.arange(0.0, 29.6, 0.5):
-                q = (x + 0.011, lane_y, 1.5)
-                truth = synthesize_channel(cfg, trace_paths(cfg, q))
+            queries = [(x + 0.011, lane_y, 1.5)
+                       for x in np.arange(0.0, 29.6, 0.5)]
+            for q, truth in zip(queries, build_ckm(cfg, queries).channels):
                 if not np.any(truth):
                     continue
                 nn_vals.append(nmse_db(truth, nn_ckm_predict(ckm, q)))
@@ -305,7 +310,7 @@ def test_criterion_6_channel_predictor_quality():
     # (c) Sliding the stage-2 reflection point degrades NMSE monotonically.
     cfg = load_fixture_scene(1).channel
     user = (24.0, -3.0, 1.5)
-    truth = synthesize_channel(cfg, trace_paths(cfg, user))
+    truth = build_ckm(cfg, [user]).channels[0]
     offsets = np.arange(0.0, 2.0001, 0.1)
     curve = [nmse_db(truth, geometry_predictor(cfg, user, stage2_offset=d))
              for d in offsets]

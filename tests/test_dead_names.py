@@ -16,8 +16,6 @@ PACKAGE = SRC / "autocomm"
 
 # Public names that nothing under src/ refers to, and why each stays.
 ALLOWED = {
-    "mirror_reflection_point":
-        "ACCEPTANCE 5 checks the image method through it",
     "load_fixture_scene":
         "the channel-maps bench workload and ACCEPTANCE 6 load the bundled "
         "scenes with it",

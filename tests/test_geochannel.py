@@ -22,7 +22,6 @@ from autocomm.geochannel import (
     geometry_predictor,
     linear_gcp_predict,
     load_fixture_scene,
-    mirror_reflection_point,
     nmse_db,
     nn_ckm_predict,
     synthesize_channel,
@@ -33,56 +32,66 @@ from autocomm.geochannel import (
     _ON_PLANE,
     _OUTSIDE,
     _blocked,
+    _image_stage,
     _synthesize,
     _trace,
 )
 from autocomm.report import default_user_positions
 
-WALL = Facade("wall", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 20.0)
+WALL = Facade("wall", "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 20.0)
 BS = (0.0, 8.0, 10.0)
 USER = (30.0, 6.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
-# Mirror reflection
+# Mirror reflection: the image stage on one user and one facade
+
+
+def image_point(bs, user, facade) -> tuple[int, np.ndarray]:
+    """_image_stage's status and point q for one user and one facade."""
+    status, q = _image_stage(np.asarray(bs, dtype=float),
+                             np.asarray(user, dtype=float).reshape(1, 3),
+                             (facade,))
+    return int(status[0, 0]), q[0, 0]
 
 
 def test_mirror_matches_hand_computed_image_point():
     # Image of the BS across y=0 is (0, -8, 10); the segment to the user
     # crosses the plane at t = 8/14, giving (120/7, 0, 36/7).
-    q = mirror_reflection_point(BS, USER, WALL)
+    status, q = image_point(BS, USER, WALL)
+    assert status == _ACTIVE
     assert q == pytest.approx([120.0 / 7.0, 0.0, 36.0 / 7.0])
     assert oracle.reflection_residual(BS, USER, q, WALL) < 1e-12
 
 
 def test_residual_positive_off_the_specular_point():
-    q = mirror_reflection_point(BS, USER, WALL)
+    _, q = image_point(BS, USER, WALL)
     off = q + np.array([0.5, 0.0, 0.0])
     assert oracle.reflection_residual(BS, USER, off, WALL) > 1e-3
 
 
 def test_mirror_none_when_endpoint_behind_plane():
-    assert mirror_reflection_point(BS, (30.0, -6.0, 1.5), WALL) is None
-    assert mirror_reflection_point((0.0, -8.0, 10.0), USER, WALL) is None
+    assert image_point(BS, (30.0, -6.0, 1.5), WALL)[0] == _BEHIND
+    assert image_point((0.0, -8.0, 10.0), USER, WALL)[0] == _BEHIND
 
 
 def test_mirror_degenerate_on_plane():
-    with pytest.raises(DegenerateGeometry):
-        mirror_reflection_point(BS, (30.0, 0.0, 1.5), WALL)
+    assert image_point(BS, (30.0, 0.0, 1.5), WALL)[0] == _ON_PLANE
+    assert image_point((0.0, 0.0, 10.0), USER, WALL)[0] == _ON_PLANE
 
 
 def test_mirror_none_outside_extent():
-    short = Facade("s", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 10.0), 20.0)
-    assert mirror_reflection_point(BS, USER, short) is None
-    low = Facade("l", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 4.0)
-    assert mirror_reflection_point(BS, USER, low) is None
+    short = Facade("s", "y", 0.0, (0.0, 1.0, 0.0), (0.0, 10.0), 20.0)
+    assert image_point(BS, USER, short)[0] == _OUTSIDE
+    low = Facade("l", "y", 0.0, (0.0, 1.0, 0.0), (0.0, 30.0), 4.0)
+    assert image_point(BS, USER, low)[0] == _OUTSIDE
 
 
 def test_grid_oracle_agrees_with_mirror():
-    q = mirror_reflection_point(BS, USER, WALL)
+    _, q = image_point(BS, USER, WALL)
     g = oracle.grid_search_reflection_oracle(BS, USER, WALL)
     assert np.linalg.norm(q - g) < 0.02
-    short = Facade("s", 0, "y", 0.0, (0.0, 1.0, 0.0), (0.0, 10.0), 20.0)
+    short = Facade("s", "y", 0.0, (0.0, 1.0, 0.0), (0.0, 10.0), 20.0)
     assert oracle.grid_search_reflection_oracle(BS, USER, short) is None
 
 
@@ -473,17 +482,22 @@ def test_mirror_and_blockage_match_scalar_oracle(data, cfg):
     got = _blocked(np.array([p, cfg.bs_pos]), np.array([q, p]), cfg.buildings)
     assert got.tolist() == [oracle.is_blocked(p, q, cfg.buildings),
                             oracle.is_blocked(cfg.bs_pos, p, cfg.buildings)]
-    for facade in enumerate_facades(cfg):
+    # An on-plane status stands for the oracle's DegenerateGeometry, and
+    # behind-plane and outside-extent statuses for its None.
+    facades = enumerate_facades(cfg)
+    status, points = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
+                                  np.array([p]), facades)
+    for facade, code, point in zip(facades, status[0], points[0]):
         try:
             want = oracle.mirror_reflection_point(cfg.bs_pos, p, facade)
         except DegenerateGeometry:
-            with pytest.raises(DegenerateGeometry):
-                mirror_reflection_point(cfg.bs_pos, p, facade)
+            assert code == _ON_PLANE
             continue
-        got = mirror_reflection_point(cfg.bs_pos, p, facade)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
+        if want is None:
+            assert code in (_BEHIND, _OUTSIDE)
+        else:
+            assert code == _ACTIVE
+            assert np.array_equal(point, want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -291,6 +291,26 @@ def test_loop_stop_patience():
     assert len(result.transcript) == 6
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "stop_patience",
+                                   "history_window"])
+def test_opro_params_refuse_values_below_one(field):
+    # 0 would run no iteration (a -inf score), stop every segment after its
+    # first iteration, or put every exemplar in the prompt (ranked[-0:]).
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            OproParams(**{field: bad})
+    assert getattr(OproParams(**{field: 1}), field) == 1
+
+
+def test_a_run_with_no_opro_iterations_is_an_error_record():
+    doc = {"track": "scheduling", "seed": 3,
+           "scheduling": {"num_robots": 3, "num_rbs": 6}}
+    rec = report.run_safe(scenario_from_dict(doc), "opro_mock",
+                          {"opro_params": {"max_iterations": 0}})
+    assert rec.status == "error"
+    assert rec.error == "ValueError: max_iterations must be >= 1"
+
+
 def test_loop_formats_a_head_per_segment_and_validates_repeats_once(
         monkeypatch):
     cfg = SchedulingConfig(num_robots=3, objective=QOS)

@@ -448,6 +448,14 @@ def test_user_position_helpers():
 # Sweeps
 
 
+def test_sweep_refuses_the_seed_as_an_axis():
+    # Each cell would run with the axis value as its seed while the cells
+    # CSV reported the seeds argument.
+    with pytest.raises(ValueError, match="seed is not a sweep axis"):
+        sweep(sched_scenario(), ["round_robin"], [5], axis_name="seed",
+              axis_values=[1, 2])
+
+
 def test_sweep_cross_product_and_csvs():
     sw = sweep(sched_scenario(), ["round_robin", "ga"], [1, 2],
                axis_name="scheduling.num_robots", axis_values=[2, 3])
@@ -870,6 +878,7 @@ def test_cli_sweep_passes_run_options(tmp_path, capsys, scenario, flag,
     ("--seeds", "1,a", "got 'a'"),
     ("--seeds", "1,2.5", "got '2.5'"),
     ("--axis", "scheduling.num_robots", "path=value1,value2"),
+    ("--axis", "seed=1,2", "cannot sweep the seed"),
 ])
 def test_cli_sweep_bad_flag_is_a_usage_error(tmp_path, capsys, flag, value,
                                              named):
