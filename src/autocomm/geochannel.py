@@ -17,6 +17,17 @@ channel in one call; it is also where a run's true channels come from.
 trace_paths and the geometry predictor's stage overrides read one row of
 the same kernel, and every row is bit-equal to tracing that user alone.
 
+What a scene config fixes is prepared once (_scene) and read by every
+kernel: the facades and their slot ids, the image stage's per-facade
+arrays (normal, plane origin, extent, height, axis, the BS's distance to
+each plane and the mirrored BS), the slab test's box corners and the BS.
+The store is keyed by the config object, not its value: == takes configs
+that differ by a signed zero for one, and a repr costs more than a
+one-user trace saves.  It holds at most 8 configs, each key holding its
+config so no other object can take its id, and every array is read-only.
+Every entry that takes a position refuses a NaN or infinite coordinate
+with a ValueError naming it.
+
 Channels are narrowband over a half-wavelength ULA aligned with the x
 axis: h[n] = sum_l g_l * exp(-j*pi*n*sin(aod_l)), with per-path complex
 gain (lambda / (4*pi*len)) * Gamma^bounces * exp(-j*2*pi*len/lambda).
@@ -29,9 +40,10 @@ predict one query or a batch.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -63,7 +75,11 @@ class Facade:
 
 
 def enumerate_facades(cfg: ChannelSceneConfig) -> tuple[Facade, ...]:
-    """All side facades, building by building, in a fixed face order."""
+    """All side facades, building by building, in a fixed face order.
+
+    Each call builds them anew; a trace reads the ones its prepared scene
+    holds (_scene).
+    """
     out = []
     for i, b in enumerate(cfg.buildings):
         out.append(Facade(f"b{i}:xmin", "x", b.x[0], (-1.0, 0.0, 0.0),
@@ -75,6 +91,108 @@ def enumerate_facades(cfg: ChannelSceneConfig) -> tuple[Facade, ...]:
         out.append(Facade(f"b{i}:ymax", "y", b.y[1], (0.0, 1.0, 0.0),
                           b.x, b.height))
     return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class _Scene:
+    """What a ChannelSceneConfig fixes, prepared once for every trace.
+
+    Per facade [F, ...]: the image stage's plane normal, plane origin (only
+    the fixed coordinate is non-zero), urange, height, whether u is the y
+    coordinate (the plane fixes x), the BS's signed distance to the plane
+    and the mirrored BS.  Per box [B, 3]: the slab test's lower and upper
+    corners.  Every array is read-only.
+    """
+
+    facades: tuple[Facade, ...]
+    slots: tuple[str, ...]           # "los", then the facade ids
+    bs: np.ndarray                   # [3]
+    normal: np.ndarray
+    origin: np.ndarray
+    urange: np.ndarray
+    height: np.ndarray
+    u_is_y: np.ndarray
+    d_bs: np.ndarray
+    mirrored: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _box_bounds(buildings: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners [B, 3] of the boxes, for the slab test."""
+    lo = np.array([(b.x[0], b.y[0], 0.0) for b in buildings],
+                  dtype=float).reshape(-1, 3)
+    hi = np.array([(b.x[1], b.y[1], b.height) for b in buildings],
+                  dtype=float).reshape(-1, 3)
+    return lo, hi
+
+
+def _prepare(bs_pos: Sequence[float], facades: Sequence[Facade],
+             buildings: Sequence[Box]) -> _Scene:
+    """The _Scene of a BS, its facades and the boxes that can block."""
+    bs = np.asarray(bs_pos, dtype=float)
+    geom = np.array([(*f.normal, f.offset, *f.urange, f.height)
+                     for f in facades], dtype=float).reshape(-1, 7)
+    normal = geom[:, :3]
+    # Only the fixed coordinate of the plane point matters: the others are
+    # multiplied by a zero normal component.
+    origin = np.abs(normal) * geom[:, 3:4]
+    d_bs = ((bs - origin) * normal).sum(axis=-1)
+    lo, hi = _box_bounds(buildings)
+    scene = _Scene(
+        facades=tuple(facades),
+        slots=("los",) + tuple(f.facade_id for f in facades),
+        bs=bs, normal=normal, origin=origin, urange=geom[:, 4:6],
+        height=geom[:, 6], u_is_y=np.array([f.axis == "x" for f in facades],
+                                           dtype=bool),
+        d_bs=d_bs, mirrored=bs - 2.0 * d_bs[:, None] * normal, lo=lo, hi=hi)
+    for f in fields(scene):
+        value = getattr(scene, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return scene
+
+
+class _Identity:
+    """A cache key equal only to the very object it holds, which it keeps
+    alive, so no other object takes that id while the key is cached."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+def _scene(cfg: ChannelSceneConfig) -> _Scene:
+    """cfg's prepared scene, built on its first trace."""
+    return _scene_of(_Identity(cfg))
+
+
+@functools.lru_cache(maxsize=8)     # a scene is a few kB
+def _scene_of(key: _Identity) -> _Scene:
+    """_scene's store, at most 8 configs, each keyed by its identity."""
+    cfg = key.obj
+    return _prepare(cfg.bs_pos, enumerate_facades(cfg), cfg.buildings)
+
+
+def _finite(positions, name: str) -> np.ndarray:
+    """positions as a float array; a ValueError naming a non-finite one.
+
+    A NaN or infinite coordinate would otherwise run through the kernels
+    with RuntimeWarnings and surface as some other error, or none.
+    """
+    arr = np.asarray(positions, dtype=float)
+    if not np.isfinite(arr).all():
+        rows = np.atleast_2d(arr)
+        bad = rows[~np.isfinite(rows).all(axis=-1)][0]
+        raise ValueError(f"{name} must be finite, got {bad.tolist()}")
+    return arr
 
 
 _ON_PLANE_TOL = 1e-12
@@ -93,31 +211,25 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _image_stage(bs: np.ndarray, users: np.ndarray,
-                 facades: Sequence[Facade]) -> tuple[np.ndarray, np.ndarray]:
+def _image_stage(scene: _Scene,
+                 users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Image method over [users x facades]: status codes and points q.
 
     q is the crossing of the mirrored-BS-to-user segment with the facade
     plane; it is meaningful only where the status is _ACTIVE.
     """
-    geom = np.array([(*f.normal, f.offset, *f.urange, f.height, f.axis == "x")
-                     for f in facades], dtype=float).reshape(-1, 8)
-    normal, urange, height = geom[:, :3], geom[:, 4:6], geom[:, 6]
-    # Only the fixed coordinate of the plane point matters: the others are
-    # multiplied by a zero normal component.
-    origin = np.abs(normal) * geom[:, 3:4]
-    d_bs = ((bs - origin) * normal).sum(axis=-1)                      # [F]
-    d_user = ((users[:, None, :] - origin) * normal).sum(axis=-1)    # [U, F]
-    mirrored = bs - 2.0 * d_bs[:, None] * normal                      # [F, 3]
+    d_bs, mirrored = scene.d_bs, scene.mirrored                 # [F], [F, 3]
+    d_user = ((users[:, None, :] - scene.origin)
+              * scene.normal).sum(axis=-1)                      # [U, F]
     # Pairs with an endpoint on or behind the plane divide by zero or
     # mirror away from the facade; their q is never read.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = d_bs / (d_bs + d_user)
         q = mirrored + t[..., None] * (users[:, None, :] - mirrored)
-        u = np.where(geom[:, 7] == 1.0, q[..., 1], q[..., 0])
+        u = np.where(scene.u_is_y, q[..., 1], q[..., 0])
         z = q[..., 2]
-        inside = ((urange[:, 0] <= u) & (u <= urange[:, 1])
-                  & (0.0 <= z) & (z <= height))
+        inside = ((scene.urange[:, 0] <= u) & (u <= scene.urange[:, 1])
+                  & (0.0 <= z) & (z <= scene.height))
     status = np.where(
         (np.abs(d_bs) < _ON_PLANE_TOL) | (np.abs(d_user) < _ON_PLANE_TOL),
         _ON_PLANE,
@@ -127,17 +239,16 @@ def _image_stage(bs: np.ndarray, users: np.ndarray,
 
 
 def _blocked(p: np.ndarray, q: np.ndarray,
-             buildings: Sequence[Box]) -> np.ndarray:
-    """Slab test over [segments x boxes]: open segment p->q hits an interior.
+             lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Slab test over [segments x boxes]: open segment p->q hits an interior
+    of a box with corners lo and hi [B, 3].
 
     A leg parallel to an axis (|d| < 1e-15) must lie strictly between that
     axis's slabs; the entry/exit interval must be longer than 1e-12 and
     overlap the open unit interval by more than 1e-12.
     """
-    if not buildings:
+    if not len(lo):
         return np.zeros(len(p), dtype=bool)
-    lo = np.array([(b.x[0], b.y[0], 0.0) for b in buildings])        # [B, 3]
-    hi = np.array([(b.x[1], b.y[1], b.height) for b in buildings])
     d = (q - p)[:, None, :]                                           # [S, 1, 3]
     p = p[:, None, :]
     parallel = np.abs(d) < 1e-15
@@ -152,12 +263,11 @@ def _blocked(p: np.ndarray, q: np.ndarray,
     return hit.any(axis=-1)
 
 
-def _trace(cfg: ChannelSceneConfig, users: np.ndarray,
-           facades: Sequence[Facade]
+def _trace(scene: _Scene, users: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LoS mask [U], facade status [U, F] and reflection points [U, F, 3]."""
-    bs = np.asarray(cfg.bs_pos, dtype=float)
-    status, q = _image_stage(bs, users, facades)
+    bs = scene.bs
+    status, q = _image_stage(scene, users)
     # Legs to test: every user's line of sight, then BS -> q and q -> user
     # for the in-rectangle pairs only.
     ui, fi = np.nonzero(status == _ACTIVE)
@@ -165,7 +275,7 @@ def _trace(cfg: ChannelSceneConfig, users: np.ndarray,
     starts = np.concatenate([np.repeat(bs[None, :], len(users) + len(ui), 0),
                              qk])
     ends = np.concatenate([users, qk, users[ui]])
-    blocked = _blocked(starts, ends, cfg.buildings)
+    blocked = _blocked(starts, ends, scene.lo, scene.hi)
     n, k = len(users), len(ui)
     legs = blocked[n:n + k] | blocked[n + k:]
     status[ui[legs], fi[legs]] = _BLOCKED
@@ -192,12 +302,11 @@ class Path:
         return self.facade_id if self.facade_id is not None else "los"
 
 
-def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
+def _path_arrays(cfg: ChannelSceneConfig, bs: np.ndarray, users: np.ndarray,
                  via: np.ndarray, los: np.ndarray
                  ) -> tuple[np.ndarray, ...]:
     """Length, complex gain and AoD of each row BS -> via -> user, or of
     the line of sight where los is set (via is then the user itself)."""
-    bs = np.asarray(cfg.bs_pos, dtype=float)
     lam = SPEED_OF_LIGHT / cfg.carrier_hz
     out_leg = via - bs
     length = _norm(out_leg) + _norm(users - via)
@@ -217,30 +326,27 @@ def _path_arrays(cfg: ChannelSceneConfig, users: np.ndarray,
     return length, gain, aod
 
 
-def _trace_rows(cfg: ChannelSceneConfig, users: np.ndarray):
-    """Facades, the [users, 1 + facades] path-presence mask, and the
-    present (user, slot) rows in that order: user index, slot index and via
-    point.  Slot 0 is LoS (via the user itself), slot f + 1 is facade f (via
-    its reflection point)."""
-    facades = enumerate_facades(cfg)
-    los, status, q = _trace(cfg, users, facades)
+def _trace_rows(scene: _Scene, users: np.ndarray):
+    """The [users, 1 + facades] path-presence mask, and the present
+    (user, slot) rows in that order: user index, slot index and via point.
+    Slot 0 is LoS (via the user itself), slot f + 1 is facade f (via its
+    reflection point)."""
+    los, status, q = _trace(scene, users)
     present = np.column_stack([los, status == _ACTIVE])
     user_idx, slot = np.nonzero(present)
     via = np.concatenate([users[:, None, :], q], axis=1)[user_idx, slot]
-    return facades, present, user_idx, slot, via
+    return present, user_idx, slot, via
 
 
-def _read_paths(cfg: ChannelSceneConfig, user: np.ndarray,
-                facades: Sequence[Facade], slot: np.ndarray,
-                via: np.ndarray) -> list[Path]:
-    """Path k runs BS -> via[k] -> user; slot[k] is 0 for the line of sight
-    (via the user itself) and f + 1 for a reflection off facade f."""
-    length, gain, aod = _path_arrays(
-        cfg, np.broadcast_to(user, via.shape), via, slot == 0)
-    ids = [None] + [f.facade_id for f in facades]
-    start = tuple(float(v) for v in cfg.bs_pos)
-    end = tuple(user.tolist())
-    return [Path(kind="los" if s == 0 else "reflection", facade_id=ids[s],
+def _read_paths(cfg: ChannelSceneConfig, scene: _Scene, user: np.ndarray,
+                slot: np.ndarray, via: np.ndarray) -> list[Path]:
+    """Path k runs BS -> via[k] -> user [1, 3]; slot[k] is 0 for the line of
+    sight (via the user itself) and f + 1 for a reflection off facade f."""
+    length, gain, aod = _path_arrays(cfg, scene.bs, user, via, slot == 0)
+    start = tuple(scene.bs.tolist())
+    end = tuple(user[0].tolist())
+    return [Path(kind="los" if s == 0 else "reflection",
+                 facade_id=None if s == 0 else scene.slots[s],
                  length_m=l_m, gain=g, aod_rad=a_d,
                  points=(start, end) if s == 0 else (start, tuple(v), end))
             for s, l_m, g, a_d, v in zip(
@@ -249,10 +355,14 @@ def _read_paths(cfg: ChannelSceneConfig, user: np.ndarray,
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
-    """LoS plus all clear single-reflection paths, in facade order."""
-    users = np.asarray(user, dtype=float).reshape(1, 3)
-    facades, _, _, slot, via = _trace_rows(cfg, users)
-    return _read_paths(cfg, users[0], facades, slot, via)
+    """LoS plus all clear single-reflection paths, in facade order.
+
+    A NaN or infinite coordinate is a ValueError naming the user position.
+    """
+    users = _finite(user, "user position").reshape(1, 3)
+    scene = _scene(cfg)
+    _, _, slot, via = _trace_rows(scene, users)
+    return _read_paths(cfg, scene, users, slot, via)
 
 
 def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
@@ -319,17 +429,20 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     overrides the active-path list with slot names ("los" or facade ids),
     and stage2_offset slides every reflection point along the facade's
     horizontal tangent by that many meters (clamped to the facade), leaving
-    stage 1 intact.  Defaults reproduce trace_paths exactly.
+    stage 1 intact.  Defaults reproduce trace_paths exactly.  A NaN or
+    infinite user coordinate or stage2_offset is a ValueError naming it.
     """
+    if not math.isfinite(stage2_offset):
+        raise ValueError(f"stage2_offset must be finite, got {stage2_offset}")
     if stage1_labels is None and stage2_offset == 0.0:
         return synthesize_channel(cfg, trace_paths(cfg, user))
-    facades = enumerate_facades(cfg)
-    user = np.asarray(user, dtype=float).reshape(1, 3)
-    los, status, q = _trace(cfg, user, facades)
+    scene = _scene(cfg)
+    user = _finite(user, "user position").reshape(1, 3)
+    los, status, q = _trace(scene, user)
     if stage1_labels is None:
         slot = np.nonzero(np.append(los, status[0] == _ACTIVE))[0]
     else:
-        ids = ["los"] + [f.facade_id for f in facades]
+        ids = list(scene.slots)
         labels = list(stage1_labels)
         unknown = [s for s in labels if s not in ids]
         if unknown:
@@ -346,12 +459,11 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
     via = np.concatenate([user, q[0]])[slot]
     if stage2_offset != 0.0:
         for k in np.nonzero(slot)[0]:
-            facade = facades[slot[k] - 1]
+            facade = scene.facades[slot[k] - 1]
             u = 1 if facade.axis == "x" else 0
             via[k, 1 - u] = facade.offset
             via[k, u] = np.clip(via[k, u] + stage2_offset, *facade.urange)
-    return synthesize_channel(cfg, _read_paths(cfg, user[0], facades, slot,
-                                               via))
+    return synthesize_channel(cfg, _read_paths(cfg, scene, user, slot, via))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +489,18 @@ class CkmDataset:
 
 def build_ckm(cfg: ChannelSceneConfig,
               positions: Sequence[Sequence[float]]) -> CkmDataset:
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    facades, present, user_idx, slot, via = _trace_rows(cfg, pos)
-    _, gain, aod = _path_arrays(cfg, pos[user_idx], via, slot == 0)
+    """Trace every position [N, 3] in one call: its true channel and its
+    paths as dense per-slot arrays.
+
+    Row n is bit-equal to synthesize_channel(cfg, trace_paths(cfg, p_n)).
+    A run's true channels, and the channel map the baselines read, are
+    built here.  A NaN or infinite coordinate is a ValueError naming the
+    position.
+    """
+    pos = _finite(positions, "position").reshape(-1, 3)
+    scene = _scene(cfg)
+    present, user_idx, slot, via = _trace_rows(scene, pos)
+    _, gain, aod = _path_arrays(cfg, scene.bs, pos[user_idx], via, slot == 0)
     # A path whose gain is exactly zero (a zero reflection coefficient, or
     # one so small that the gain underflows) carries nothing: it is absent,
     # so no map reader sees it and the fit never takes log(0).  Dropping
@@ -397,18 +518,19 @@ def build_ckm(cfg: ChannelSceneConfig,
         positions=pos,
         channels=_synthesize(cfg.num_antennas, len(pos), user_idx, gain,
                              sin_aod),
-        slots=("los",) + tuple(f.facade_id for f in facades),
+        slots=scene.slots,
         present=present, gains=gains, sin_aod=sins)
 
 
 def nn_ckm_predict(ckm: CkmDataset, query: Sequence[float]) -> np.ndarray:
     """Channel of the nearest stored position; ties go to the lower index.
 
-    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].
+    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].  A
+    NaN or infinite coordinate is a ValueError naming the query.
     """
     if len(ckm.positions) == 0:
         raise ValueError("empty channel map")
-    q = np.asarray(query, dtype=float)
+    q = _finite(query, "query position")
     d2 = np.sum((ckm.positions - q[..., None, :]) ** 2, axis=-1)
     return np.take(ckm.channels, np.argmin(d2, axis=-1), axis=0)
 
@@ -460,9 +582,10 @@ def fit_linear_gcp(cfg: ChannelSceneConfig, ckm: CkmDataset) -> LinearGcp:
 def linear_gcp_predict(model: LinearGcp, query: Sequence[float]) -> np.ndarray:
     """Sum of the slots predicted present at each query's (x, y).
 
-    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].
+    One query [3] gives one channel [A]; a batch [U, 3] gives [U, A].  A
+    NaN or infinite coordinate is a ValueError naming the query.
     """
-    x = np.array(query, dtype=float).reshape(-1, 3)
+    x = _finite(query, "query position").reshape(-1, 3).copy()
     x[:, 2] = 1.0                   # each fit is w . [x, y, 1]
     # As in _norm, a stacked row-by-column matmul makes each w . x the same
     # BLAS dot that one query alone gets: fits is [U, slots, 5 targets].

@@ -44,6 +44,7 @@ from autocomm.geochannel import (
     nn_ckm_predict,
     _ACTIVE,
     _image_stage,
+    _prepare,
 )
 from autocomm.opro import MockLocalSearchEngine, OproParams, opro_optimize_segments
 from autocomm.radio import RadioParams, clamp_qos, generate_snr_map
@@ -249,7 +250,8 @@ def test_criterion_5_mirror_agrees_with_grid_oracle():
     for i in range(1000):
         facade, bs, user = _random_mirror_case(rng)
         # The image stage every trace runs: status and via point.
-        status, via = _image_stage(bs, user[None, :], (facade,))
+        status, via = _image_stage(_prepare(bs, (facade,), ()),
+                                   user[None, :])
         q = via[0, 0] if status[0, 0] == _ACTIVE else None
         g = grid_search_reflection_oracle(bs, user, facade)
         assert (q is None) == (g is None), f"existence mismatch on scene {i}"

@@ -32,7 +32,11 @@ from autocomm.geochannel import (
     _ON_PLANE,
     _OUTSIDE,
     _blocked,
+    _box_bounds,
     _image_stage,
+    _prepare,
+    _scene,
+    _scene_of,
     _synthesize,
     _trace,
 )
@@ -49,9 +53,8 @@ USER = (30.0, 6.0, 1.5)
 
 def image_point(bs, user, facade) -> tuple[int, np.ndarray]:
     """_image_stage's status and point q for one user and one facade."""
-    status, q = _image_stage(np.asarray(bs, dtype=float),
-                             np.asarray(user, dtype=float).reshape(1, 3),
-                             (facade,))
+    status, q = _image_stage(_prepare(bs, (facade,), ()),
+                             np.asarray(user, dtype=float).reshape(1, 3))
     return int(status[0, 0]), q[0, 0]
 
 
@@ -116,7 +119,7 @@ def is_blocked(p, q, buildings) -> bool:
     """_blocked on the one segment p->q."""
     return bool(_blocked(np.asarray(p, dtype=float).reshape(1, 3),
                          np.asarray(q, dtype=float).reshape(1, 3),
-                         buildings)[0])
+                         *_box_bounds(buildings))[0])
 
 
 def test_segment_through_box_is_blocked():
@@ -161,8 +164,8 @@ STATUS_NAMES = {_ON_PLANE: "behind_plane", _BEHIND: "behind_plane",
 def statuses(cfg, users):
     """Facade statuses of every user from one _trace call, by name."""
     facades = enumerate_facades(cfg)
-    _, status, _ = _trace(cfg, np.asarray(users, dtype=float).reshape(-1, 3),
-                          facades)
+    _, status, _ = _trace(_scene(cfg),
+                          np.asarray(users, dtype=float).reshape(-1, 3))
     return [{f.facade_id: STATUS_NAMES[s] for f, s in zip(facades, row)}
             for row in status.tolist()]
 
@@ -204,6 +207,52 @@ def test_user_at_the_bs_is_degenerate():
     cfg = load_fixture_scene(1).channel
     with pytest.raises(DegenerateGeometry):
         trace_paths(cfg, cfg.bs_pos)
+
+
+NONFINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                    ids=["nan", "inf", "-inf"])
+
+
+def nonfinite_entry_points():
+    """Every public entry that takes a position, as name -> call(position)."""
+    cfg = load_fixture_scene(1).channel
+    ok = (5.0, -3.0, 1.5)
+    ckm = build_ckm(cfg, [ok, (0.0, 3.0, 1.5), (10.0, -1.0, 1.5),
+                          (20.0, 1.0, 1.5)])
+    model = fit_linear_gcp(cfg, ckm)
+    return {
+        "trace_paths": lambda p: trace_paths(cfg, p),
+        "build_ckm": lambda p: build_ckm(cfg, [ok, p]),
+        "geometry_predictor": lambda p: geometry_predictor(cfg, p),
+        "geometry_predictor/stage1": lambda p: geometry_predictor(
+            cfg, p, ["los"]),
+        "nn_ckm_predict": lambda p: nn_ckm_predict(ckm, p),
+        "nn_ckm_predict/batch": lambda p: nn_ckm_predict(ckm, [ok, p]),
+        "linear_gcp_predict": lambda p: linear_gcp_predict(model, p),
+        "linear_gcp_predict/batch": lambda p: linear_gcp_predict(model,
+                                                                 [ok, p]),
+    }
+
+
+@NONFINITE
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("entry", sorted(nonfinite_entry_points()))
+def test_a_nonfinite_position_is_a_value_error_naming_it(entry, axis, bad):
+    # Checked before any arithmetic: no RuntimeWarning (an error under the
+    # test filters), no zero-length-path error, no map row, no NaN channel.
+    position = [5.0, -3.0, 1.5]
+    position[axis] = bad
+    with pytest.raises(ValueError, match="position must be finite") as err:
+        nonfinite_entry_points()[entry](position)
+    assert type(err.value) is ValueError
+    assert repr(bad) in str(err.value)
+
+
+@NONFINITE
+def test_a_nonfinite_stage2_offset_is_a_value_error_naming_it(bad):
+    cfg = load_fixture_scene(1).channel
+    with pytest.raises(ValueError, match="stage2_offset must be finite"):
+        geometry_predictor(cfg, (5.0, -3.0, 1.5), stage2_offset=bad)
 
 
 def test_reflection_path_geometry_is_consistent():
@@ -479,14 +528,14 @@ def test_batch_matches_scalar_oracle(data, cfg):
 @given(data=st.data(), cfg=scenes())
 def test_mirror_and_blockage_match_scalar_oracle(data, cfg):
     p, q = data.draw(_users(cfg, 2).filter(lambda u: len(u) == 2))
-    got = _blocked(np.array([p, cfg.bs_pos]), np.array([q, p]), cfg.buildings)
+    got = _blocked(np.array([p, cfg.bs_pos]), np.array([q, p]),
+                   *_box_bounds(cfg.buildings))
     assert got.tolist() == [oracle.is_blocked(p, q, cfg.buildings),
                             oracle.is_blocked(cfg.bs_pos, p, cfg.buildings)]
     # An on-plane status stands for the oracle's DegenerateGeometry, and
     # behind-plane and outside-extent statuses for its None.
     facades = enumerate_facades(cfg)
-    status, points = _image_stage(np.asarray(cfg.bs_pos, dtype=float),
-                                  np.array([p]), facades)
+    status, points = _image_stage(_scene(cfg), np.array([p]))
     for facade, code, point in zip(facades, status[0], points[0]):
         try:
             want = oracle.mirror_reflection_point(cfg.bs_pos, p, facade)
@@ -603,6 +652,74 @@ def test_trace_row_does_not_depend_on_the_batch():
     for name in ("channels", "present", "gains", "sin_aod"):
         assert np.array_equal(getattr(flipped, name)[::-1],
                               getattr(batch, name)), name
+
+
+# ---------------------------------------------------------------------------
+# The prepared scene
+
+
+def scene_arrays(scene):
+    return {f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)
+            if isinstance(getattr(scene, f.name), np.ndarray)}
+
+
+def test_prepared_scene_arrays_are_read_only():
+    scene = _scene(load_fixture_scene(4).channel)
+    arrays = scene_arrays(scene)
+    assert sorted(arrays) == sorted(
+        ["bs", "normal", "origin", "urange", "height", "u_is_y", "d_bs",
+         "mirrored", "lo", "hi"])
+    for name, value in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+        assert not value.flags.writeable, name
+
+
+def test_scene_cache_is_keyed_by_identity_and_bounded():
+    # An integer maxsize is what tests/test_bounded_caches.py accepts.
+    bound = _scene_of.cache_info().maxsize
+    assert type(bound) is int
+    _scene_of.cache_clear()
+    cfg = load_fixture_scene(1).channel
+    assert _scene(cfg) is _scene(cfg)
+    # An equal config that is another object gets its own scene.
+    twin = load_fixture_scene(1).channel
+    assert twin == cfg and _scene(twin) is not _scene(cfg)
+    _scene_of.cache_clear()
+    for n in range(1, bound + 3):
+        _scene(dataclasses.replace(cfg, num_antennas=n))
+        assert _scene_of.cache_info().currsize == min(n, bound)
+
+
+def test_a_signed_zero_edge_gets_its_own_facades():
+    plus = ChannelSceneConfig(buildings=(Box((0.0, 20.0), (-11.0, -5.0), 15.0),))
+    minus = ChannelSceneConfig(
+        buildings=(Box((-0.0, 20.0), (-11.0, -5.0), 15.0),))
+    # One config for == and hash, but not the same document.
+    assert plus == minus and hash(plus) == hash(minus)
+    users = [(5.0, -3.0, 1.5), (-6.0, -8.0, 1.5), (25.0, 1.0, 1.5)]
+
+    def outputs(cfg):
+        """Everything the prepared scene feeds, as bits."""
+        scene = _scene(cfg)
+        ckm = build_ckm(cfg, users)
+        return ([math.copysign(1.0, f.offset) for f in scene.facades],
+                {k: v.tobytes() for k, v in scene_arrays(scene).items()},
+                ckm.channels.tobytes(), ckm.gains.tobytes(),
+                repr([trace_paths(cfg, u) for u in users]),
+                [geometry_predictor(cfg, u, ["los", "b0:xmin"], 0.5).tobytes()
+                 for u in users])
+
+    fresh = {}
+    for cfg in (plus, minus):
+        _scene_of.cache_clear()
+        fresh[id(cfg)] = outputs(cfg)
+    assert fresh[id(plus)][0] == [1.0, 1.0, -1.0, -1.0]
+    assert fresh[id(minus)][0] == [-1.0, 1.0, -1.0, -1.0]
+    for cfg, other in ((plus, minus), (minus, plus)):
+        _scene_of.cache_clear()
+        outputs(other)
+        assert outputs(cfg) == fresh[id(cfg)]
 
 
 REFERENCE_CHANNEL = (pathlib.Path(__file__).resolve().parent.parent / "docs"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autocomm import report, traffic
+from autocomm import geochannel, report, traffic
 from autocomm.cli import _parse_axis, main
 from autocomm.configs import (
     ConfigError,
@@ -26,7 +26,12 @@ from autocomm.configs import (
     scenario_to_dict,
     scenario_to_json,
 )
-from autocomm.geochannel import build_ckm, fit_linear_gcp, load_fixture_scene
+from autocomm.geochannel import (
+    build_ckm,
+    fit_linear_gcp,
+    geometry_predictor,
+    load_fixture_scene,
+)
 from autocomm.report import (
     CHANNEL_METHODS,
     cells_csv,
@@ -225,6 +230,30 @@ def test_sweep_builds_the_grid_map_once(monkeypatch):
             for c in sw.cells} == {484}
 
 
+def test_a_geometry_run_prepares_its_scene_once(monkeypatch):
+    calls = {"prepare": 0, "predict": 0, "truth": 0}
+    prepare = geochannel._prepare
+
+    def counting_prepare(*args):
+        calls["prepare"] += 1
+        return prepare(*args)
+
+    def counting_predict(cfg, user):
+        calls["predict"] += 1
+        return geometry_predictor(cfg, user)
+
+    def counting_build(cfg, positions):
+        calls["truth"] += 1
+        return build_ckm(cfg, positions)
+
+    monkeypatch.setattr(geochannel, "_prepare", counting_prepare)
+    monkeypatch.setattr(report, "geometry_predictor", counting_predict)
+    monkeypatch.setattr(report, "build_ckm", counting_build)
+    geochannel._scene_of.cache_clear()
+    assert run(load_fixture_scene(2), "geometry").status == "ok"
+    assert calls == {"prepare": 1, "predict": 25, "truth": 1}
+
+
 # sha256 over record_to_json of every (seed, scene, method) run below, in
 # that order.  Computed before the channel-map path became array-native;
 # change it only with a deliberate change to the channel metrics or
@@ -248,6 +277,32 @@ def test_channel_records_are_pinned():
                 rec = run(scenario_from_dict(dict(doc, seed=seed)), method)
                 digest.update(record_to_json(rec).encode("utf-8"))
     assert digest.hexdigest() == CHANNEL_RECORDS_SHA256
+
+
+# sha256 over the bytes of every channel below: per scene, the geometry
+# predictor's channel of each default user, in order, then the truth map's
+# channels of the same users.  The records see only NMSE values, and on
+# these scenes the geometry predictor sits at the -150 dB floor, so they
+# cannot see a predicted or true channel move.  Computed before the scene
+# geometry was prepared once per config; change it only with a deliberate
+# change to the channel model, and say so.
+CHANNEL_BITS_SHA256 = (
+    "3b350c84d182ae63d4453a65e14deb07a185fb92275e1c506ae15ec4206242e5")
+
+
+def test_channel_bits_are_pinned():
+    text = (REPO / "docs" / "config-schema" / "channel.json").read_text(
+        encoding="utf-8")
+    scenarios = [build_scenario(text)]
+    scenarios += [load_fixture_scene(i) for i in (1, 2, 3, 4)]
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        cfg = scenario.channel
+        users = default_user_positions(scenario)
+        for u in users:
+            digest.update(geometry_predictor(cfg, u).tobytes())
+        digest.update(build_ckm(cfg, users).channels.tobytes())
+    assert digest.hexdigest() == CHANNEL_BITS_SHA256
 
 
 # sha256 over record_to_json of every (seed, vehicles, method, observation)
