@@ -33,6 +33,7 @@ from .scheduling import (
     ValidationReport,
     ViolationKind,
     allocation_rank,
+    require_count,
     validate,
 )
 
@@ -54,8 +55,7 @@ class OproParams:
 
     def __post_init__(self):
         for name in ("max_iterations", "stop_patience", "history_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            require_count(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)

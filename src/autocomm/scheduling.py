@@ -75,20 +75,25 @@ class GaParams:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
+        for name, low in (("population", 2), ("generations", 1),
+                          ("tournament_size", 1), ("elitism", 0),
+                          ("restarts", 1)):
+            require_count(name, getattr(self, name), low)
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ValueError("crossover_prob must be in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must be in [0, 1]")
-        if not 0 <= self.elitism <= self.population:
+        if self.elitism > self.population:
             raise ValueError("elitism must be in [0, population]")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+
+
+def require_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer, not a
+    bool, of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,7 @@ class Assessment(NamedTuple):
 
 
 class ScoringTable(NamedTuple):
-    """What one (snr, cfg, objective) fixes for assess; see scoring_table."""
+    """What one (snr, cfg, objective) fixes for _score; see scoring_table."""
 
     objective: ObjectiveSpec
     num_rbs: int
@@ -135,7 +140,7 @@ def _rate_table(rb: np.ndarray, eligible: np.ndarray,
 
 def scoring_table(snr: SnrMap, cfg: SchedulingConfig,
                   objective: ObjectiveSpec) -> ScoringTable:
-    """Build what assess needs that a batch does not change, so that a
+    """Build what _score needs that a batch does not change, so that a
     search scoring many batches on one instance builds it once."""
     n, m = snr.num_robots, cfg.num_rbs
     eligible = snr.buffer_nonempty
@@ -156,20 +161,12 @@ def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     """Assess a batch of allocation candidates in one pass.
 
     allocs: [P, width] robot ids, one candidate per row; a width other than
-    the config's num_rbs makes every row structurally invalid.  One
-    bincount over (owner, row) slots, with owner n standing for every id
-    that names no robot, yields the per-robot RB counts and the per-robot
-    rates summed in RB order.  Structural validity (unknown ids,
-    empty-buffer robots, the RB cap, the width) comes from the counts; the
-    QoS mask, levels and scores come from the rates.  A score adds its
-    per-robot terms left to right in robot order, the order
-    brute_force_optimal's DP adds them in.
+    the config's num_rbs makes every row structurally invalid.  assess
+    decodes the ids to owner indices, with owner n standing for every id
+    that names no robot, and scores them with _score, counting RBs.
     """
     allocs = np.asarray(allocs)
-    P, width = allocs.shape
-    objective, eligible = prepared.objective, prepared.eligible
-    n = len(eligible)
-
+    n = len(prepared.eligible)
     # Clipping to [0, n + 1] keeps every unknown id unknown, whatever its
     # size or dtype; fmax and fmin send a NaN to 0, another unknown id.
     clipped = np.fmin(np.fmax(allocs, 0), n + 1)
@@ -177,6 +174,32 @@ def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     if allocs.dtype.kind not in "iu":
         # The cast truncates: a fractional id in (n, n + 1) names no robot.
         owner[clipped > n] = n
+    levels, scores, rates, counts, starved = _score(owner, prepared, True)
+    return Assessment(levels, scores, rates.T, counts.T, starved.T)
+
+
+def _score(owner: np.ndarray, prepared: ScoringTable, count: bool):
+    """The scoring kernel that assess and ga_schedule share.
+
+    owner: [P, width] owner index of each RB, robot index 0..n-1 or n for
+    an unknown id.  One weighted bincount over (owner, row) slots yields
+    the per-robot rates summed in RB order; the QoS mask, levels and scores
+    come from the rates.  A score adds its per-robot terms left to right in
+    robot order, the order brute_force_optimal's DP adds them in.
+
+    With `count`, a second bincount yields the per-robot RB counts, and
+    structural validity (unknown ids, empty-buffer robots, the RB cap, the
+    width) comes from them.  Without it every row is taken as structurally
+    valid: owners name eligible robots only, the width is num_rbs and no
+    robot can hold more RBs than its cap, as in the GA on a map whose cap
+    cannot bind.
+
+    Returns levels [P], scores [P], and robot-major rates [n, P], counts
+    [n + 1, P] (None without `count`) and starved [n, P].
+    """
+    P, width = owner.shape
+    objective, eligible = prepared.objective, prepared.eligible
+    n = len(eligible)
     table = (prepared.table if width == prepared.num_rbs
              else _rate_table(prepared.rb, eligible, width))
     weights = table.take(owner + np.arange(0, (n + 1) * width, n + 1)).ravel()
@@ -184,15 +207,8 @@ def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     # row of P values.
     bins = (owner * P + np.arange(P)[:, None]).ravel()
     size = (n + 1) * P
-    counts = np.bincount(bins, minlength=size).reshape(n + 1, P)
     rates = np.bincount(bins, weights=weights,
                         minlength=size).reshape(n + 1, P)[:n]
-
-    invalid = counts[n] > 0
-    if width != prepared.num_rbs:
-        invalid[:] = True
-    elif (prepared.limits < width).any():  # no count can exceed the width
-        invalid |= (counts[:n] > prepared.limits).any(axis=0)
 
     levels = np.full(P, LEVEL_OK, dtype=np.int8)
     if objective.is_qos:
@@ -205,7 +221,8 @@ def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     if objective.kind is ObjectiveKind.QOS_SUM_RATE:
         terms = scored
     else:  # PF and QOS_PF
-        terms = np.log2(np.maximum(scored, objective.epsilon))
+        terms = np.maximum(scored, objective.epsilon)
+        np.log2(terms, out=terms)
     # A strict left fold over the eligible robots in robot order, whatever
     # the batch: np.sum would add eight or more terms pairwise, in blocks
     # set by their positions.  An empty-buffer robot's sum-rate term is 0,
@@ -214,9 +231,18 @@ def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
     scores = terms[rows[0]].copy() if rows else np.zeros(P)
     for j in rows[1:]:
         scores += terms[j]
-    levels[invalid] = LEVEL_INVALID
-    scores[invalid] = -np.inf
-    return Assessment(levels, scores, rates.T, counts.T, starved.T)
+
+    counts = None
+    if count:
+        counts = np.bincount(bins, minlength=size).reshape(n + 1, P)
+        invalid = counts[n] > 0
+        if width != prepared.num_rbs:
+            invalid[:] = True
+        elif (prepared.limits < width).any():  # no count can exceed the width
+            invalid |= (counts[:n] > prepared.limits).any(axis=0)
+        levels[invalid] = LEVEL_INVALID
+        scores[invalid] = -np.inf
+    return levels, scores, rates, counts, starved
 
 
 def evaluate_batch(allocs: np.ndarray, snr: SnrMap, cfg: SchedulingConfig,
@@ -436,52 +462,50 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     and keeps the best-ranked result; the first restart wins ties.
 
     The restarts evolve in lockstep: each generation scores all of them in
-    one assess call over [restarts x population] rows, on a scoring table
-    built once per search, which gives every row the bits it would get
-    alone.  Restart r draws from its own `restart{r}` substream, in the
-    order a run of that restart by itself would, and selection, crossover,
-    mutation and elitism never mix restarts.  Per generation a restart
-    draws its tournament contenders, one block of doubles read as the
-    crossover, swap and mutation uniforms (PCG64 makes each double from a
-    whole 64-bit word, so the block holds the doubles three calls would),
-    then the mutation redraws.  `RngStream.rounds` decodes those draws for
-    up to _GA_BLOCK generations at a time from the stream's raw words,
-    exactly as the calls made one by one would return them, so the
-    generation loop makes no draw call.
+    one call of _score, the kernel assess scores with, over [restarts x
+    population] rows, on a scoring table built once per search, which
+    gives every row the bits assess would give it alone.  The populations
+    hold robot indices, not ids: every gene names an eligible robot, so
+    the search skips assess's id decoding, and it counts RBs only when the
+    cap can bind (rb_cap < num_rbs).  Restart r draws from its own
+    `restart{r}` substream, in the order a run of that restart by itself
+    would, and selection, crossover, mutation and elitism never mix
+    restarts.  Per generation a restart draws its tournament contenders,
+    one block of doubles read as the crossover, swap and mutation uniforms
+    (PCG64 makes each double from a whole 64-bit word, so the block holds
+    the doubles three calls would), then the mutation redraws.
+    `RngStream.rounds` decodes those draws for up to _GA_BLOCK generations
+    at a time from the stream's raw words, exactly as the calls made one by
+    one would return them, so the generation loop makes no draw call.
 
     Returns (best allocation, its score, total generations run).
     """
     eligible = snr.eligible_ids()
     if not eligible:
         raise ValueError("no eligible robots to schedule")
-    ids = np.asarray(eligible)
-    k, m = len(ids), cfg.num_rbs
+    robots = np.asarray(eligible) - 1     # the eligible robots' indices
+    k, m = len(robots), cfg.num_rbs
     R, P, e, T = ga.restarts, ga.population, ga.elitism, ga.tournament_size
     half = P // 2
     table = scoring_table(snr, cfg, objective)
+    count = cfg.rb_cap < m
     streams = [rng.substream(f"restart{r}") for r in range(R)]
 
-    # The populations as [R * P, m] eligible-robot indices, restart by
-    # restart.
-    genes = np.concatenate([s.integers(0, k, (P, m)) for s in streams])
+    # The populations as [R * P, m] robot indices, restart by restart.
+    genes = robots[np.concatenate([s.integers(0, k, (P, m))
+                                   for s in streams])]
     best_gene = np.zeros((R, m), dtype=genes.dtype)
     best_level = np.full(R, LEVEL_INVALID - 1)
     best_score = np.full(R, -np.inf)
     first = np.arange(R) * P          # flat row of each restart's first row
     rows = np.arange(R * P)
-    # A generation's uniform below its limit means cross the pair, swap the
-    # gene, or mutate the gene.
-    limits = np.concatenate([np.full(half, ga.crossover_prob),
-                             np.full(half * m, 0.5),
-                             np.full(P * m, ga.mutation_prob)])
-    layout = ((P, P * T), (None, len(limits)), (k, P * m))
+    layout = ((P, P * T), (None, half + half * m + P * m), (k, P * m))
 
     def rank() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score every population; promote each restart's improved top row.
         Returns levels and scores by flat row, and each restart's flat rows
         in ranked order."""
-        assessed = assess(ids[genes], table)
-        levels, scores = assessed.levels, assessed.scores
+        levels, scores = _score(genes, table, count)[:2]
         # lexsort is stable: equal keys stay in row order.
         order = np.lexsort((-scores.reshape(R, P), -levels.reshape(R, P)),
                            axis=-1) + first[:, None]
@@ -489,32 +513,41 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         level, score = levels[top], scores[top]
         better = (level > best_level) | ((level == best_level)
                                          & (score > best_score))
-        best_level[better], best_score[better] = level[better], score[better]
-        best_gene[better] = genes[top[better]]
+        if better.any():
+            best_level[better], best_score[better] = (level[better],
+                                                      score[better])
+            best_gene[better] = genes[top[better]]
         return levels, scores, order
 
-    # A block of generations' draws: contenders as flat rows, hits and
-    # redraws, each [generation, restart, ...].
+    # A block of generations' draws, each [generation, restart, ...]:
+    # contenders as flat rows, the crossover's swap mask (a pair's swaps
+    # only where the pair crosses), the mutation mask and the redraws as
+    # robot indices.
     block = min(_GA_BLOCK, ga.generations)
     block_drawn = np.empty((block, R * P, T), dtype=np.int64)
-    block_hits = np.empty((block, R, len(limits)), dtype=bool)
-    block_redraw = np.empty((block, R, P, m), dtype=np.int64)
+    block_swap = np.empty((block, R, half, m), dtype=bool)
+    block_mutate = np.empty((block, R, P, m), dtype=bool)
+    block_redraw = np.empty((block, R, P, m), dtype=genes.dtype)
 
     for g in range(ga.generations):
         i = g % block
         if i == 0:
-            count = min(block, ga.generations - g)
+            gens = min(block, ga.generations - g)
             for r, s in enumerate(streams):
-                contenders, uniforms, redraw = s.rounds(count, layout)
-                np.add(contenders.reshape(count, P, T), first[r],
-                       out=block_drawn[:count, first[r]:first[r] + P])
-                np.less(uniforms, limits, out=block_hits[:count, r])
-                block_redraw[:count, r] = redraw.reshape(count, P, m)
+                contenders, uniforms, redraw = s.rounds(gens, layout)
+                np.add(contenders.reshape(gens, P, T), first[r],
+                       out=block_drawn[:gens, first[r]:first[r] + P])
+                # A uniform below its limit means cross the pair, swap the
+                # gene, or mutate the gene.
+                cross, swap, mutate = np.split(uniforms,
+                                               (half, half + half * m), axis=1)
+                np.less(swap.reshape(gens, half, m), 0.5,
+                        out=block_swap[:gens, r])
+                block_swap[:gens, r] &= (cross < ga.crossover_prob)[..., None]
+                np.less(mutate.reshape(gens, P, m), ga.mutation_prob,
+                        out=block_mutate[:gens, r])
+                block_redraw[:gens, r] = robots[redraw.reshape(gens, P, m)]
         levels, scores, order = rank()
-        hits = block_hits[i]
-        cross, swap, mutate = (
-            hits[:, :half], hits[:, half:half + half * m].reshape(R, half, m),
-            hits[:, half + half * m:].reshape(R, P, m))
 
         # Tournament selection over the feasibility-first key, contenders
         # as flat rows; finite scores lie far above -1e17, so the floor only
@@ -527,12 +560,12 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
 
         # Uniform crossover on consecutive pairs; a trailing unpaired parent
         # passes through unchanged.
-        swap &= cross[..., None]
         pairs = brood[:, :2 * half].reshape(R, half, 2, m)
-        pairs[...] = np.where(swap[:, :, None], pairs[:, :, ::-1], pairs)
+        pairs[...] = np.where(block_swap[i][:, :, None], pairs[:, :, ::-1],
+                              pairs)
 
         # Per-gene mutation redraws a uniform eligible robot.
-        np.copyto(brood, block_redraw[i], where=mutate)
+        np.copyto(brood, block_redraw[i], where=block_mutate[i])
 
         # Elitism: the incumbent best, then this generation's runners-up,
         # replace the tail of the new population.
@@ -543,5 +576,5 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
     rank()
 
     r = max(range(R), key=lambda r: (int(best_level[r]), float(best_score[r])))
-    return (tuple(int(v) for v in ids[best_gene[r]]), float(best_score[r]),
+    return (tuple(int(v) + 1 for v in best_gene[r]), float(best_score[r]),
             R * ga.generations)

@@ -194,6 +194,28 @@ def test_endpoint_no_key_no_auth_header(monkeypatch):
     assert "Authorization" not in ep.headers()
 
 
+# Per field: values refused at construction, then values kept.
+ENDPOINT_NUMBERS = {
+    # -1 made no attempt at all and reported "after 0 attempts: None".
+    "max_retries": ((-1, 1.0, 2.5, True, None, "3"), (0, 3)),
+    # 0 retried with backoff, then reported "Operation now in progress".
+    "timeout_s": ((0, 0.0, -1.0, math.nan, math.inf, True, None), (1, 0.5)),
+    "backoff_base_s": ((-0.5, math.nan, math.inf, True, "0.5"), (0, 0.5)),
+    "temperature": ((math.nan, math.inf, -math.inf, None), (0, 0.25, -1.0)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ENDPOINT_NUMBERS))
+def test_endpoint_refuses_a_bad_number_at_construction(field):
+    bad, good = ENDPOINT_NUMBERS[field]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EndpointConfig(base_url="http://x", model="m", **{field: value})
+    for value in good:
+        ep = EndpointConfig(base_url="http://x", model="m", **{field: value})
+        assert getattr(ep, field) == value
+
+
 # ---------------------------------------------------------------------------
 # chat_complete over a local stub
 

@@ -302,6 +302,27 @@ def test_opro_params_refuse_values_below_one(field):
     assert getattr(OproParams(**{field: 1}), field) == 1
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "stop_patience",
+                                   "history_window"])
+def test_opro_params_refuse_a_count_that_is_not_an_integer(field):
+    # True ran one iteration, 2.5 acted as 3, and a float max_iterations
+    # failed inside the loop with a TypeError.
+    for bad in (5.0, 2.5, True, "5", None):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got"):
+            OproParams(**{field: bad})
+
+
+def test_a_float_opro_iteration_count_is_an_error_record_naming_it():
+    doc = {"track": "scheduling", "seed": 3,
+           "scheduling": {"num_robots": 3, "num_rbs": 6}}
+    rec = report.run_safe(scenario_from_dict(doc), "opro_mock",
+                          {"opro_params": {"max_iterations": 5.0}})
+    assert rec.status == "error"
+    assert rec.error == ("ValueError: max_iterations must be an integer, "
+                         "got 5.0")
+
+
 def test_a_run_with_no_opro_iterations_is_an_error_record():
     doc = {"track": "scheduling", "seed": 3,
            "scheduling": {"num_robots": 3, "num_rbs": 6}}

@@ -11,6 +11,7 @@ import pytest
 import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
+from autocomm import scheduling
 from autocomm.configs import (ObjectiveKind, ObjectiveSpec, SchedulingConfig,
                               scenario_from_dict)
 from autocomm.opro import (MockLocalSearchEngine, OproParams,
@@ -743,6 +744,40 @@ def test_ga_draws_a_block_of_generations_per_call(monkeypatch,
     assert max(calls.values()) <= math.ceil(200 / _GA_BLOCK) + 1
 
 
+@pytest.mark.parametrize("cap", [None, 9, 2])
+def test_ga_scores_robot_indices_through_the_kernel(monkeypatch, cap):
+    """A search scores each generation, and the final one, with one kernel
+    call over every restart's rows, on robot indices of eligible robots.
+    It never calls assess, so it decodes no ids, and it counts RBs only
+    when the cap can bind."""
+    calls = []
+    kernel = scheduling._score
+
+    def counted(owner, prepared, count):
+        calls.append((owner.shape, count, set(np.unique(owner).tolist())))
+        return kernel(owner, prepared, count)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the GA decoded ids through assess")
+
+    monkeypatch.setattr(scheduling, "_score", counted)
+    monkeypatch.setattr(scheduling, "assess", refused)
+    cfg = SchedulingConfig(num_robots=10, objective=PF, max_rbs_per_robot=cap,
+                           buffer_occupancy_prob=0.7)
+    snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
+                           stream(4, "scheduling/snr"))
+    robots = {rid - 1 for rid in snr.eligible_ids()}
+    assert len(robots) < 10
+    ga = GaParams(population=11, generations=7, restarts=2)
+    alloc, _, _ = ga_schedule(cfg, snr, PF, ga, stream(9, "ga"))
+    assert set(alloc) <= set(snr.eligible_ids())
+    assert len(calls) == ga.generations + 1
+    for shape, count, owners in calls:
+        assert shape == (ga.restarts * ga.population, cfg.num_rbs)
+        assert count == (cap == 2)
+        assert owners <= robots
+
+
 def test_ga_params_validation():
     with pytest.raises(ValueError):
         GaParams(population=1)
@@ -750,6 +785,17 @@ def test_ga_params_validation():
         GaParams(crossover_prob=1.5)
     with pytest.raises(ValueError):
         GaParams(elitism=200, population=100)
+
+
+@pytest.mark.parametrize("field", ["population", "generations",
+                                   "tournament_size", "elitism", "restarts"])
+def test_ga_params_refuse_a_count_that_is_not_an_integer(field):
+    # population=10.0 used to be accepted and fail inside ga_schedule.
+    for bad in (2.0, 2.5, True, "2", None):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got"):
+            GaParams(**{field: bad})
+    assert getattr(GaParams(**{field: np.int64(2)}), field) == 2
 
 
 def test_ga_matches_oracle_on_small_instance(small_instance):
