@@ -14,13 +14,16 @@ import enum
 import functools
 import json
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
-    """Raised when a config document is malformed; names the offending field."""
+    """Raised when a setting, in a config document or a constructor call,
+    is malformed; names the offending field."""
 
     def __init__(self, field_name: str, message: str):
         self.field = field_name
@@ -39,6 +42,17 @@ class ObjectiveKind(str, enum.Enum):
     QOS_PF = "qos_pf"
 
 
+# The bounds a number field may declare, each with its comparison.
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
+
+
+def bounded(default=dataclasses.MISSING, **bounds):
+    """A dataclass field whose number must meet each of bounds (ge, gt, le,
+    lt); check_fields enforces them."""
+    return field(default=default, metadata=bounds)
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Scheduling objective.
@@ -51,15 +65,11 @@ class ObjectiveSpec:
     """
 
     kind: ObjectiveKind = ObjectiveKind.PF
-    min_rate_bps: float = 0.0
-    epsilon: float = 1.0
+    min_rate_bps: float = bounded(0.0, ge=0)
+    epsilon: float = bounded(1.0, gt=0)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("scheduling.objective.epsilon", "must be > 0")
-        if self.min_rate_bps < 0:
-            raise ConfigError("scheduling.objective.min_rate_bps",
-                              "must be >= 0")
+        check_fields(self, "scheduling.objective")
 
     @property
     def is_qos(self) -> bool:
@@ -76,29 +86,18 @@ class SchedulingConfig:
     blocks over ``bandwidth_hz`` shared by ``num_robots`` robots uniformly
     placed in a disk of ``cell_radius_m``."""
 
-    num_robots: int = 10
-    cell_radius_m: float = 100.0
-    bandwidth_hz: float = 2.0e7
-    num_rbs: int = 9
-    min_rate_bps: float = 1.0e6
+    num_robots: int = bounded(10, ge=1)
+    cell_radius_m: float = bounded(100.0, gt=0)
+    bandwidth_hz: float = bounded(2.0e7, gt=0, le=MAX_BANDWIDTH_HZ)
+    num_rbs: int = bounded(9, ge=1)
+    min_rate_bps: float = bounded(1.0e6, ge=0)
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
-    buffer_occupancy_prob: float = 1.0
-    max_rbs_per_robot: Optional[int] = None  # None disables the cap
+    buffer_occupancy_prob: float = bounded(1.0, ge=0, le=1)
+    # None disables the cap.
+    max_rbs_per_robot: Optional[int] = bounded(None, ge=1)
 
     def __post_init__(self):
-        if self.num_robots < 1:
-            raise ConfigError("scheduling.num_robots", "must be >= 1")
-        if self.num_rbs < 1:
-            raise ConfigError("scheduling.num_rbs", "must be >= 1")
-        if self.cell_radius_m <= 0:
-            raise ConfigError("scheduling.cell_radius_m", "must be > 0")
-        if not 0 < self.bandwidth_hz <= MAX_BANDWIDTH_HZ:
-            raise ConfigError("scheduling.bandwidth_hz",
-                              f"must be > 0 and <= {MAX_BANDWIDTH_HZ:g}")
-        if not 0.0 <= self.buffer_occupancy_prob <= 1.0:
-            raise ConfigError("scheduling.buffer_occupancy_prob", "must be in [0, 1]")
-        if self.max_rbs_per_robot is not None and self.max_rbs_per_robot < 1:
-            raise ConfigError("scheduling.max_rbs_per_robot", "must be >= 1 or null")
+        check_fields(self, "scheduling")
 
     @property
     def rb_cap(self) -> int:
@@ -111,46 +110,25 @@ class TrafficConfig:
     """Intersection scenario: a 100 m x 100 m area, two crossing roads,
     at least one vehicle spawned on four approaches."""
 
-    num_vehicles: int = 80
-    area_m: float = 100.0
-    free_flow_speed_mps: float = 14.0
-    headway_m: float = 5.0
-    decision_interval_s: float = 5.0
-    min_green_s: float = 5.0
+    num_vehicles: int = bounded(80, ge=1)
+    area_m: float = bounded(100.0, gt=0)
+    free_flow_speed_mps: float = bounded(14.0, gt=0)
+    headway_m: float = bounded(5.0, gt=0)
+    decision_interval_s: float = bounded(5.0, gt=0)
+    min_green_s: float = bounded(5.0, ge=0)
     episode_s: float = 300.0
-    dt_s: float = 0.5
-    startup_delay_s: float = 2.0
-    discharge_headway_s: float = 2.0
-    visible_depth: int = 8
-    byte_budget: int = 512
+    dt_s: float = bounded(0.5, gt=0)
+    startup_delay_s: float = bounded(2.0, ge=0)
+    discharge_headway_s: float = bounded(2.0, ge=0)
+    visible_depth: int = bounded(8, ge=1)
+    byte_budget: int = bounded(512, ge=1)
 
     def __post_init__(self):
-        if self.num_vehicles < 1:
-            raise ConfigError("traffic.num_vehicles", "must be >= 1")
-        if self.area_m <= 0:
-            raise ConfigError("traffic.area_m", "must be > 0")
-        if self.free_flow_speed_mps <= 0:
-            raise ConfigError("traffic.free_flow_speed_mps", "must be > 0")
-        if self.headway_m <= 0:
-            raise ConfigError("traffic.headway_m", "must be > 0")
-        if self.decision_interval_s <= 0:
-            raise ConfigError("traffic.decision_interval_s", "must be > 0")
-        if self.min_green_s < 0:
-            raise ConfigError("traffic.min_green_s", "must be >= 0")
-        if self.dt_s <= 0:
-            raise ConfigError("traffic.dt_s", "must be > 0")
+        check_fields(self, "traffic")
         # Shorter than one step, an episode runs no step at all.
         if self.episode_s < self.dt_s:
             raise ConfigError("traffic.episode_s",
                               f"must be >= dt_s ({self.dt_s})")
-        if self.startup_delay_s < 0:
-            raise ConfigError("traffic.startup_delay_s", "must be >= 0")
-        if self.discharge_headway_s < 0:
-            raise ConfigError("traffic.discharge_headway_s", "must be >= 0")
-        if self.visible_depth < 1:
-            raise ConfigError("traffic.visible_depth", "must be >= 1")
-        if self.byte_budget < 1:
-            raise ConfigError("traffic.byte_budget", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -190,27 +168,19 @@ class ChannelSceneConfig:
 
     buildings: tuple[Box, ...] = ()
     bs_pos: tuple[float, float, float] = (-10.0, 6.0, 10.0)
-    carrier_hz: float = 3.5e9
-    num_antennas: int = 16
+    # 100 MHz to 300 GHz.  Far below this band the wavelength overflows and
+    # path gains turn NaN; neither end is a channel this model describes.
+    carrier_hz: float = bounded(3.5e9, ge=1e8, le=3e11)
+    num_antennas: int = bounded(16, ge=1)
     reflection_coeff: complex = 0.6 + 0.0j
-    lane_width_m: float = 2.0
-    num_lanes: int = 4
+    lane_width_m: float = bounded(2.0, gt=0)
+    num_lanes: int = bounded(4, ge=1)
     user_height_m: float = 1.5
 
     def __post_init__(self):
         if len(self.buildings) > 4:
             raise ConfigError("channel.buildings", "at most 4 buildings")
-        if self.num_antennas < 1:
-            raise ConfigError("channel.num_antennas", "must be >= 1")
-        # Far below this band the wavelength overflows and path gains turn
-        # NaN; neither end is a channel this model describes.
-        if not 1e8 <= self.carrier_hz <= 3e11:
-            raise ConfigError("channel.carrier_hz",
-                              "must be in [1e8, 3e11] (100 MHz to 300 GHz)")
-        if self.num_lanes < 1:
-            raise ConfigError("channel.num_lanes", "must be >= 1")
-        if self.lane_width_m <= 0:
-            raise ConfigError("channel.lane_width_m", "must be > 0")
+        check_fields(self, "channel")
         if self.road_halfwidth_m <= USER_EDGE_MARGIN_M:
             raise ConfigError("channel.lane_width_m",
                               "road half-width num_lanes * lane_width_m / 2 "
@@ -232,7 +202,7 @@ class ScenarioConfig:
     """Top-level scenario: one track, one seed, one track-specific section."""
 
     track: Track
-    seed: int
+    seed: int = bounded(ge=0, lt=2 ** 64)
     scheduling: Optional[SchedulingConfig] = None
     channel: Optional[ChannelSceneConfig] = None
     traffic: Optional[TrafficConfig] = None
@@ -245,8 +215,7 @@ class ScenarioConfig:
                 f"exactly one sub-config matching track={self.track.value} required, "
                 f"got sections for {[t.value for t in set_tracks]}",
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed", "must be an unsigned 64-bit integer")
+        check_fields(self, "")
 
 
 @dataclass(frozen=True)
@@ -254,9 +223,12 @@ class ObjectiveSwitch:
     """An OPRO run's ``--switch``: after ``at_iteration`` iterations the run
     optimizes ``objective`` with the QoS threshold ``min_rate_bps``."""
 
-    at_iteration: int
+    at_iteration: int = bounded(ge=1)
     objective: ObjectiveKind
-    min_rate_bps: float
+    min_rate_bps: float = bounded(ge=0)
+
+    def __post_init__(self):
+        check_fields(self, "switch")
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +264,75 @@ def _section(where: str, d, cls):
                   for key, value in d.items()})
 
 
-# The JSON number types (a bool is not one) each numeric annotation takes.
-# RFC 8259 leaves numbers past the float range to the reader; these refuse.
-_NUMBERS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-            complex: ((int, float), "a number or [re, im]")}
+# What each numeric annotation takes.  RFC 8259 leaves numbers past the
+# float range to the reader; these refuse.
+_NUMBERS = {int: "an integer", float: "a number",
+            complex: "a number or [re, im]"}
+
+
+def _is_number(value, tp) -> bool:
+    """True when value is an integer, or for tp float any real number,
+    within the float range; a bool is neither, and NaN and inf are out.
+    Each type tuple puts the builtins first, as the common case."""
+    return (type(value) is not bool
+            and isinstance(value, (int, numbers.Integral) if tp is int
+                           else (float, int, numbers.Real))
+            and abs(value) <= sys.float_info.max)
+
+
+def _not_a_number(where: str, tp, value) -> ConfigError:
+    return ConfigError(where, f"must be {_NUMBERS[tp]} in float range, "
+                       f"got {value!r}")
+
+
+@functools.cache
+def _checks(cls, where: str) -> tuple:
+    """(name, path, type, optional, bounds, text) for each int or float
+    field of cls, built once per class; bounds holds (symbol, comparison,
+    bound) triples, and text says them all."""
+    checks = []
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        args = get_args(hints[f.name])
+        optional = type(None) in args
+        tp = args[0] if optional else hints[f.name]
+        if tp in (int, float):
+            bounds = tuple((*_BOUNDS[k], b) for k, b in f.metadata.items())
+            text = " and ".join(f"{sym} {b if type(b) is int else f'{b:g}'}"
+                                for sym, _, b in bounds)
+            checks.append((f.name, f"{where}.{f.name}" if where else f.name,
+                           tp, optional, bounds, text))
+    return tuple(checks)
+
+
+def check_fields(obj, where: str) -> None:
+    """Raise a ConfigError naming <where>.<field> at the first int or float
+    field of the dataclass obj that is not a number of its annotated type
+    in float range (None passes only an Optional field) or breaks a bound
+    its field declares."""
+    for name, path, tp, optional, bounds, text in _checks(type(obj), where):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if not _is_number(value, tp):
+            raise _not_a_number(path, tp, value)
+        for _, op, bound in bounds:
+            if not op(value, bound):
+                raise ConfigError(path, f"must be {text}, got {value!r}")
 
 
 @functools.cache
 def _reader(tp):
     """read(where, value): value as the annotated type tp."""
     if tp in _NUMBERS:
-        types, what = _NUMBERS[tp]
         pair = _reader(tuple[float, float]) if tp is complex else None
 
         def read(where, value):
-            if type(value) in types and abs(value) <= sys.float_info.max:
+            if _is_number(value, int if tp is int else float):
                 return tp(value)
             if pair and type(value) is list:
                 return complex(*pair(where, value))
-            raise ConfigError(where, f"must be {what} in float range, "
-                              f"got {value!r}")
+            raise _not_a_number(where, tp, value)
     elif isinstance(tp, enum.EnumMeta):
         def read(where, value):
             try:
@@ -388,11 +409,9 @@ def switch_from_dict(doc, cfg: SchedulingConfig,
     if isinstance(doc, dict):
         doc = {"min_rate_bps": cfg.min_rate_bps, **doc}
     switch = _section("switch", doc, ObjectiveSwitch)
-    if not 1 <= switch.at_iteration < max_iterations:
+    if switch.at_iteration >= max_iterations:
         raise ConfigError("switch.at_iteration",
                           f"must be in [1, {max_iterations - 1}]")
-    if switch.min_rate_bps < 0:
-        raise ConfigError("switch.min_rate_bps", "must be >= 0")
     return switch.at_iteration, ObjectiveSpec(switch.objective,
                                               switch.min_rate_bps)
 

@@ -38,6 +38,8 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .configs import bounded, check_fields
+
 API_KEY_ENV = "AUTOCOMM_API_KEY"
 
 Message = dict[str, str]
@@ -58,12 +60,6 @@ class CassetteError(GatewayError):
     pass
 
 
-def _finite(value) -> bool:
-    """True for a finite int or float; a bool is not a number here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 @dataclass
 class EndpointConfig:
     """Where and how to reach the chat-completion endpoint.
@@ -77,27 +73,14 @@ class EndpointConfig:
     model: str
     api_key: Optional[str] = field(default=None, repr=False)
     temperature: float = 1.0
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    backoff_base_s: float = 0.5
+    timeout_s: float = bounded(30.0, gt=0)
+    max_retries: int = bounded(3, ge=0)
+    backoff_base_s: float = bounded(0.5, ge=0)
 
     def __post_init__(self) -> None:
         if self.api_key is None:
             self.api_key = os.environ.get(API_KEY_ENV)
-        retries = self.max_retries
-        if isinstance(retries, bool) or not isinstance(retries, int) \
-                or retries < 0:
-            raise ValueError(f"max_retries must be an integer >= 0, "
-                             f"got {retries!r}")
-        if not (_finite(self.timeout_s) and self.timeout_s > 0):
-            raise ValueError(f"timeout_s must be finite and positive, "
-                             f"got {self.timeout_s!r}")
-        if not (_finite(self.backoff_base_s) and self.backoff_base_s >= 0):
-            raise ValueError(f"backoff_base_s must be finite and "
-                             f"non-negative, got {self.backoff_base_s!r}")
-        if not _finite(self.temperature):
-            raise ValueError(f"temperature must be finite, "
-                             f"got {self.temperature!r}")
+        check_fields(self, "endpoint")
 
     def headers(self) -> dict[str, str]:
         h = {"Content-Type": "application/json"}

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Protocol, Sequence
 
-from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
+from .configs import (ObjectiveKind, ObjectiveSpec, SchedulingConfig,
+                      bounded, check_fields)
 from .radio import SnrMap
 from .rng import RngStream
 from .scheduling import (
@@ -33,7 +34,6 @@ from .scheduling import (
     ValidationReport,
     ViolationKind,
     allocation_rank,
-    require_count,
     validate,
 )
 
@@ -49,13 +49,12 @@ class ProposalEngine(Protocol):
 
 @dataclass(frozen=True)
 class OproParams:
-    max_iterations: int = 200
-    stop_patience: int = 30
-    history_window: int = 10
+    max_iterations: int = bounded(200, ge=1)
+    stop_patience: int = bounded(30, ge=1)
+    history_window: int = bounded(10, ge=1)
 
     def __post_init__(self):
-        for name in ("max_iterations", "stop_patience", "history_window"):
-            require_count(name, getattr(self, name), 1)
+        check_fields(self, "opro_params")
 
 
 @dataclass(frozen=True)

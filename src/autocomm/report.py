@@ -28,6 +28,7 @@ from .configs import (
     ConfigError,
     ScenarioConfig,
     Track,
+    _section,
     scenario_from_dict,
     scenario_to_dict,
     scenario_to_json,
@@ -126,7 +127,8 @@ def _run_scheduling(scenario: ScenarioConfig, method: str,
                          f"of {cfg.num_rbs} RBs")
 
     if method in OPRO_METHODS:
-        params = OproParams(**opts.get("opro_params", {}))
+        params = _section("opro_params", opts.get("opro_params", {}),
+                          OproParams)
         segments = [(objective, params.max_iterations)]
         if opts.get("switch") is not None:
             at, second = switch_from_dict(opts["switch"], cfg,

@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .configs import ObjectiveKind, ObjectiveSpec, SchedulingConfig
+from .configs import (ConfigError, ObjectiveKind, ObjectiveSpec,
+                      SchedulingConfig, bounded, check_fields)
 from .radio import SnrMap, clamp_qos, rb_rate_matrix
 from .rng import RngStream
 
@@ -66,34 +67,19 @@ class GaParams:
     Rayleigh-faded RBs (seeds 1-12, all three objectives), and the optimum
     itself to six digits on every 2-4-robot acceptance instance."""
 
-    population: int = 100
-    generations: int = 200
-    tournament_size: int = 3
-    crossover_prob: float = 0.9
-    mutation_prob: float = 0.05
-    elitism: int = 2
-    restarts: int = 3
+    population: int = bounded(100, ge=2)
+    generations: int = bounded(200, ge=1)
+    tournament_size: int = bounded(3, ge=1)
+    crossover_prob: float = bounded(0.9, ge=0, le=1)
+    mutation_prob: float = bounded(0.05, ge=0, le=1)
+    elitism: int = bounded(2, ge=0)
+    restarts: int = bounded(3, ge=1)
 
     def __post_init__(self):
-        for name, low in (("population", 2), ("generations", 1),
-                          ("tournament_size", 1), ("elitism", 0),
-                          ("restarts", 1)):
-            require_count(name, getattr(self, name), low)
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must be in [0, 1]")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
+        check_fields(self, "ga")
         if self.elitism > self.population:
-            raise ValueError("elitism must be in [0, population]")
-
-
-def require_count(name: str, value, low: int) -> None:
-    """Raise a ValueError naming `name` unless `value` is an integer, not a
-    bool, of at least `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+            raise ConfigError("ga.elitism",
+                              f"must be <= population ({self.population})")
 
 
 # ---------------------------------------------------------------------------

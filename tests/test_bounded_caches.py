@@ -23,6 +23,9 @@ ALLOWED = {
         "keyed by the scenario dataclasses, a fixed set",
     "configs._reader":
         "keyed by those dataclasses' field annotations, a fixed set",
+    "configs._checks":
+        "keyed by the parameter dataclasses, each checked under one name, "
+        "a fixed set",
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 from autocomm.cli import main
 from autocomm.configs import (
     MAX_BANDWIDTH_HZ,
+    ConfigError,
     ObjectiveKind,
     ObjectiveSpec,
     ScenarioConfig,
@@ -194,23 +195,39 @@ def test_endpoint_no_key_no_auth_header(monkeypatch):
     assert "Authorization" not in ep.headers()
 
 
-# Per field: values refused at construction, then values kept.
+NOT_INT = "must be an integer in float range"
+NOT_NUMBER = "must be a number in float range"
+
+# Per field: values refused at construction with the rule each breaks,
+# then values kept.
 ENDPOINT_NUMBERS = {
     # -1 made no attempt at all and reported "after 0 attempts: None".
-    "max_retries": ((-1, 1.0, 2.5, True, None, "3"), (0, 3)),
+    "max_retries": (((-1, "must be >= 0"), (1.0, NOT_INT), (2.5, NOT_INT),
+                     (True, NOT_INT), (None, NOT_INT), ("3", NOT_INT)),
+                    (0, 3)),
     # 0 retried with backoff, then reported "Operation now in progress".
-    "timeout_s": ((0, 0.0, -1.0, math.nan, math.inf, True, None), (1, 0.5)),
-    "backoff_base_s": ((-0.5, math.nan, math.inf, True, "0.5"), (0, 0.5)),
-    "temperature": ((math.nan, math.inf, -math.inf, None), (0, 0.25, -1.0)),
+    "timeout_s": (((0, "must be > 0"), (0.0, "must be > 0"),
+                   (-1.0, "must be > 0"), (math.nan, NOT_NUMBER),
+                   (math.inf, NOT_NUMBER), (True, NOT_NUMBER),
+                   (None, NOT_NUMBER)),
+                  (1, 0.5)),
+    "backoff_base_s": (((-0.5, "must be >= 0"), (math.nan, NOT_NUMBER),
+                        (math.inf, NOT_NUMBER), (True, NOT_NUMBER),
+                        ("0.5", NOT_NUMBER)),
+                       (0, 0.5)),
+    "temperature": (((math.nan, NOT_NUMBER), (math.inf, NOT_NUMBER),
+                     (-math.inf, NOT_NUMBER), (None, NOT_NUMBER)),
+                    (0, 0.25, -1.0)),
 }
 
 
 @pytest.mark.parametrize("field", sorted(ENDPOINT_NUMBERS))
 def test_endpoint_refuses_a_bad_number_at_construction(field):
     bad, good = ENDPOINT_NUMBERS[field]
-    for value in bad:
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+    for value, rule in bad:
+        with pytest.raises(ConfigError) as err:
             EndpointConfig(base_url="http://x", model="m", **{field: value})
+        assert str(err.value) == f"endpoint.{field}: {rule}, got {value!r}"
     for value in good:
         ep = EndpointConfig(base_url="http://x", model="m", **{field: value})
         assert getattr(ep, field) == value

@@ -13,6 +13,7 @@ import scalar_oracle as oracle
 
 from autocomm import opro, report
 from autocomm.configs import (
+    ConfigError,
     ObjectiveKind,
     ObjectiveSpec,
     SchedulingConfig,
@@ -297,8 +298,9 @@ def test_opro_params_refuse_values_below_one(field):
     # 0 would run no iteration (a -inf score), stop every segment after its
     # first iteration, or put every exemplar in the prompt (ranked[-0:]).
     for bad in (0, -1):
-        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        with pytest.raises(ConfigError) as err:
             OproParams(**{field: bad})
+        assert str(err.value) == f"opro_params.{field}: must be >= 1, got {bad}"
     assert getattr(OproParams(**{field: 1}), field) == 1
 
 
@@ -308,9 +310,10 @@ def test_opro_params_refuse_a_count_that_is_not_an_integer(field):
     # True ran one iteration, 2.5 acted as 3, and a float max_iterations
     # failed inside the loop with a TypeError.
     for bad in (5.0, 2.5, True, "5", None):
-        with pytest.raises(ValueError,
-                           match=f"^{field} must be an integer, got"):
+        with pytest.raises(ConfigError) as err:
             OproParams(**{field: bad})
+        assert str(err.value) == (f"opro_params.{field}: must be an integer "
+                                  f"in float range, got {bad!r}")
 
 
 def test_a_float_opro_iteration_count_is_an_error_record_naming_it():
@@ -319,8 +322,22 @@ def test_a_float_opro_iteration_count_is_an_error_record_naming_it():
     rec = report.run_safe(scenario_from_dict(doc), "opro_mock",
                           {"opro_params": {"max_iterations": 5.0}})
     assert rec.status == "error"
-    assert rec.error == ("ValueError: max_iterations must be an integer, "
-                         "got 5.0")
+    assert rec.error == ("ConfigError: opro_params.max_iterations: must be "
+                         "an integer in float range, got 5.0")
+
+
+@pytest.mark.parametrize("opro_params, error", [
+    ({"bogus": 1}, "ConfigError: opro_params.bogus: unknown field"),
+    ([5], "ConfigError: opro_params: must be a JSON object"),
+], ids=["unknown-key", "not-an-object"])
+def test_opro_params_are_read_as_a_section(opro_params, error):
+    # Both used to end in a TypeError from OproParams(**opro_params).
+    doc = {"track": "scheduling", "seed": 3,
+           "scheduling": {"num_robots": 3, "num_rbs": 6}}
+    rec = report.run_safe(scenario_from_dict(doc), "opro_mock",
+                          {"opro_params": opro_params})
+    assert rec.status == "error"
+    assert rec.error == error
 
 
 def test_a_run_with_no_opro_iterations_is_an_error_record():
@@ -329,7 +346,8 @@ def test_a_run_with_no_opro_iterations_is_an_error_record():
     rec = report.run_safe(scenario_from_dict(doc), "opro_mock",
                           {"opro_params": {"max_iterations": 0}})
     assert rec.status == "error"
-    assert rec.error == "ValueError: max_iterations must be >= 1"
+    assert rec.error == ("ConfigError: opro_params.max_iterations: must be "
+                         ">= 1, got 0")
 
 
 def test_loop_formats_a_head_per_segment_and_validates_repeats_once(

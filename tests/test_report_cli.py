@@ -808,6 +808,29 @@ def test_bad_switch_names_the_field(switch, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("pf", ["schedule", "--method", "round_robin"]),
+    ("qos_sum_rate", ["schedule", "--method", "round_robin"]),
+    ("pf", ["opro", "--switch",
+            '{"at_iteration": 2, "objective": "qos_sum_rate"}']),
+], ids=["pf", "qos-inherits", "switch-defaults"])
+def test_a_negative_section_min_rate_is_named_as_the_document_sets_it(
+        tmp_path, monkeypatch, capsys, kind, argv):
+    # With no bound on the section field, a pf run took -5, and a QoS
+    # objective or a switch that inherits it named its own min_rate_bps,
+    # which the document never set.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"track": "scheduling", "seed": 1,
+         "scheduling": {"num_robots": 3, "min_rate_bps": -5,
+                        "objective": {"kind": kind}}}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert ("argument --config: cfg.json: scheduling.min_rate_bps: "
+            "must be >= 0, got -5.0") in capsys.readouterr().err
+
+
 def test_cli_traffic_rsu(tmp_path, capsys):
     cfg = write_config(tmp_path, traffic_scenario())
     out = tmp_path / "runs"

@@ -12,8 +12,8 @@ import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from autocomm import scheduling
-from autocomm.configs import (ObjectiveKind, ObjectiveSpec, SchedulingConfig,
-                              scenario_from_dict)
+from autocomm.configs import (ConfigError, ObjectiveKind, ObjectiveSpec,
+                              SchedulingConfig, scenario_from_dict)
 from autocomm.opro import (MockLocalSearchEngine, OproParams,
                            opro_optimize_segments)
 from autocomm.radio import (RadioParams, SnrMap, generate_snr_map,
@@ -792,9 +792,10 @@ def test_ga_params_validation():
 def test_ga_params_refuse_a_count_that_is_not_an_integer(field):
     # population=10.0 used to be accepted and fail inside ga_schedule.
     for bad in (2.0, 2.5, True, "2", None):
-        with pytest.raises(ValueError,
-                           match=f"^{field} must be an integer, got"):
+        with pytest.raises(ConfigError) as err:
             GaParams(**{field: bad})
+        assert str(err.value) == (f"ga.{field}: must be an integer in float "
+                                  f"range, got {bad!r}")
     assert getattr(GaParams(**{field: np.int64(2)}), field) == 2
 
 
