@@ -140,6 +140,11 @@ class Box:
     height: float
 
     def __post_init__(self):
+        if not (_are_numbers(self.x, 2) and _are_numbers(self.y, 2)
+                and _is_number(self.height, float)):
+            raise ConfigError("channel.buildings",
+                              "box ranges and height must be numbers in "
+                              f"float range, got {self!r}")
         if self.x[0] >= self.x[1] or self.y[0] >= self.y[1]:
             raise ConfigError("channel.buildings", "box ranges must be increasing")
         if self.height <= 0:
@@ -181,6 +186,15 @@ class ChannelSceneConfig:
         if len(self.buildings) > 4:
             raise ConfigError("channel.buildings", "at most 4 buildings")
         check_fields(self, "channel")
+        if not _are_numbers(self.bs_pos, 3):
+            raise ConfigError("channel.bs_pos", "must be 3 numbers in float "
+                              f"range, got {self.bs_pos!r}")
+        c = self.reflection_coeff
+        if not (isinstance(c, numbers.Complex) and type(c) is not bool
+                and _are_numbers((c.real, c.imag), 2)):
+            raise ConfigError("channel.reflection_coeff",
+                              "must be a number with real and imaginary "
+                              f"parts in float range, got {c!r}")
         if self.road_halfwidth_m <= USER_EDGE_MARGIN_M:
             raise ConfigError("channel.lane_width_m",
                               "road half-width num_lanes * lane_width_m / 2 "
@@ -278,6 +292,11 @@ def _is_number(value, tp) -> bool:
             and isinstance(value, (int, numbers.Integral) if tp is int
                            else (float, int, numbers.Real))
             and abs(value) <= sys.float_info.max)
+
+
+def _are_numbers(values, n: int) -> bool:
+    """True when the sequence values holds n reals in float range."""
+    return len(values) == n and all(_is_number(v, float) for v in values)
 
 
 def _not_a_number(where: str, tp, value) -> ConfigError:

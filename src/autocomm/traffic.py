@@ -7,6 +7,9 @@ discharge clock that enforces saturation headway.  The model is built to
 keep two invariants checkable at every step: no two vehicles in a lane are
 closer than the safety headway, and every spawned vehicle is either still
 on the road or recorded as crossed.  One pass over the lanes checks both.
+Most vehicle-steps are a queue standing at a red or metered line; ``step``
+passes over such a held run writing only its clocks, which gives the bits
+the full kinematic update would.
 
 Signal controllers consume encoded observations (not raw state), which is
 where the sensing gap lives: the connected-vehicle view reports exact
@@ -24,6 +27,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Optional, Protocol
 
@@ -187,6 +191,18 @@ def step(state: TrafficState, cfg: TrafficConfig,
     headway per lane); everyone else advances at free flow speed, clamped
     by the stop line and by the leader plus safety headway.  Only heads
     cross, so a lane loses a prefix of its queue.
+
+    A lane's held run is passed over with only its clocks.  When the head
+    stands at the line (pos == 0.0) and cannot cross this step (the lane
+    is red, or its discharge clock runs past the step), the head and each
+    follower exactly one headway behind its leader stay put.  The general
+    branch would compute moved as 0.0 for them (pos0, +0.0 or -0.0, for
+    the head), so they get only travel_time_s and wait_s += dt and speed
+    0.0 (pos0 / dt for the head), and the head's pos is set to 0.0 as the
+    general branch sets it.  distance_m += moved is skipped: adding a
+    zero changes no bit of a distance that is not -0.0, and a distance is
+    a sum of moves that starts at +0.0, so it is never -0.0.  The general
+    branch takes over at the first vehicle after the run.
     """
     if phase_request is not None:
         _apply_phase_request(state, phase_request, cfg)
@@ -195,17 +211,44 @@ def step(state: TrafficState, cfg: TrafficConfig,
     travel = v_free * dt
     t_end = t + dt - 1e-12
     headway = cfg.headway_m
-    crossed = state.crossed
+    lanes, release, crossed = state.lanes, state.next_release, state.crossed
     green = PHASE_MOVEMENTS[state.phase]
 
     for key in _SORTED_LANE_KEYS:
-        q = state.lanes[key]
+        q = lanes[key]
         if not q:
             continue
         is_green = key in green
-        n_crossed = 0
+        head = q[0]
+        pos0 = head.pos
         front_pos: Optional[float] = None
-        for veh in q:
+        # travel is 0.0 only when v_free * dt underflows; then no head
+        # reaches the line and the general branch below keeps a -0.0 head.
+        if pos0 == 0.0 and travel > 0.0 and not (
+                is_green and max(t, release[key]) < t_end):
+            # The held run (see the docstring): only the fields the
+            # general branch would change are written.
+            head.speed = pos0 / dt
+            head.travel_time_s += dt
+            head.wait_s += dt
+            head.pos = front_pos = 0.0
+            held = 1
+            for veh in islice(q, 1, None):
+                floor = front_pos + headway
+                if veh.pos != floor:
+                    break
+                veh.speed = 0.0
+                veh.travel_time_s += dt
+                veh.wait_s += dt
+                front_pos = floor
+                held += 1
+            if held == len(q):
+                continue
+            rest = q[held:]
+        else:
+            rest = q
+        n_crossed = 0
+        for veh in rest:
             pos0 = veh.pos
             desired = pos0 - travel
             if front_pos is not None:
@@ -215,14 +258,14 @@ def step(state: TrafficState, cfg: TrafficConfig,
             elif desired < 0.0:
                 # Head reaches the stop line inside this step.
                 t_line = t + pos0 / v_free
-                t_cross = max(t_line, state.next_release[key])
+                t_cross = max(t_line, release[key])
                 if is_green and t_cross < t_end:
                     veh.distance_m += pos0
                     veh.travel_time_s += t_cross - t
                     veh.speed = v_free
                     veh.crossed_t = t_cross
                     crossed.append(veh)
-                    state.next_release[key] = t_cross + cfg.discharge_headway_s
+                    release[key] = t_cross + cfg.discharge_headway_s
                     n_crossed += 1
                     continue
                 new_pos = 0.0

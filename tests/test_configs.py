@@ -243,6 +243,44 @@ def test_channel_accepts_the_range_ends():
     assert ChannelSceneConfig(num_lanes=1, lane_width_m=1.01).num_lanes == 1
 
 
+_BOX = dict(x=(0.0, 10.0), y=(-11.0, -5.0), height=10.0)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ChannelSceneConfig(reflection_coeff=complex(math.nan, 0.0)),
+     "channel.reflection_coeff"),
+    (lambda: ChannelSceneConfig(reflection_coeff=complex(0.6, -math.inf)),
+     "channel.reflection_coeff"),
+    (lambda: ChannelSceneConfig(reflection_coeff=True),
+     "channel.reflection_coeff"),
+    (lambda: ChannelSceneConfig(bs_pos=(math.nan, 6.0, 10.0)),
+     "channel.bs_pos"),
+    (lambda: ChannelSceneConfig(bs_pos=(-10.0, 6.0, math.inf)),
+     "channel.bs_pos"),
+    (lambda: ChannelSceneConfig(bs_pos=(-10.0, 6.0)), "channel.bs_pos"),
+    (lambda: Box(**{**_BOX, "x": (math.nan, 1.0)}), "channel.buildings"),
+    (lambda: Box(**{**_BOX, "y": (-11.0, math.inf)}), "channel.buildings"),
+    (lambda: Box(**{**_BOX, "height": math.nan}), "channel.buildings"),
+    (lambda: Box(**{**_BOX, "x": (0.0, 10.0, 20.0)}), "channel.buildings"),
+], ids=["coeff-nan-real", "coeff-inf-imag", "coeff-bool", "bs-nan",
+        "bs-inf", "bs-two-coords", "box-nan-x", "box-inf-y", "box-nan-height",
+        "box-three-x"])
+def test_channel_scene_refuses_non_finite_coordinates_and_coefficient(
+        make, field):
+    # The Python-API path: a document never gets here with a NaN, as the
+    # reader refuses it first, naming the element.
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == field
+
+
+def test_channel_scene_takes_numpy_and_integer_coordinates():
+    box = Box(x=(np.float64(0.0), 10), y=(-11, np.float64(-5.0)), height=10)
+    cfg = ChannelSceneConfig(buildings=(box,), bs_pos=(-10, 6, np.int64(10)),
+                             reflection_coeff=0.5)
+    assert cfg.bs_pos[2] == 10 and cfg.reflection_coeff == 0.5
+
+
 def test_scenario_requires_exactly_one_section():
     with pytest.raises(ConfigError):
         ScenarioConfig(track=Track.SCHEDULING, seed=1)

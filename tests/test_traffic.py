@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import json
 import math
+import struct
+from pathlib import Path
 
 import pytest
 import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
-from autocomm.configs import ConfigError, TrafficConfig
+from autocomm.configs import ConfigError, TrafficConfig, build_scenario
 from autocomm.rng import stream
 from autocomm.traffic import (
     LANE_KEYS,
@@ -28,6 +30,11 @@ from autocomm.traffic import (
     spawn_vehicles,
     step,
 )
+
+
+REFERENCE = build_scenario(
+    (Path(__file__).resolve().parent.parent / "docs" / "config-schema"
+     / "traffic.json").read_text(encoding="utf-8"))
 
 
 def empty_state(phase=1, time_s=0.0, onset=0.0, spawned=0):
@@ -454,6 +461,181 @@ def test_invariant_error_texts_match_the_oracle(fault):
     got = _error_or_none(new.check_invariants, cfg)
     assert got is not None and got[0] == fault
     assert got == _error_or_none(oracle.check_invariants, old, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Held runs: step against the oracle, bit for bit
+
+
+def _packed(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def _hexes(*xs):
+    return tuple(map(float.hex, xs))
+
+
+def _vehicle_bits(v, bits):
+    return (v.vid, v.approach, v.intent,
+            bits(v.pos, v.speed, v.wait_s, v.distance_m, v.travel_time_s),
+            None if v.crossed_t is None else bits(v.crossed_t))
+
+
+def state_bits(state, bits=_packed):
+    """Every field of a state with its floats as their IEEE 754 bytes (or
+    float.hex texts), so that -0.0 and 0.0 differ, where dataclass ==
+    takes them as equal."""
+    return (bits(state.time_s, state.phase_onset_s), state.phase,
+            state.spawned,
+            [(key, [_vehicle_bits(v, bits) for v in state.lanes[key]])
+             for key in sorted(state.lanes)],
+            [_vehicle_bits(v, bits) for v in state.crossed],
+            bits(*(state.next_release[key]
+                   for key in sorted(state.next_release))))
+
+
+def _step_both(new, old, cfg, request=None):
+    step(new, cfg, request)
+    oracle.step(old, cfg, request)
+    # Bytes to compare, float.hex texts to read when they differ.
+    assert state_bits(new) == state_bits(old), \
+        (state_bits(new, _hexes), state_bits(old, _hexes))
+
+
+def _held_run(q):
+    """A head at the line with at least two vehicles behind it."""
+    return len(q) >= 3 and q[0].pos == 0.0
+
+
+@pytest.mark.parametrize("num_vehicles", [80, 160])
+@pytest.mark.parametrize("kind", ["vue", "rsu"])
+@pytest.mark.parametrize("controller", [QueueGreedyController,
+                                        RoundRobinController])
+def test_reference_episodes_match_the_oracle_bit_for_bit(num_vehicles, kind,
+                                                         controller):
+    # The benchmark's traffic runs: the reference document at 80 and 160
+    # vehicles, each for the full episode, on three seeds.
+    cfg = dataclasses.replace(REFERENCE.traffic, num_vehicles=num_vehicles)
+    n_steps = int(round(cfg.episode_s / cfg.dt_s))
+    interval = max(1, int(round(cfg.decision_interval_s / cfg.dt_s)))
+    for seed in (REFERENCE.seed, 13, 29):
+        new = spawn_vehicles(cfg, stream(seed, "traffic").substream("spawn"))
+        old = copy.deepcopy(new)
+        ctl = controller()
+        held_steps = 0
+        for k in range(n_steps):
+            request = None
+            if k % interval == 0:
+                request = ctl.decide(
+                    encode_observation(new, kind, cfg).payload, new.time_s)
+            held_steps += any(_held_run(q) for q in new.lanes.values())
+            _step_both(new, old, cfg, request)
+        assert held_steps > 0, seed
+
+
+@pytest.mark.parametrize("speed", [14.0, 5e-324])
+def test_a_negative_zero_head_on_red_steps_as_in_the_oracle(speed):
+    # At 5e-324 m/s a step's travel underflows to 0.0 and the head never
+    # reaches the line: the -0.0 stays.
+    cfg = TrafficConfig(free_flow_speed_mps=speed)
+    new = empty_state(phase=1, time_s=4.0)
+    for vid, pos in enumerate((-0.0, 5.0, 10.0), start=1):
+        put(new, vid, "E:straight", pos, speed=0.0)
+    old = copy.deepcopy(new)
+    _step_both(new, old, cfg)
+    head = new.lanes["E:straight"][0]
+    if speed == 14.0:
+        # The line is +0.0, and moved / dt keeps the sign of -0.0 - 0.0.
+        assert head.pos.hex() == "0x0.0p+0"
+        assert head.speed.hex() == "-0x0.0p+0"
+    else:
+        assert head.pos.hex() == "-0x0.0p+0"
+    _step_both(new, old, cfg)
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_a_follower_one_headway_back_is_held_and_one_ulp_more_is_not(beyond):
+    cfg = TrafficConfig()
+    new = empty_state(phase=1)
+    second = 2 * cfg.headway_m
+    if beyond:
+        second = math.nextafter(second, math.inf)
+    for vid, pos in enumerate((0.0, cfg.headway_m, second, second + 5.0,
+                               60.0), start=1):
+        put(new, vid, "W:left", pos, speed=0.0)
+    old = copy.deepcopy(new)
+    for _ in range(3):
+        _step_both(new, old, cfg)
+    third = new.lanes["W:left"][2]
+    assert third.pos == 2 * cfg.headway_m
+    # Only a vehicle that closed up on its leader has moved at all.
+    assert (third.distance_m > 0.0) == beyond
+    assert third.wait_s == 3 * cfg.dt_s
+
+
+def test_a_green_head_held_by_its_discharge_clock_as_in_the_oracle():
+    cfg = TrafficConfig()
+    new = empty_state(phase=1)
+    for vid, pos in enumerate((0.0, 5.0, 10.0), start=1):
+        put(new, vid, "N:straight", pos, speed=0.0)
+    new.next_release["N:straight"] = 1.2
+    old = copy.deepcopy(new)
+    crossed = []
+    for _ in range(4):
+        _step_both(new, old, cfg)
+        crossed.append(len(new.crossed))
+    # Held through the steps ending at 0.5 and 1.0; the clock runs out
+    # inside the step from 1.0.
+    assert crossed == [0, 0, 1, 1]
+    assert new.crossed[0].crossed_t == 1.2
+
+
+def test_a_held_head_turned_green_waits_out_the_startup_delay():
+    cfg = TrafficConfig()
+    new = empty_state(phase=1, time_s=10.0, onset=0.0)
+    for vid, pos in enumerate((0.0, 5.0, 10.0, 15.0), start=1):
+        put(new, vid, "E:straight", pos, speed=0.0)
+    old = copy.deepcopy(new)
+    _step_both(new, old, cfg, 3)
+    assert new.phase == 3
+    assert new.next_release["E:straight"] == 10.0 + cfg.startup_delay_s
+    while not new.crossed:
+        _step_both(new, old, cfg)
+    assert new.crossed[0].crossed_t == 10.0 + cfg.startup_delay_s
+    _step_both(new, old, cfg)
+
+
+def test_a_follower_inside_the_headway_steps_as_in_the_oracle():
+    # As the invariant-text test builds it: in every lane with two or more
+    # vehicles the second sits a third of a headway behind the head.
+    cfg = TrafficConfig(num_vehicles=120)
+    new = spawn_vehicles(cfg, stream(4, "traffic/spawn"))
+    for _ in range(20):
+        step(new, cfg)
+    assert any(_held_run(q) for q in new.lanes.values())
+    for q in new.lanes.values():
+        if len(q) >= 2:
+            q[1].pos = q[0].pos + cfg.headway_m / 3
+    old = copy.deepcopy(new)
+    _step_both(new, old, cfg)
+
+
+def test_run_episode_checks_the_invariants_after_every_step(monkeypatch):
+    # The README's "checked every step": no lane, held or not, skips it.
+    times = []
+    check = TrafficState.check_invariants
+
+    def counted(state, cfg):
+        times.append(state.time_s)
+        check(state, cfg)
+
+    monkeypatch.setattr(TrafficState, "check_invariants", counted)
+    cfg = REFERENCE.traffic
+    res = run_episode(cfg, QueueGreedyController(),
+                      stream(REFERENCE.seed, "traffic"))
+    n_steps = int(round(cfg.episode_s / cfg.dt_s))
+    assert len(times) == n_steps
+    assert times == sorted(set(times)) and times[-1] == res.state.time_s
 
 
 # ---------------------------------------------------------------------------
