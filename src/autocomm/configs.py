@@ -288,10 +288,19 @@ def _is_number(value, tp) -> bool:
     """True when value is an integer, or for tp float any real number,
     within the float range; a bool is neither, and NaN and inf are out.
     Each type tuple puts the builtins first, as the common case."""
-    return (type(value) is not bool
-            and isinstance(value, (int, numbers.Integral) if tp is int
-                           else (float, int, numbers.Real))
-            and abs(value) <= sys.float_info.max)
+    if type(value) is bool:
+        return False
+    if isinstance(value, (int, numbers.Integral)):
+        # Exactly: math.isfinite(10 ** 400) raises.
+        return abs(int(value)) <= sys.float_info.max
+    if tp is int or not isinstance(value, (float, numbers.Real)):
+        return False
+    # math.isfinite reads a numpy float at its own width; comparing it with
+    # the float64 bound would cast the bound to that width and overflow.
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # a Fraction past the float range
+        return False
 
 
 def _are_numbers(values, n: int) -> bool:
@@ -336,7 +345,8 @@ def check_fields(obj, where: str) -> None:
         if not _is_number(value, tp):
             raise _not_a_number(path, tp, value)
         for _, op, bound in bounds:
-            if not op(value, bound):
+            # As a Python number: a narrow numpy float would cast the bound.
+            if not op(tp(value), bound):
                 raise ConfigError(path, f"must be {text}, got {value!r}")
 
 

@@ -18,9 +18,9 @@ trace_paths and the geometry predictor's stage overrides read one row of
 the same kernel, and every row is bit-equal to tracing that user alone.
 
 What a scene config fixes is prepared once (_scene) and read by every
-kernel: the facades and their slot ids, the image stage's per-facade
-arrays (normal, plane origin, extent, height, axis, the BS's distance to
-each plane and the mirrored BS), the slab test's box corners and the BS.
+kernel: the slot ids, the image stage's per-facade arrays (normal,
+plane origin, extent, height, axis, the BS's distance to each plane and
+the mirrored BS), the slab test's box corners and the BS.
 The store is keyed by the config object, not its value: == takes configs
 that differ by a signed zero for one, and a repr costs more than a
 one-user trace saves.  It holds at most 8 configs, each key holding its
@@ -104,7 +104,6 @@ class _Scene:
     corners.  Every array is read-only.
     """
 
-    facades: tuple[Facade, ...]
     slots: tuple[str, ...]           # "los", then the facade ids
     bs: np.ndarray                   # [3]
     normal: np.ndarray
@@ -140,7 +139,6 @@ def _prepare(bs_pos: Sequence[float], facades: Sequence[Facade],
     d_bs = ((bs - origin) * normal).sum(axis=-1)
     lo, hi = _box_bounds(buildings)
     scene = _Scene(
-        facades=tuple(facades),
         slots=("los",) + tuple(f.facade_id for f in facades),
         bs=bs, normal=normal, origin=origin, urange=geom[:, 4:6],
         height=geom[:, 6], u_is_y=np.array([f.axis == "x" for f in facades],
@@ -338,20 +336,9 @@ def _trace_rows(scene: _Scene, users: np.ndarray):
     return present, user_idx, slot, via
 
 
-def _read_paths(cfg: ChannelSceneConfig, scene: _Scene, user: np.ndarray,
-                slot: np.ndarray, via: np.ndarray) -> list[Path]:
-    """Path k runs BS -> via[k] -> user [1, 3]; slot[k] is 0 for the line of
-    sight (via the user itself) and f + 1 for a reflection off facade f."""
-    length, gain, aod = _path_arrays(cfg, scene.bs, user, via, slot == 0)
-    start = tuple(scene.bs.tolist())
-    end = tuple(user[0].tolist())
-    return [Path(kind="los" if s == 0 else "reflection",
-                 facade_id=None if s == 0 else scene.slots[s],
-                 length_m=l_m, gain=g, aod_rad=a_d,
-                 points=(start, end) if s == 0 else (start, tuple(v), end))
-            for s, l_m, g, a_d, v in zip(
-                slot.tolist(), length.tolist(), gain.tolist(), aod.tolist(),
-                via.tolist())]
+def _sines(aod: np.ndarray) -> np.ndarray:
+    """math.sin of each AoD, as synthesize_channel takes it from each Path."""
+    return np.array([math.sin(a) for a in aod.tolist()], dtype=float)
 
 
 def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
@@ -362,7 +349,16 @@ def trace_paths(cfg: ChannelSceneConfig, user: Sequence[float]) -> list[Path]:
     users = _finite(user, "user position").reshape(1, 3)
     scene = _scene(cfg)
     _, _, slot, via = _trace_rows(scene, users)
-    return _read_paths(cfg, scene, users, slot, via)
+    length, gain, aod = _path_arrays(cfg, scene.bs, users, via, slot == 0)
+    start = tuple(scene.bs.tolist())
+    end = tuple(users[0].tolist())
+    return [Path(kind="los" if s == 0 else "reflection",
+                 facade_id=None if s == 0 else scene.slots[s],
+                 length_m=l_m, gain=g, aod_rad=a_d,
+                 points=(start, end) if s == 0 else (start, tuple(v), end))
+            for s, l_m, g, a_d, v in zip(
+                slot.tolist(), length.tolist(), gain.tolist(), aod.tolist(),
+                via.tolist())]
 
 
 def _synthesize(num_antennas: int, num_rows: int, owner: np.ndarray,
@@ -455,15 +451,18 @@ def geometry_predictor(cfg: ChannelSceneConfig, user: Sequence[float],
         slot = slot[np.append(True, on_facade)[slot]]
     # Slot 0 runs via the user, slot f + 1 via facade f's reflection point.
     # Stage 2 moves a point along its facade (coordinate u) and pins the
-    # other horizontal coordinate to the plane.
+    # other horizontal coordinate to the plane, signed zero included.
     via = np.concatenate([user, q[0]])[slot]
     if stage2_offset != 0.0:
-        for k in np.nonzero(slot)[0]:
-            facade = scene.facades[slot[k] - 1]
-            u = 1 if facade.axis == "x" else 0
-            via[k, 1 - u] = facade.offset
-            via[k, u] = np.clip(via[k, u] + stage2_offset, *facade.urange)
-    return synthesize_channel(cfg, _read_paths(cfg, scene, user, slot, via))
+        k = np.nonzero(slot)[0]
+        f = slot[k] - 1
+        u = scene.u_is_y[f].astype(int)
+        via[k, 1 - u] = scene.origin[f, 1 - u]
+        via[k, u] = np.clip(via[k, u] + stage2_offset, scene.urange[f, 0],
+                            scene.urange[f, 1])
+    _, gain, aod = _path_arrays(cfg, scene.bs, user, via, slot == 0)
+    return _synthesize(cfg.num_antennas, 1, np.zeros(len(slot), dtype=int),
+                       gain, _sines(aod))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +507,7 @@ def build_ckm(cfg: ChannelSceneConfig,
     dead = gain == 0
     present[user_idx[dead], slot[dead]] = False
     user_idx, slot, gain, aod = (a[~dead] for a in (user_idx, slot, gain, aod))
-    # math.sin, as synthesize_channel takes it from each Path.
-    sin_aod = np.array([math.sin(a) for a in aod.tolist()], dtype=float)
+    sin_aod = _sines(aod)
     gains = np.zeros(present.shape, dtype=complex)
     gains[user_idx, slot] = gain
     sins = np.zeros(present.shape)

@@ -7,12 +7,15 @@ the label, so the same (seed, label) pair produces the same draw sequence on
 every platform and independent labels give statistically independent streams.
 
 ``RngStream.rounds`` returns, stacked, what a fixed list of ``integers`` and
-``random`` calls repeated round after round would return, decoded from one
-read of raw 64-bit words the way numpy's Generator makes them from PCG64
-(O'Neill, 2014): a double from the top 53 bits of a word, a bounded integer
-from a 32-bit half by Lemire's multiply-shift with rejection (ACM TOMACS,
-2019), low half first, the high half kept for the next bounded draw.  It
-leaves the generator in the state the calls would.
+``random`` calls repeated round after round would return, and leaves the
+generator in the state the calls would.  When the stream holds no cached
+32-bit half and every bounded call takes an even number of draws, it
+decodes the rounds from one read of raw 64-bit words the way numpy's
+Generator makes them from PCG64 (O'Neill, 2014): a double from the top 53
+bits of a word, a bounded integer from a 32-bit half by Lemire's
+multiply-shift with rejection (ACM TOMACS, 2019), low half first.  numpy's
+own calls make every other round, and every round from one with a rejected
+draw on.
 
 A scalar ``integers`` whose span fits 32 bits and a scalar ``random`` skip
 numpy's per-call dispatch: they call the bit generator's documented C entry
@@ -131,10 +134,11 @@ class RngStream:
         call ``integers(0, high, n)``, or ``random(n)`` when `high` is None.
         Returns one array per call, of shape (count, n), holding what the
         calls made round after round would return, and leaves the generator
-        where they would leave it.  Rounds are decoded from raw words up to
-        the first with a rejected bounded draw, which the calls themselves
-        make, as they make every round when a round's bounded draws take an
-        odd number of 32-bit halves (each round then flips the cache).
+        where they would leave it.  Rounds are decoded from raw words when
+        the stream holds no cached 32-bit half and each bounded call takes
+        an even number of draws.  The calls themselves make every other
+        round, and remake a decoded block up to and including its first
+        round with a rejected bounded draw.
         """
         calls = []
         for high, n in layout:
@@ -149,85 +153,73 @@ class RngStream:
         return out
 
     def _decode(self, calls, out, done: int, count: int) -> int:
-        """Decode rounds `done` to `count - 1` as `rounds` does, up to the
-        first round the calls themselves must make, and make that one.
-        Returns the number of rounds now in `out`."""
+        """Decode rounds `done` to `count - 1` as `rounds` does, or make
+        with the calls the rounds `rounds` does not decode.  Returns the
+        number of rounds now in `out`."""
         bg = self._gen.bit_generator
         state = bg.state
-        flag, half = state["has_uint32"], state["uinteger"]
-        plan = _RoundPlan(calls, bool(flag))
-        if plan.end_cached != bool(flag):
-            return self._call(calls, out, done)
+        plan = _RoundPlan(calls)
+        if state["has_uint32"] or not plan.even:
+            return self._call(calls, out, done, done + 1)
         reps = count - done
         words = bg.random_raw(reps * plan.words).reshape(reps, plan.words)
         # Each word as its (low, high) 32-bit halves, whatever the byte order.
         halves = words.astype("<u8", copy=False).view("<u4")
-        # The generator's buffered half as each round starts: the high half
-        # of the last word the round before split.
-        starts = np.full(reps, half, np.uint32)
+        rejected = plan.decode(words, halves, [a[done:] for a in out])
+        if rejected is not None:
+            bg.state = state
+            return self._call(calls, out, done, done + rejected + 1)
         if plan.split is not None:
-            starts[1:] = halves[:-1, 2 * plan.split + 1]
-        rejected = plan.decode(words, halves, starts,
-                               [a[done:] for a in out])
-        if rejected is None:
-            if plan.split is not None:
-                _set_buffer(bg, flag, int(halves[-1, 2 * plan.split + 1]))
-            return count
-        # Rewind to the rejected round and restore the buffer it starts with.
-        bg.advance(-(reps - rejected) * plan.words)
-        _set_buffer(bg, flag, int(starts[rejected]))
-        return self._call(calls, out, done + rejected)
+            # PCG64 keeps the last half it handed out.
+            state = bg.state
+            state["uinteger"] = int(halves[-1, 2 * plan.split + 1])
+            bg.state = state
+        return count
 
-    def _call(self, calls, out, r: int) -> int:
-        """Make round `r` with numpy's own calls; returns r + 1."""
-        for a, (high, n) in zip(out, calls):
-            a[r] = (self._gen.random(n) if high is None
-                    else self._gen.integers(0, high, n))
-        return r + 1
+    def _call(self, calls, out, start: int, stop: int) -> int:
+        """Make rounds `start` to `stop - 1` with numpy's own calls;
+        returns `stop`."""
+        for r in range(start, stop):
+            for a, (high, n) in zip(out, calls):
+                a[r] = (self._gen.random(n) if high is None
+                        else self._gen.integers(0, high, n))
+        return stop
 
 
 class _RoundPlan:
     """Where one round's draws sit in the raw words it reads, for a round
-    that starts with (`cached`) or without a cached 32-bit half.
+    that starts with no cached 32-bit half.
 
     PCG64 makes a double from a whole word, ``(w >> 11) * 2**-53``, and a
     bounded integer in [0, high) from a 32-bit half by Lemire's multiply
-    and shift: low half first, the high half kept for the next bounded
-    draw, across any doubles in between.  ``high == 1`` reads nothing.
+    and shift, low half first.  ``high == 1`` reads nothing.  The plan is
+    `even` when every bounded call takes an even number of halves, so no
+    half is left cached for the next call or round; only such a round is
+    decoded.
     """
 
-    def __init__(self, calls, cached: bool):
-        # Per call: (high, n, first word, the half its first draw takes:
-        # None for a fresh word, -1 for the one the round starts with, else
-        # the word whose high half an earlier call left).
-        self.steps = []
+    def __init__(self, calls):
+        self.steps = []  # per call: (high, n, its first word)
         self.split = None  # the last word a bounded draw splits
-        held = -1 if cached else None
+        self.even = True
         at = 0
         for high, n in calls:
+            self.steps.append((high, n, at))
             if high is None:
-                self.steps.append((None, n, at, None))
                 at += n
-            elif high == 1 or n == 0:
-                self.steps.append((high, n, at, None))
-            else:
-                fresh = n - (held is not None)
-                words = (fresh + 1) // 2
-                self.steps.append((high, n, at, held))
-                at += words
-                if words:
-                    self.split = at - 1
-                held = at - 1 if fresh % 2 else None
+            elif high > 1 and n:
+                self.even &= n % 2 == 0
+                at += n // 2
+                self.split = at - 1
         self.words = at
-        self.end_cached = held is not None
 
-    def decode(self, words, halves, incoming, out) -> int | None:
+    def decode(self, words, halves, out) -> int | None:
         """Write the round's draws from each row of `words` (and `halves`,
         the same words as (low, high) 32-bit pairs) into the rows of `out`,
-        one array per call; `incoming` holds the half each row starts with
-        cached.  Returns the first row with a rejected draw, or None."""
+        one array per call.  Returns the first row with a rejected draw,
+        or None."""
         bad = []
-        for (high, n, first, held), a in zip(self.steps, out):
+        for (high, n, first), a in zip(self.steps, out):
             if high is None:
                 # In place: no later call reads these words.  (w >> 11) is
                 # below 2**53, so its int64 view reads the same value.
@@ -238,24 +230,18 @@ class _RoundPlan:
             if high == 1:
                 a[...] = 0
                 continue
-            parts = [(a, halves[:, 2 * first:2 * first + n])]
-            if held is not None:
-                head = (incoming[:, None] if held < 0
-                        else halves[:, 2 * held + 1:2 * held + 2])
-                parts = [(a[:, :1], head),
-                         (a[:, 1:], halves[:, 2 * first:2 * first + n - 1])]
+            src = halves[:, 2 * first:2 * first + n]
             # Lemire: the draw is the high word of half * high, rejected if
             # the low word falls below `threshold`.
             threshold = ((1 << 32) - high) % high
-            for dst, src in parts:
-                if threshold:
-                    # uint32 products wrap: they are the low words.
-                    hit = np.multiply(src, np.uint32(high)) < threshold
-                    if hit.any():
-                        bad.append(int(hit.any(axis=1).argmax()))
-                product = dst.view(np.uint64)
-                np.multiply(src, np.uint64(high), out=product)
-                np.right_shift(product, 32, out=product)
+            if threshold:
+                # uint32 products wrap: they are the low words.
+                hit = np.multiply(src, np.uint32(high)) < threshold
+                if hit.any():
+                    bad.append(int(hit.any(axis=1).argmax()))
+            product = a.view(np.uint64)
+            np.multiply(src, np.uint64(high), out=product)
+            np.right_shift(product, 32, out=product)
         return min(bad, default=None)
 
 
@@ -265,14 +251,6 @@ def _held(proto, entry, state: int):
     releases and retakes it on every call, about a fifth of a draw's cost."""
     return functools.partial(proto(ctypes.cast(entry, ctypes.c_void_p).value),
                              state)
-
-
-def _set_buffer(bg, flag: int, half: int) -> None:
-    """Set the bit generator's buffered 32-bit half and whether it is
-    pending (PCG64 keeps the last one after handing it out)."""
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = flag, half
-    bg.state = state
 
 
 def stream(seed: int, label: str) -> RngStream:

@@ -5,6 +5,8 @@ import enum
 import json
 import math
 import re
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +160,9 @@ _FLOAT_FIELDS = [
     for f in dataclasses.fields(cls) if f.type in ("float", "complex")]
 
 
-@pytest.mark.parametrize("value", [True, False, "4", [4.0],
-                                   pytest.param(10 ** 400, id="10**400")])
+@pytest.mark.parametrize("value", [
+    True, False, "4", [4.0], pytest.param(10 ** 400, id="10**400"),
+    pytest.param(Fraction(10 ** 400), id="Fraction(10**400)")])
 @pytest.mark.parametrize("track, name", _FLOAT_FIELDS)
 def test_number_fields_take_only_json_numbers(track, name, value):
     with pytest.raises(ConfigError) as err:
@@ -275,10 +278,57 @@ def test_channel_scene_refuses_non_finite_coordinates_and_coefficient(
 
 
 def test_channel_scene_takes_numpy_and_integer_coordinates():
-    box = Box(x=(np.float64(0.0), 10), y=(-11, np.float64(-5.0)), height=10)
+    box = Box(x=(np.float64(0.0), 10), y=(-11, np.float32(-5.0)), height=10)
     cfg = ChannelSceneConfig(buildings=(box,), bs_pos=(-10, 6, np.int64(10)),
                              reflection_coeff=0.5)
     assert cfg.bs_pos[2] == 10 and cfg.reflection_coeff == 0.5
+
+
+_SCHEDULING_DOC = {"track": "scheduling", "seed": 1, "scheduling": {}}
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SchedulingConfig(cell_radius_m=np.float32("inf")),
+     "scheduling.cell_radius_m"),
+    (lambda: scenario_from_dict({**_SCHEDULING_DOC, "scheduling": {
+        "cell_radius_m": np.float32("inf")}}), "scheduling.cell_radius_m"),
+    (lambda: ChannelSceneConfig(bs_pos=(np.float32("inf"), 6.0, 10.0)),
+     "channel.bs_pos"),
+    (lambda: ChannelSceneConfig(
+        reflection_coeff=np.complex64(complex(np.inf, 0.0))),
+     "channel.reflection_coeff"),
+    (lambda: Box(**{**_BOX, "y": (-11.0, np.float32("inf"))}),
+     "channel.buildings"),
+    (lambda: Box(**{**_BOX, "height": np.float16("inf")}),
+     "channel.buildings"),
+], ids=["float32-field", "float32-document", "float32-bs", "complex64-coeff",
+        "float32-box-y", "float16-box-height"])
+def test_narrow_numpy_infinities_are_config_errors(make, field):
+    """A float32 or float16 inf is refused like a float64 one: numpy casts
+    a float64 bound to a narrow value's own width, where it overflows."""
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == field
+
+
+def test_finite_narrow_numpy_floats_construct_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SchedulingConfig(
+            cell_radius_m=np.float32(50.0)).cell_radius_m == 50.0
+        doc = {**_SCHEDULING_DOC, "scheduling": {
+            "cell_radius_m": np.float32(50.0),
+            "bandwidth_hz": np.float16(1000.0)}}
+        sched = scenario_from_dict(doc).scheduling
+        assert (sched.cell_radius_m, sched.bandwidth_hz) == (50.0, 1000.0)
+        box = Box(x=(np.float16(0.0), np.float32(10.0)),
+                  y=(np.float32(-11.0), np.float16(-5.0)),
+                  height=np.float16(10.0))
+        cfg = ChannelSceneConfig(
+            buildings=(box,), bs_pos=(np.float32(-10.0), 6.0, 10.0),
+            carrier_hz=np.float32(3.5e9), lane_width_m=np.float16(2.0),
+            reflection_coeff=np.complex64(0.5))
+        assert cfg.carrier_hz == 3.5e9 and cfg.reflection_coeff == 0.5
 
 
 def test_scenario_requires_exactly_one_section():

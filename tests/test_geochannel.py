@@ -703,7 +703,9 @@ def test_a_signed_zero_edge_gets_its_own_facades():
         """Everything the prepared scene feeds, as bits."""
         scene = _scene(cfg)
         ckm = build_ckm(cfg, users)
-        return ([math.copysign(1.0, f.offset) for f in scene.facades],
+        offsets = np.where(scene.u_is_y, scene.origin[:, 0],
+                           scene.origin[:, 1])
+        return (np.copysign(1.0, offsets).tolist(),
                 {k: v.tobytes() for k, v in scene_arrays(scene).items()},
                 ckm.channels.tobytes(), ckm.gains.tobytes(),
                 repr([trace_paths(cfg, u) for u in users]),

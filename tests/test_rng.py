@@ -127,6 +127,29 @@ def test_rounds_match_the_calls_made_one_by_one(seed, lead, count, layout):
     assert raw(got, 4) == raw(twin, 4)
 
 
+def test_the_ga_layout_is_decoded_from_a_fresh_stream(monkeypatch):
+    """16 rounds of the GA's default layout, from a stream with no cached
+    half, are decoded from raw words: numpy's own calls make none."""
+    made = []
+    call = RngStream._call
+
+    def counted(self, *args):
+        made.append(self.label)
+        return call(self, *args)
+
+    monkeypatch.setattr(RngStream, "_call", counted)
+    layout = ((100, 300), (None, 1400), (10, 900))
+    got, twin = stream(13, "ga"), stream(13, "ga")
+    arrays = got.rounds(16, layout)
+    assert made == []
+    for i in range(16):
+        for array, (high, n) in zip(arrays, layout):
+            want = (twin.random(n) if high is None
+                    else twin.integers(0, high, n))
+            assert np.array_equal(array[i], want)
+    assert got._gen.bit_generator.state == twin._gen.bit_generator.state
+
+
 def test_rounds_refuse_bounds_outside_32_bits():
     s = stream(1, "rounds")
     for high in (0, 2 ** 32 + 1):

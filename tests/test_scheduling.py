@@ -11,7 +11,7 @@ import pytest
 import scalar_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
-from autocomm import scheduling
+from autocomm import report, scheduling
 from autocomm.configs import (ConfigError, ObjectiveKind, ObjectiveSpec,
                               SchedulingConfig, scenario_from_dict)
 from autocomm.opro import (MockLocalSearchEngine, OproParams,
@@ -702,11 +702,11 @@ def _first_rejection(rng, ga, k, m):
 @pytest.mark.parametrize("fading", ["none", "rayleigh"])
 def test_lockstep_ga_matches_restart_by_restart_through_a_rejection(fading):
     """On the reference scene, seed 68's restart 2 rejects one of its
-    generation-56 redraws, so `rounds` makes that generation's draws by
-    numpy's own calls and decodes the rest.  Scanned with those calls,
-    seeds 68, 78, 84 and 167 are the runs in 1-167 that reject a draw; of
-    them only 68 on the faded map ends elsewhere if the rejection is
-    missed, because the flat map's search has settled by then."""
+    generation-56 redraws, so `rounds` makes that generation's draws, and
+    the restart's later ones, by numpy's own calls.  Scanned with those
+    calls, seeds 68, 78, 84 and 167 are the runs in 1-167 that reject a
+    draw; of them only 68 on the faded map ends elsewhere if the rejection
+    is missed, because the flat map's search has settled by then."""
     cfg = scenario_from_dict(json.loads(REFERENCE.read_text())).scheduling
     snr = generate_snr_map(cfg, RadioParams(fading=fading),
                            stream(68, "scheduling/snr"))
@@ -742,6 +742,39 @@ def test_ga_draws_a_block_of_generations_per_call(monkeypatch,
     ga_schedule(cfg, snr, obj, ga, stream(5, "ga"))
     assert set(calls) == {f"ga/restart{r}" for r in range(ga.restarts)}
     assert max(calls.values()) <= math.ceil(200 / _GA_BLOCK) + 1
+
+
+def test_reference_ga_runs_decode_every_round(monkeypatch):
+    """The reference document's sched-search GA runs (pf and qos_sum_rate
+    on 10 robots, pf on 4) reject no draw on seeds 1-20, so `rounds`
+    decodes every block of generations from raw words: no round is made
+    by numpy's own calls, which would cost a run about a fifth of its
+    time."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(RngStream, name)
+
+        def wrapper(self, *args):
+            calls[name, self.label] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in ("rounds", "_call"):
+        monkeypatch.setattr(RngStream, name, counted(name))
+    doc = json.loads(REFERENCE.read_text())
+    ga = GaParams()
+    per_restart = {("rounds", f"scheduling/ga/restart{r}"):
+                   math.ceil(ga.generations / _GA_BLOCK)
+                   for r in range(ga.restarts)}
+    for changes in ({}, {"objective": {"kind": "qos_sum_rate"}},
+                    {"num_robots": 4}):
+        for seed in range(1, 21):
+            calls.clear()
+            report.run(scenario_from_dict({
+                **doc, "seed": seed,
+                "scheduling": {**doc["scheduling"], **changes}}), "ga")
+            assert calls == per_restart
 
 
 @pytest.mark.parametrize("cap", [None, 9, 2])
