@@ -18,7 +18,10 @@ that exceeds its byte budget loses its farthest vehicle rows.  The encoder
 writes the text ``json.dumps`` gives directly: the foreground once, then
 the vehicle rows nearest first, each formatted only while the running
 total still fits the budget, and the kept rows spliced into the
-foreground text.
+foreground text.  The rows come from a merge of the lanes' queues, which
+spawn and step keep front to back (a lane out of that order is sorted
+first), so an encode rounds and formats only the rows it keeps and one
+more, not every visible vehicle.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter
 from typing import Optional, Protocol
 
 from .configs import TrafficConfig
@@ -42,6 +46,7 @@ LANE_KEYS = tuple(f"{a}:{i}" for a in APPROACHES for i in INTENTS)
 # sort_keys=True JSON object, and each name's JSON text.
 _SORTED_LANE_KEYS = tuple(sorted(LANE_KEYS))
 _LANE_JSON = {key: json.dumps(key) for key in LANE_KEYS}
+_POS = attrgetter("pos")
 
 # Protected phases: no two simultaneously allowed movements conflict.  Each
 # phase lists its lanes in LANE_KEYS order, so a sum over a phase adds its
@@ -93,7 +98,10 @@ class TrafficState:
     """The intersection at one instant.
 
     ``lanes`` holds exactly the keys of LANE_KEYS, as ``spawn_vehicles``
-    makes it, so a pass over the lanes walks a fixed tuple of them.
+    makes it, so a pass over the lanes walks a fixed tuple of them.  Each
+    lane lists its vehicles front to back: ``spawn_vehicles`` and ``step``
+    leave no vehicle nearer the line than the one ahead of it, which lets
+    the encoder merge the lanes without sorting them.
     """
 
     time_s: float
@@ -308,9 +316,13 @@ def encode_observation(state: TrafficState, kind: str,
     """Serialize what a sensor of the given kind can see, within the budget.
 
     Foreground (always kept): time, current phase, per-lane queue summary.
-    Background (dropped farthest-first under pressure): per-vehicle rows.
+    Background (dropped farthest-first under pressure): per-vehicle rows,
+    by rounded position, then lane name, then order in the lane.  The
+    lanes' visible queues are merged in that order; a lane whose raw
+    positions decrease somewhere is first stably sorted by rounded
+    position, so the rows are those one sort of every row would give.
     Raises InsufficientBudgetError when even the foreground alone does not
-    fit the byte budget.
+    fit the byte budget, before any row is looked at.
     """
     if kind not in ("vue", "rsu"):
         raise ValueError(f"unknown observation kind {kind!r}")
@@ -319,7 +331,8 @@ def encode_observation(state: TrafficState, kind: str,
     # formats an int or a finite float (every number a state holds).
     depth = None if kind == "vue" else cfg.visible_depth
     summaries = []
-    rows = []
+    queues = []
+    n_visible = 0
     for key in _SORTED_LANE_KEYS:
         q = state.lanes[key]
         # The roadside top view sees at most visible_depth vehicles per
@@ -330,7 +343,9 @@ def encode_observation(state: TrafficState, kind: str,
                              f'"w":{round(q[0].wait_s, 1)!r}}}')
         else:
             summaries.append(f'{_LANE_JSON[key]}:{{"q":{len(visible)}}}')
-        rows += [(round(veh.pos, 1), key, veh) for veh in visible]
+        if visible:
+            queues.append((key, visible))
+            n_visible += len(visible)
     foreground = (f'{{"lanes":{{{",".join(summaries)}}},'
                   f'"phase":{state.phase!r},"t":{round(state.time_s, 1)!r}}}')
     # The output is ASCII (json escapes the rest), so characters are bytes.
@@ -339,29 +354,46 @@ def encode_observation(state: TrafficState, kind: str,
         raise InsufficientBudgetError(
             f"foreground needs {fg_bytes} bytes, budget is {cfg.byte_budget}")
 
-    # By (pos, lane) only, and stable: rows that tie on both keep their
-    # order in the lane.
-    rows.sort(key=itemgetter(0, 1))
+    # round never decreases, so a lane whose raw positions never decrease
+    # is already in row order; only another lane is sorted.  The heap holds
+    # one entry per lane, so two entries differ in the lane name: the heap
+    # never compares past it, and a rounded-position tie goes to the lower
+    # name, as a stable sort of every row by (pos, lane) would.  -0.0 and
+    # 0.0 compare equal in both.
+    heap = []
+    for key, visible in queues:
+        if len(visible) > 1:
+            positions = list(map(_POS, visible))
+            if positions != sorted(positions):
+                visible = sorted(visible, key=lambda v: round(v.pos, 1))
+        heap.append((round(visible[0].pos, 1), key, 0, visible))
+    heapify(heap)
     # "vehicles" sorts last, so k >= 1 rows cost the foreground without its
     # closing brace, ',"vehicles":[', the rows, k - 1 commas and ']}': that
     # is fg_bytes + 13 plus the sum of (row bytes + 1).  Every row costs at
     # least one byte, so the first row that does not fit ends the list.
     room = cfg.byte_budget - fg_bytes - 13
     texts = []
-    for pos, key, veh in rows:
+    while heap:
+        pos, key, i, visible = heap[0]
         text = (f'{{"lane":{_LANE_JSON[key]},"pos":{pos!r},'
-                f'"v":{round(veh.speed, 1)!r}}}')
+                f'"v":{round(visible[i].speed, 1)!r}}}')
         room -= len(text) + 1
         if room < 0:
             break
         texts.append(text)
+        i += 1
+        if i < len(visible):
+            heapreplace(heap, (round(visible[i].pos, 1), key, i, visible))
+        else:
+            heappop(heap)
     payload = foreground
     if texts:
         payload = f'{foreground[:-1]},"vehicles":[{",".join(texts)}]}}'
     return EncodedObservation(
         kind=kind, payload=payload,
         foreground_fraction=fg_bytes / len(payload),
-        dropped_vehicles=len(rows) - len(texts))
+        dropped_vehicles=n_visible - len(texts))
 
 
 # ---------------------------------------------------------------------------

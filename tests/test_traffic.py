@@ -341,6 +341,86 @@ def test_encoder_cut_matches_the_oracle_at_every_budget(kind, depth):
     assert seen[-1].payload == full
 
 
+def out_of_order_state():
+    """Lanes not front to back: raw descending rows that tie after rounding
+    (5.04 before 4.96), a truly reversed lane, and one in order to merge
+    them with."""
+    state = empty_state(phase=1, time_s=7.25)
+    for lane, rows in (("N:left", [(5.04, 1.0), (4.96, 2.0), (5.0, 3.0),
+                                   (0.5, 4.0)]),
+                       ("N:right", [(40.0, 5.0), (30.0, 6.0), (20.0, 7.0),
+                                    (10.0, 8.0)]),
+                       ("S:left", [(2.0, 9.0), (40.0, 10.0), (30.0, 11.0),
+                                   (20.0, 12.0)]),
+                       ("E:straight", [(0.0, 13.0), (5.0, 14.0),
+                                       (20.0, 15.0)])):
+        for pos, speed in rows:
+            put(state, state.spawned + 1, lane, pos, speed=speed,
+                wait_s=0.5 * state.spawned)
+    return state
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["vue", "rsu"])
+def test_out_of_order_lanes_are_cut_as_in_the_oracle(kind, depth):
+    state = out_of_order_state()
+    roomy = TrafficConfig(visible_depth=depth, byte_budget=10**7)
+    full = oracle.encode_observation(state, kind, roomy).payload
+    doc = json.loads(full)
+    doc.pop("vehicles")
+    foreground = len(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    cfgs = [TrafficConfig(visible_depth=depth, byte_budget=budget)
+            for budget in range(foreground - 1, len(full) + 2)]
+    seen = [_encode_or_error(encode_observation, state, kind, cfg)
+            for cfg in cfgs]
+    assert seen == [_encode_or_error(oracle.encode_observation, state, kind,
+                                     cfg) for cfg in cfgs]
+    assert seen[-1].payload == full
+    rows = [(r["lane"], r["pos"]) for r in json.loads(full)["vehicles"]]
+    if kind == "rsu" and depth == 2:
+        # Only the visible slice is sorted: the roadside view of the
+        # reversed lanes is 40 and 30 m (after 2 m on S:left), not the
+        # lane's nearest two.
+        assert sorted(p for lane, p in rows if lane == "N:right") == \
+            [30.0, 40.0]
+        assert sorted(p for lane, p in rows if lane == "S:left") == \
+            [2.0, 40.0]
+    if kind == "vue":
+        # The raw-descending lane's three rows at 5.0 keep their lane order.
+        speeds = [r["v"] for r in json.loads(full)["vehicles"]
+                  if r["lane"] == "N:left" and r["pos"] == 5.0]
+        assert speeds == [1.0, 2.0, 3.0]
+
+
+def test_encode_rounds_only_the_rows_it_emits(monkeypatch):
+    # One encode of a 160-vehicle connected-vehicle view at the default
+    # 512-byte budget rounds each lane's head wait and first position, the
+    # clock, the speed of each row it formats (the kept ones and the one
+    # that does not fit) and the position of each next row it queues:
+    # never every visible vehicle.
+    cfg = dataclasses.replace(REFERENCE.traffic, num_vehicles=160)
+    assert cfg.byte_budget == 512
+    state = spawn_vehicles(cfg, stream(13, "traffic").substream("spawn"))
+    for k in range(40):
+        step(state, cfg, PHASE_ORDER[0] if k == 0 else None)
+    expected = encode_observation(state, "vue", cfg)
+    calls = []
+
+    def counting(number, ndigits=None):
+        calls.append(number)
+        return round(number, ndigits)
+
+    # A module global is found before the builtin.
+    monkeypatch.setattr("autocomm.traffic.round", counting, raising=False)
+    obs = encode_observation(state, "vue", cfg)
+    assert obs == expected
+    lanes = sum(1 for q in state.lanes.values() if q)
+    visible = sum(len(q) for q in state.lanes.values())
+    kept = visible - obs.dropped_vehicles
+    assert obs.dropped_vehicles > visible // 2
+    assert len(calls) <= 2 * lanes + 2 * kept + 2, (len(calls), visible)
+
+
 # ---------------------------------------------------------------------------
 # Differential: step, invariant check and encoder against the scalar oracle
 
@@ -372,6 +452,63 @@ def _error_or_none(check, *args):
     except (CrashInvariantError, ConservationError) as exc:
         return type(exc).__name__, str(exc)
     return None
+
+
+@st.composite
+def crowding_configs(draw):
+    """Short episodes whose lanes pack tight: headways down to 1e-12 m, far
+    below check_invariants' 1e-9 m slack (which then lets a gap just below
+    zero pass), so a queue's rows tie after rounding; varied steps and
+    speeds."""
+    dt = draw(st.floats(0.05, 2.0))
+    return TrafficConfig(
+        num_vehicles=draw(st.integers(1, 60)),
+        area_m=draw(st.floats(1.0, 200.0)),
+        free_flow_speed_mps=draw(st.floats(0.5, 40.0) | st.integers(1, 40)),
+        headway_m=draw(st.sampled_from([1e-12, 1e-9, 0.05])
+                       | st.floats(1e-12, 10.0)),
+        decision_interval_s=draw(st.floats(0.1, 5.0)),
+        min_green_s=draw(st.just(0.0) | st.floats(0.0, 5.0)),
+        episode_s=dt * draw(st.integers(1, 20)),
+        dt_s=dt,
+        startup_delay_s=draw(st.floats(0.0, 3.0)),
+        discharge_headway_s=draw(st.floats(0.0, 4.0)),
+        visible_depth=draw(st.integers(1, 10)))
+
+
+def _front_to_back(state):
+    return all(a.pos <= b.pos for q in state.lanes.values()
+               for a, b in zip(q, q[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=crowding_configs(), seed=st.integers(0, 2 ** 64 - 1))
+def test_lanes_stay_front_to_back_and_encode_as_in_the_oracle(cfg, seed):
+    # The encoder's fast path takes a lane whose positions never decrease
+    # as already in row order; spawn and every step must keep that.
+    state = spawn_vehicles(cfg, stream(seed, "traffic/spawn"))
+    assert _front_to_back(state)
+    ctl = RoundRobinController()
+    interval = max(1, int(round(cfg.decision_interval_s / cfg.dt_s)))
+    for k in range(int(round(cfg.episode_s / cfg.dt_s))):
+        request = None
+        if k % interval == 0:
+            for kind in ("vue", "rsu"):
+                roomy = dataclasses.replace(cfg, byte_budget=10**7)
+                full = oracle.encode_observation(state, kind, roomy).payload
+                doc = json.loads(full)
+                doc.pop("vehicles", None)
+                foreground = len(json.dumps(doc, sort_keys=True,
+                                            separators=(",", ":")))
+                # Foreground only, all rows, and cuts between.
+                span = len(full) - foreground
+                for budget in {foreground + span * i // 4 for i in range(5)}:
+                    tight = dataclasses.replace(cfg, byte_budget=budget)
+                    assert encode_observation(state, kind, tight) == \
+                        oracle.encode_observation(state, kind, tight)
+            request = ctl.decide("", state.time_s)
+        step(state, cfg, request)
+        assert _front_to_back(state)
 
 
 @settings(max_examples=200, deadline=None)
