@@ -7,9 +7,9 @@ discharge clock that enforces saturation headway.  The model is built to
 keep two invariants checkable at every step: no two vehicles in a lane are
 closer than the safety headway, and every spawned vehicle is either still
 on the road or recorded as crossed.  One pass over the lanes checks both.
-Most vehicle-steps are a queue standing at a red or metered line; ``step``
-passes over such a held run writing only its clocks, which gives the bits
-the full kinematic update would.
+Most vehicle-steps are a follower standing exactly one headway behind
+where its leader ends the step; ``step`` writes only its clocks, which
+gives the bits the full kinematic update would.
 
 Signal controllers consume encoded observations (not raw state), which is
 where the sensing gap lives: the connected-vehicle view reports exact
@@ -31,7 +31,6 @@ import math
 import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from itertools import islice
 from operator import attrgetter
 from typing import Optional, Protocol
 
@@ -200,17 +199,11 @@ def step(state: TrafficState, cfg: TrafficConfig,
     by the stop line and by the leader plus safety headway.  Only heads
     cross, so a lane loses a prefix of its queue.
 
-    A lane's held run is passed over with only its clocks.  When the head
-    stands at the line (pos == 0.0) and cannot cross this step (the lane
-    is red, or its discharge clock runs past the step), the head and each
-    follower exactly one headway behind its leader stay put.  The general
-    branch would compute moved as 0.0 for them (pos0, +0.0 or -0.0, for
-    the head), so they get only travel_time_s and wait_s += dt and speed
-    0.0 (pos0 / dt for the head), and the head's pos is set to 0.0 as the
-    general branch sets it.  distance_m += moved is skipped: adding a
-    zero changes no bit of a distance that is not -0.0, and a distance is
-    a sum of moves that starts at +0.0, so it is never -0.0.  The general
-    branch takes over at the first vehicle after the run.
+    A follower already at its floor (exactly one headway behind where its
+    leader ends the step; the floor is at least headway, above 0) stays
+    put, so it gets speed 0.0 and travel_time_s and wait_s += dt and
+    nothing else: the full update would move it by +0.0, and adding +0.0
+    changes no bit of a distance, a sum of moves that starts at +0.0.
     """
     if phase_request is not None:
         _apply_phase_request(state, phase_request, cfg)
@@ -227,43 +220,22 @@ def step(state: TrafficState, cfg: TrafficConfig,
         if not q:
             continue
         is_green = key in green
-        head = q[0]
-        pos0 = head.pos
         front_pos: Optional[float] = None
-        # travel is 0.0 only when v_free * dt underflows; then no head
-        # reaches the line and the general branch below keeps a -0.0 head.
-        if pos0 == 0.0 and travel > 0.0 and not (
-                is_green and max(t, release[key]) < t_end):
-            # The held run (see the docstring): only the fields the
-            # general branch would change are written.
-            head.speed = pos0 / dt
-            head.travel_time_s += dt
-            head.wait_s += dt
-            head.pos = front_pos = 0.0
-            held = 1
-            for veh in islice(q, 1, None):
-                floor = front_pos + headway
-                if veh.pos != floor:
-                    break
-                veh.speed = 0.0
-                veh.travel_time_s += dt
-                veh.wait_s += dt
-                front_pos = floor
-                held += 1
-            if held == len(q):
-                continue
-            rest = q[held:]
-        else:
-            rest = q
         n_crossed = 0
-        for veh in rest:
+        for veh in q:
             pos0 = veh.pos
-            desired = pos0 - travel
             if front_pos is not None:
-                # max(desired, front_pos + headway), ties to desired.
                 floor = front_pos + headway
+                if pos0 == floor:
+                    veh.speed = 0.0
+                    veh.travel_time_s += dt
+                    veh.wait_s += dt
+                    front_pos = floor
+                    continue
+                # max(desired, floor), ties to desired.
+                desired = pos0 - travel
                 new_pos = floor if floor > desired else desired
-            elif desired < 0.0:
+            elif pos0 < travel:
                 # Head reaches the stop line inside this step.
                 t_line = t + pos0 / v_free
                 t_cross = max(t_line, release[key])
@@ -278,7 +250,7 @@ def step(state: TrafficState, cfg: TrafficConfig,
                     continue
                 new_pos = 0.0
             else:
-                new_pos = desired
+                new_pos = pos0 - travel
             moved = pos0 - new_pos
             speed = moved / dt
             veh.speed = speed

@@ -688,6 +688,8 @@ def test_switch_takes_the_section_min_rate_unless_given():
     ("scheduling", "min_rate_bps"),
     ("scheduling", "objective.epsilon"),
     ("traffic", "episode_s"),
+    ("traffic", "num_vehicles"),
+    ("channel", "reflection_coeff"),
 ])
 def test_non_finite_floats_are_config_errors(track, field, token):
     # JSON's NaN and Infinity tokens, and literals past the float range,
@@ -699,6 +701,13 @@ def test_non_finite_floats_are_config_errors(track, field, token):
     with pytest.raises(ConfigError) as err:
         build_scenario(text)
     assert err.value.field == f"{track}.{field}"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_seed_is_a_config_error(token):
+    with pytest.raises(ConfigError) as err:
+        build_scenario(f'{{"track": "traffic", "seed": {token}}}')
+    assert err.value.field == "seed"
 
 
 @pytest.mark.parametrize("track", ["scheduling", "traffic", "channel"])

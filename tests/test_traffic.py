@@ -757,6 +757,36 @@ def test_a_follower_inside_the_headway_steps_as_in_the_oracle():
     _step_both(new, old, cfg)
 
 
+def test_a_follower_one_headway_behind_a_moving_leader_as_in_the_oracle():
+    # The leader travels 7.0 m this step and ends it at 3.0, exactly one
+    # headway ahead of the follower, which stays put.  E:left is red.
+    cfg = TrafficConfig()
+    new = empty_state(phase=1)
+    put(new, 1, "E:left", 10.0, speed=14.0)
+    put(new, 2, "E:left", 8.0, speed=0.0)
+    old = copy.deepcopy(new)
+    _step_both(new, old, cfg)
+    leader, follower = new.lanes["E:left"]
+    assert leader.pos == 3.0 and follower.pos == 8.0
+    assert follower.distance_m == 0.0 and follower.wait_s == cfg.dt_s
+    for _ in range(3):
+        _step_both(new, old, cfg)
+
+
+def test_a_follower_at_its_floor_when_travel_underflows_as_in_the_oracle():
+    # At 5e-324 m/s a step's travel underflows to 0.0: nobody moves, and
+    # each follower stands exactly one headway behind its leader.
+    cfg = TrafficConfig(free_flow_speed_mps=5e-324)
+    new = empty_state(phase=1)
+    for vid, pos in enumerate((3.0, 8.0, 13.0), start=1):
+        put(new, vid, "S:straight", pos, speed=0.0)
+    old = copy.deepcopy(new)
+    for _ in range(3):
+        _step_both(new, old, cfg)
+    assert [v.pos for v in new.lanes["S:straight"]] == [3.0, 8.0, 13.0]
+    assert [v.wait_s for v in new.lanes["S:straight"]] == [3 * cfg.dt_s] * 3
+
+
 def test_run_episode_checks_the_invariants_after_every_step(monkeypatch):
     # The README's "checked every step": no lane, held or not, skips it.
     times = []
