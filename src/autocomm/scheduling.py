@@ -105,11 +105,12 @@ class ScoringTable(NamedTuple):
 
     objective: ObjectiveSpec
     num_rbs: int
-    eligible: np.ndarray  # [n] bool: buffer non-empty
-    rows: list[int]       # the eligible robots' indices, ascending
-    rb: np.ndarray        # [n, snr.num_rbs] per-(robot, RB) rate
+    eligible: np.ndarray  # [n] bool: buffer non-empty, n the map's robot rows
+    rows: list[int]       # the eligible rows' indices, ascending
+    rb: np.ndarray        # [n, snr.num_rbs] per-(row, RB) rate
     table: np.ndarray     # flat [num_rbs, n + 1] slot rates, see _rate_table
-    limits: np.ndarray    # [n, 1] RBs each robot may hold
+    offsets: np.ndarray   # [num_rbs] flat offset of each RB's slots in table
+    limits: np.ndarray    # [n, 1] RBs each row's robot may hold
     lookup: np.ndarray    # [n + 2] owner of each id clipped to [0, n + 1]
 
 
@@ -140,7 +141,9 @@ def scoring_table(snr: SnrMap, cfg: SchedulingConfig,
     lookup[0] = n
     return ScoringTable(
         objective=objective, num_rbs=m, eligible=eligible, rows=rows, rb=rb,
-        table=_rate_table(rb, eligible, m), limits=limits, lookup=lookup)
+        table=_rate_table(rb, eligible, m),
+        offsets=np.arange(0, (n + 1) * m, n + 1), limits=limits,
+        lookup=lookup)
 
 
 def assess(allocs: np.ndarray, prepared: ScoringTable) -> Assessment:
@@ -186,12 +189,17 @@ def _score(owner: np.ndarray, prepared: ScoringTable, count: bool):
     P, width = owner.shape
     objective, eligible = prepared.objective, prepared.eligible
     n = len(eligible)
-    table = (prepared.table if width == prepared.num_rbs
-             else _rate_table(prepared.rb, eligible, width))
-    weights = table.take(owner + np.arange(0, (n + 1) * width, n + 1)).ravel()
+    if width == prepared.num_rbs:
+        table, offsets = prepared.table, prepared.offsets
+    else:
+        table = _rate_table(prepared.rb, eligible, width)
+        offsets = np.arange(0, (n + 1) * width, n + 1)
+    weights = table.take(owner + offsets).ravel()
     # Robot-major bins, so each robot's rates and terms are one contiguous
     # row of P values.
-    bins = (owner * P + np.arange(P)[:, None]).ravel()
+    bins = owner * P
+    bins += np.arange(P)[:, None]
+    bins = bins.ravel()
     size = (n + 1) * P
     rates = np.bincount(bins, weights=weights,
                         minlength=size).reshape(n + 1, P)[:n]
@@ -286,6 +294,25 @@ def validate(alloc: Sequence[int], snr: SnrMap, cfg: SchedulingConfig,
 
 # ---------------------------------------------------------------------------
 # Reference schedulers
+
+
+def _eligible_instance(snr: SnrMap) -> tuple[np.ndarray, SnrMap]:
+    """The eligible robots' ids, ascending, and the map of their rows alone.
+
+    Row j of the sub-map is robot ids[j], with a non-empty buffer.  Its
+    rates are the full map's rows bit for bit (rb_rate_matrix works
+    elementwise), and its rows keep the full map's robot order, so a search
+    on it ranks every allocation as the full map would.  Raises if no robot
+    is eligible.
+    """
+    eligible = snr.eligible_ids()
+    if not eligible:
+        raise ValueError("no eligible robots to schedule")
+    ids = np.asarray(eligible)
+    rows = ids - 1
+    return ids, SnrMap(values=snr.values[rows],
+                       robot_positions=snr.robot_positions[rows],
+                       buffer_nonempty=np.ones(len(ids), dtype=bool))
 
 
 def round_robin_alloc(cfg: SchedulingConfig, snr: SnrMap) -> Allocation:
@@ -392,17 +419,14 @@ def brute_force_optimal(cfg: SchedulingConfig, snr: SnrMap,
     whose best completion under the DP still reaches V.  Raises if the DP
     would take more than ENUMERATION_CAP steps.
     """
-    eligible = snr.eligible_ids()
-    if not eligible:
-        raise ValueError("no eligible robots to schedule")
-    ids = np.asarray(eligible)
+    ids, sub = _eligible_instance(snr)
     k, m, cap = len(ids), cfg.num_rbs, cfg.rb_cap
     if k * 3 ** m > ENUMERATION_CAP:
         raise ValueError(f"instance too large for the subset DP: "
                          f"{k} x 3^{m} > {ENUMERATION_CAP}")
 
     # Rate and size of every RB subset; subset S | 2^b adds RB b last.
-    rb = rb_rate_matrix(snr, cfg)[ids - 1]
+    rb = rb_rate_matrix(sub, cfg)
     width = min(m, rb.shape[1])
     slot = np.zeros((k, m))
     slot[:, :width] = rb[:, :width]
@@ -449,40 +473,38 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
 
     The restarts evolve in lockstep: each generation scores all of them in
     one call of _score, the kernel assess scores with, over [restarts x
-    population] rows, on a scoring table built once per search, which
-    gives every row the bits assess would give it alone.  The populations
-    hold robot indices, not ids: every gene names an eligible robot, so
-    the search skips assess's id decoding, and it counts RBs only when the
-    cap can bind (rb_cap < num_rbs).  Restart r draws from its own
-    `restart{r}` substream, in the order a run of that restart by itself
-    would, and selection, crossover, mutation and elitism never mix
-    restarts.  Per generation a restart draws its tournament contenders,
-    one block of doubles read as the crossover, swap and mutation uniforms
-    (PCG64 makes each double from a whole 64-bit word, so the block holds
-    the doubles three calls would), then the mutation redraws.
-    `RngStream.rounds` decodes those draws for up to _GA_BLOCK generations
-    at a time from the stream's raw words, exactly as the calls made one by
-    one would return them, so the generation loop makes no draw call.
+    population] rows, on a scoring table built once per search over the
+    eligible robots alone (_eligible_instance), which gives every row the
+    bits assess would give its allocation on the full map.  A gene is a
+    position 0..k-1 among the k eligible robots, exactly as drawn, so the
+    search skips assess's id decoding and maps only the best vector to
+    ids; it counts RBs only when the cap can bind (rb_cap < num_rbs).
+    Restart r draws from its own `restart{r}` substream, in the order a
+    run of that restart by itself would, and selection, crossover,
+    mutation and elitism never mix restarts.  Per generation a restart
+    draws its tournament contenders, one block of doubles read as the
+    crossover, swap and mutation uniforms (PCG64 makes each double from a
+    whole 64-bit word, so the block holds the doubles three calls would),
+    then the mutation redraws.  `RngStream.rounds` decodes those draws for
+    up to _GA_BLOCK generations at a time from the stream's raw words,
+    exactly as the calls made one by one would return them, so the
+    generation loop makes no draw call.
 
     Returns (best allocation, its score, total generations run).
     """
-    eligible = snr.eligible_ids()
-    if not eligible:
-        raise ValueError("no eligible robots to schedule")
-    robots = np.asarray(eligible) - 1     # the eligible robots' indices
-    k, m = len(robots), cfg.num_rbs
+    ids, sub = _eligible_instance(snr)
+    k, m = len(ids), cfg.num_rbs
     R, P, e, T = ga.restarts, ga.population, ga.elitism, ga.tournament_size
     half = P // 2
-    table = scoring_table(snr, cfg, objective)
+    table = scoring_table(sub, cfg, objective)
     count = cfg.rb_cap < m
     streams = [rng.substream(f"restart{r}") for r in range(R)]
 
-    # The populations as [R * P, m] robot indices, restart by restart.
-    genes = robots[np.concatenate([s.integers(0, k, (P, m))
-                                   for s in streams])]
+    # The populations as [R * P, m] eligible positions, restart by restart.
+    genes = np.concatenate([s.integers(0, k, (P, m)) for s in streams])
     best_gene = np.zeros((R, m), dtype=genes.dtype)
-    best_level = np.full(R, LEVEL_INVALID - 1)
-    best_score = np.full(R, -np.inf)
+    # Each restart's best (level, score) so far; any real key outranks it.
+    best = [(LEVEL_INVALID - 1, -np.inf)] * R
     first = np.arange(R) * P          # flat row of each restart's first row
     rows = np.arange(R * P)
     layout = ((P, P * T), (None, half + half * m + P * m), (k, P * m))
@@ -496,19 +518,16 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         order = np.lexsort((-scores.reshape(R, P), -levels.reshape(R, P)),
                            axis=-1) + first[:, None]
         top = order[:, 0]
-        level, score = levels[top], scores[top]
-        better = (level > best_level) | ((level == best_level)
-                                         & (score > best_score))
-        if better.any():
-            best_level[better], best_score[better] = (level[better],
-                                                      score[better])
-            best_gene[better] = genes[top[better]]
+        for r, key in enumerate(zip(levels[top].tolist(),
+                                    scores[top].tolist())):
+            if key > best[r]:
+                best[r] = key
+                best_gene[r] = genes[top[r]]
         return levels, scores, order
 
     # A block of generations' draws, each [generation, restart, ...]:
     # contenders as flat rows, the crossover's swap mask (a pair's swaps
-    # only where the pair crosses), the mutation mask and the redraws as
-    # robot indices.
+    # only where the pair crosses), the mutation mask and the redraws.
     block = min(_GA_BLOCK, ga.generations)
     block_drawn = np.empty((block, R * P, T), dtype=np.int64)
     block_swap = np.empty((block, R, half, m), dtype=bool)
@@ -527,12 +546,12 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
                 # gene, or mutate the gene.
                 cross, swap, mutate = np.split(uniforms,
                                                (half, half + half * m), axis=1)
-                np.less(swap.reshape(gens, half, m), 0.5,
-                        out=block_swap[:gens, r])
-                block_swap[:gens, r] &= (cross < ga.crossover_prob)[..., None]
+                np.logical_and(swap.reshape(gens, half, m) < 0.5,
+                               (cross < ga.crossover_prob)[..., None],
+                               out=block_swap[:gens, r])
                 np.less(mutate.reshape(gens, P, m), ga.mutation_prob,
                         out=block_mutate[:gens, r])
-                block_redraw[:gens, r] = robots[redraw.reshape(gens, P, m)]
+                block_redraw[:gens, r] = redraw.reshape(gens, P, m)
         levels, scores, order = rank()
 
         # Tournament selection over the feasibility-first key, contenders
@@ -550,7 +569,7 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         pairs[...] = np.where(block_swap[i][:, :, None], pairs[:, :, ::-1],
                               pairs)
 
-        # Per-gene mutation redraws a uniform eligible robot.
+        # Per-gene mutation redraws a uniform eligible position.
         np.copyto(brood, block_redraw[i], where=block_mutate[i])
 
         # Elitism: the incumbent best, then this generation's runners-up,
@@ -561,6 +580,5 @@ def ga_schedule(cfg: SchedulingConfig, snr: SnrMap, objective: ObjectiveSpec,
         genes = children
     rank()
 
-    r = max(range(R), key=lambda r: (int(best_level[r]), float(best_score[r])))
-    return (tuple(int(v) + 1 for v in best_gene[r]), float(best_score[r]),
-            R * ga.generations)
+    r = max(range(R), key=best.__getitem__)
+    return (tuple(ids[best_gene[r]].tolist()), best[r][1], R * ga.generations)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scalar_oracle as oracle
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from autocomm import report, scheduling
 from autocomm.configs import (ConfigError, ObjectiveKind, ObjectiveSpec,
@@ -778,16 +778,18 @@ def test_reference_ga_runs_decode_every_round(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [None, 9, 2])
-def test_ga_scores_robot_indices_through_the_kernel(monkeypatch, cap):
+def test_ga_scores_eligible_positions_through_the_kernel(monkeypatch, cap):
     """A search scores each generation, and the final one, with one kernel
-    call over every restart's rows, on robot indices of eligible robots.
-    It never calls assess, so it decodes no ids, and it counts RBs only
-    when the cap can bind."""
+    call over every restart's rows, on positions 0..k-1 among the k
+    eligible robots, on a table of those k robots alone.  It never calls
+    assess, so it decodes no ids, and it counts RBs only when the cap can
+    bind."""
     calls = []
     kernel = scheduling._score
 
     def counted(owner, prepared, count):
-        calls.append((owner.shape, count, set(np.unique(owner).tolist())))
+        calls.append((owner.shape, count, set(np.unique(owner).tolist()),
+                      len(prepared.eligible), prepared.rb.shape[0]))
         return kernel(owner, prepared, count)
 
     def refused(*args, **kwargs):
@@ -799,16 +801,63 @@ def test_ga_scores_robot_indices_through_the_kernel(monkeypatch, cap):
                            buffer_occupancy_prob=0.7)
     snr = generate_snr_map(cfg, RadioParams(fading="rayleigh"),
                            stream(4, "scheduling/snr"))
-    robots = {rid - 1 for rid in snr.eligible_ids()}
-    assert len(robots) < 10
+    k = len(snr.eligible_ids())
+    assert k < 10
     ga = GaParams(population=11, generations=7, restarts=2)
     alloc, _, _ = ga_schedule(cfg, snr, PF, ga, stream(9, "ga"))
     assert set(alloc) <= set(snr.eligible_ids())
     assert len(calls) == ga.generations + 1
-    for shape, count, owners in calls:
+    for shape, count, owners, rows, rb_rows in calls:
         assert shape == (ga.restarts * ga.population, cfg.num_rbs)
         assert count == (cap == 2)
-        assert owners <= robots
+        assert owners <= set(range(k))
+        assert rows == rb_rows == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eligible_instance_scores_as_the_full_map(data):
+    """_score on positions among the eligible robots, over the table of
+    _eligible_instance's sub-map, gives the levels, scores, rates, counts
+    and QoS mask, bit for bit, that it gives the same robots' indices over
+    the full map's table, with and without counting RBs."""
+    num_rbs = 9
+    objective = ObjectiveSpec(
+        kind=data.draw(st.sampled_from(list(ObjectiveKind)), label="kind"),
+        min_rate_bps=data.draw(st.sampled_from([0.0, 1e6, 4e6]),
+                               label="min_rate"))
+    cfg = SchedulingConfig(
+        num_robots=data.draw(st.integers(1, 10), label="num_robots"),
+        num_rbs=num_rbs, objective=objective,
+        max_rbs_per_robot=data.draw(st.sampled_from([None, 1, 2]),
+                                    label="cap"),
+        buffer_occupancy_prob=data.draw(st.floats(0.0, 1.0),
+                                        label="occupancy"))
+    fading = data.draw(st.sampled_from(["none", "rayleigh"]), label="fading")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    snr = generate_snr_map(cfg, RadioParams(fading=fading),
+                           stream(seed, "scheduling/snr"))
+    assume(snr.eligible_ids())
+    ids, sub = scheduling._eligible_instance(snr)
+    assert ids.tolist() == snr.eligible_ids()
+    robots = ids - 1
+    pos = np.asarray(stream(seed, "positions").integers(
+        0, len(ids), (data.draw(st.integers(0, 40), label="rows"), num_rbs)))
+    full_table = scoring_table(snr, cfg, objective)
+    sub_table = scoring_table(sub, cfg, objective)
+    for count in (False, True):
+        levels, scores, rates, counts, starved = scheduling._score(
+            pos, sub_table, count)
+        want = scheduling._score(robots[pos], full_table, count)
+        # Rates and the QoS mask by robot; counts by robot, then unknown ids.
+        assert (_assessment_bytes([levels, scores, rates, starved])
+                == _assessment_bytes([want[0], want[1], want[2][robots],
+                                      want[4][robots]]))
+        if count:
+            assert (_assessment_bytes([counts]) == _assessment_bytes(
+                [want[3][np.append(robots, -1)]]))
+        else:
+            assert counts is want[3] is None
 
 
 def test_ga_params_validation():

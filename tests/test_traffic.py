@@ -601,7 +601,7 @@ def test_invariant_error_texts_match_the_oracle(fault):
 
 
 # ---------------------------------------------------------------------------
-# Held runs: step against the oracle, bit for bit
+# Followers at their floor: step against the oracle, bit for bit
 
 
 def _packed(*xs):
@@ -639,8 +639,10 @@ def _step_both(new, old, cfg, request=None):
         (state_bits(new, _hexes), state_bits(old, _hexes))
 
 
-def _held_run(q):
-    """A head at the line with at least two vehicles behind it."""
+def _followers_at_floor(q):
+    """A head at the line with at least two vehicles behind it: a queue
+    whose followers come to rest at their floor, one headway behind their
+    leader."""
     return len(q) >= 3 and q[0].pos == 0.0
 
 
@@ -659,15 +661,16 @@ def test_reference_episodes_match_the_oracle_bit_for_bit(num_vehicles, kind,
         new = spawn_vehicles(cfg, stream(seed, "traffic").substream("spawn"))
         old = copy.deepcopy(new)
         ctl = controller()
-        held_steps = 0
+        floor_steps = 0
         for k in range(n_steps):
             request = None
             if k % interval == 0:
                 request = ctl.decide(
                     encode_observation(new, kind, cfg).payload, new.time_s)
-            held_steps += any(_held_run(q) for q in new.lanes.values())
+            floor_steps += any(_followers_at_floor(q)
+                               for q in new.lanes.values())
             _step_both(new, old, cfg, request)
-        assert held_steps > 0, seed
+        assert floor_steps > 0, seed
 
 
 @pytest.mark.parametrize("speed", [14.0, 5e-324])
@@ -691,7 +694,7 @@ def test_a_negative_zero_head_on_red_steps_as_in_the_oracle(speed):
 
 
 @pytest.mark.parametrize("beyond", [False, True])
-def test_a_follower_one_headway_back_is_held_and_one_ulp_more_is_not(beyond):
+def test_a_follower_at_its_floor_stays_and_one_ulp_beyond_does_not(beyond):
     cfg = TrafficConfig()
     new = empty_state(phase=1)
     second = 2 * cfg.headway_m
@@ -749,7 +752,7 @@ def test_a_follower_inside_the_headway_steps_as_in_the_oracle():
     new = spawn_vehicles(cfg, stream(4, "traffic/spawn"))
     for _ in range(20):
         step(new, cfg)
-    assert any(_held_run(q) for q in new.lanes.values())
+    assert any(_followers_at_floor(q) for q in new.lanes.values())
     for q in new.lanes.values():
         if len(q) >= 2:
             q[1].pos = q[0].pos + cfg.headway_m / 3
